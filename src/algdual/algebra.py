@@ -9,6 +9,13 @@ Validators return a :class:`ValidationReport` listing one entry per checked
 identity.  Each failed identity carries the lexicographically first
 witnessing assignment, which keeps golden outputs small and deterministic.
 
+Identity checks are compiled.  :func:`first_violation` turns each identity,
+on first use, into nested loops over the op tables, one loop per variable in
+sorted name order; each subterm is computed once, in the outermost loop that
+binds all of its variables.  Assignments are visited in the same
+lexicographic order as before, so every witness is unchanged.
+``tests/oracles.py`` keeps the term-tree evaluation as the reference.
+
 Homomorphism enumeration is a backtracking search over the value vector
 ``(f(0), ..., f(n-1))``, pruning as soon as an equation over already-assigned
 arguments is violated, and therefore yields morphisms sorted
@@ -19,8 +26,8 @@ on that ordering.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
-from typing import Iterable, Mapping, Optional, Sequence
+from itertools import count, product
+from typing import Mapping, Optional, Sequence
 
 from .errors import (
     InvalidMorphism,
@@ -157,36 +164,113 @@ def permute_algebra(a: FiniteAlgebra, perm: Sequence[int]) -> FiniteAlgebra:
 # Terms are nested tuples: a variable is a string, ('zero',) is a constant,
 # ('neg', t) applies a unary operation, ('join', s, t) a binary one.
 
-def eval_term(a: FiniteAlgebra, term, env: Mapping[str, int]) -> int:
-    if isinstance(term, str):
-        return env[term]
-    op = term[0]
-    if len(term) == 1:
-        return a.const(op)
-    if len(term) == 2:
-        return a.unary(op)[eval_term(a, term[1], env)]
-    return a.binary(op)[eval_term(a, term[1], env)][eval_term(a, term[2], env)]
+_ACCESSORS = {1: "const", 2: "unary", 3: "binary"}
 
 
-def _term_vars(term, acc):
-    if isinstance(term, str):
-        acc.add(term)
-    else:
-        for t in term[1:]:
-            _term_vars(t, acc)
+def _compile_identity(lhs, rhs) -> str:
+    """Python source of ``check(a)``, which returns the first assignment
+    violating ``lhs = rhs``, or None.
+
+    Loop k binds the k-th variable in sorted order, so assignments run in
+    ``product`` order and the first witness is the tree walk's.  Each
+    distinct subterm is computed once, in the outermost loop that binds all
+    of its variables (level 0 is before the loops), and a binary table's row
+    is hoisted to the level of its first argument.
+    """
+    uses: dict = {}
+    names: set[str] = set()
+    tables: dict = {}
+
+    def scan(term):
+        # pre-order, lhs first: the tables are looked up in the tree walk's
+        # order, so a missing operation raises the same error
+        if isinstance(term, str):
+            names.add(term)
+            return
+        tables.setdefault((_ACCESSORS[len(term)], term[0]), f"t{len(tables)}")
+        uses[term] = uses.get(term, 0) + 1
+        if uses[term] == 1:
+            for t in term[1:]:
+                scan(t)
+
+    scan(lhs)
+    scan(rhs)
+    var_level = {v: k + 1 for k, v in enumerate(sorted(names))}
+    depth = len(var_level)
+    blocks: list[list[str]] = [[] for _ in range(depth + 1)]
+    done: dict = {}
+    rows: dict = {}
+    fresh = count()
+
+    def bind(expr, level):
+        name = f"s{next(fresh)}"
+        blocks[level].append(f"{name} = {expr}")
+        return name
+
+    def hoist(expr, level, consumer_level):
+        if level < consumer_level and not expr.isidentifier():
+            return bind(expr, level)
+        return expr
+
+    def emit(term):
+        """(expression, level) of ``term``.  A compound subterm used once
+        comes back unbound, for its consumer to inline or hoist."""
+        if isinstance(term, str):
+            return f"v{var_level[term] - 1}", var_level[term]
+        if term in done:
+            return done[term]
+        t = tables[(_ACCESSORS[len(term)], term[0])]
+        if len(term) == 1:
+            expr, level = t, 0
+        elif len(term) == 2:
+            arg, level = emit(term[1])
+            expr = f"{t}[{arg}]"
+        else:
+            left, l1 = emit(term[1])
+            right, l2 = emit(term[2])
+            level = max(l1, l2)
+            if l1 < level:
+                key = (term[0], term[1])
+                if key not in rows:
+                    rows[key] = bind(f"{t}[{left}]", l1)
+                expr = f"{rows[key]}[{right}]"
+            else:
+                expr = f"{t}[{left}][{hoist(right, l2, level)}]"
+        if uses[term] > 1 and not expr.isidentifier():
+            expr = bind(expr, level)
+        done[term] = expr, level
+        return expr, level
+
+    left = hoist(*emit(lhs), depth)
+    right = hoist(*emit(rhs), depth)
+    lines = ["def check(a):", "    n = a.size"]
+    lines += [f"    {t} = a.{kind}({op!r})" for (kind, op), t in tables.items()]
+    for k, block in enumerate(blocks):
+        if k:
+            lines.append(f"{'    ' * k}for v{k - 1} in range(n):")
+        lines += ["    " * (k + 1) + stmt for stmt in block]
+    pad = "    " * (depth + 1)
+    witness = "".join(f"v{k}, " for k in range(depth))
+    lines += [f"{pad}if {left} != {right}:", f"{pad}    return ({witness})",
+              "    return None"]
+    return "\n".join(lines) + "\n"
+
+
+_COMPILED: dict = {}
 
 
 def first_violation(a: FiniteAlgebra, lhs, rhs) -> Optional[tuple[int, ...]]:
-    """Lexicographically first assignment violating ``lhs = rhs``, if any."""
-    vs: set[str] = set()
-    _term_vars(lhs, vs)
-    _term_vars(rhs, vs)
-    names = sorted(vs)
-    for values in product(range(a.size), repeat=len(names)):
-        env = dict(zip(names, values))
-        if eval_term(a, lhs, env) != eval_term(a, rhs, env):
-            return values
-    return None
+    """Lexicographically first assignment violating ``lhs = rhs``, if any.
+
+    The identity is compiled on first use and cached by ``(lhs, rhs)``; the
+    identities are module constants, so the cache stays small.
+    """
+    check = _COMPILED.get((lhs, rhs))
+    if check is None:
+        scope: dict = {}
+        exec(_compile_identity(lhs, rhs), scope)
+        check = _COMPILED[(lhs, rhs)] = scope["check"]
+    return check(a)
 
 
 @dataclass(frozen=True)
@@ -271,6 +355,10 @@ IBSL_DERIVED = (
      ("join", "x", "y"), ("join", "x", ("meet", ("neg", "x"), "y"))),
 )
 
+SEMILATTICE_BOTTOM = (
+    ("bottom-neutral", ("join", ("bottom",), "x"), "x"),
+)
+
 BOOLEAN_COMPLEMENT = (
     ("join-complement", ("join", "x", ("neg", "x")), ("one",)),
     ("meet-complement", ("meet", "x", ("neg", "x")), ("zero",)),
@@ -350,8 +438,7 @@ def validate_semilattice(a: FiniteAlgebra, subject="join semilattice") -> Valida
     _require(a, binary=("join",))
     checks = _identity_checks(a, BISEMILATTICE_IDENTITIES[:3])
     if "bottom" in a.constants:
-        checks.extend(_identity_checks(
-            a, (("bottom-neutral", ("join", ("bottom",), "x"), "x"),)))
+        checks.extend(_identity_checks(a, SEMILATTICE_BOTTOM))
     return ValidationReport(subject, tuple(checks))
 
 
@@ -530,7 +617,6 @@ _KIND_BINARY = {
 }
 _KIND_UNARY = {"ibsl": ("neg",), "ba": ("neg",)}
 _KIND_CONSTANTS = {"ibsl": ("zero",), "ba": ("zero", "one")}
-_KIND_OPT_BINARY = {}
 _KIND_OPT_CONSTANTS = {"sl": ("bottom",)}
 
 ALGEBRA_KINDS = ("sl", "bsl", "dl", "ibsl", "ba")
@@ -542,18 +628,14 @@ def _kind_ops(a: FiniteAlgebra, b: FiniteAlgebra, kind: str):
     preserve, raising KindMismatch when required structure is missing."""
     if kind not in ALGEBRA_KINDS:
         raise KindMismatch(f"unknown morphism kind {kind!r}")
-    binary = list(_KIND_BINARY.get(kind, ()))
-    unary = list(_KIND_UNARY.get(kind, ()))
+    binary = _KIND_BINARY.get(kind, ())
+    unary = _KIND_UNARY.get(kind, ())
     constants = list(_KIND_CONSTANTS.get(kind, ()))
-    for group, names in ((binary, _KIND_BINARY), (unary, _KIND_UNARY),
-                         (constants, _KIND_CONSTANTS)):
-        for name in names.get(kind, ()):
+    for names in (binary, unary, constants):
+        for name in names:
             if not (a.has(name) and b.has(name)):
                 raise KindMismatch(
                     f"kind {kind!r} needs operation {name!r} on both sides")
-    for name in _KIND_OPT_BINARY.get(kind, ()):
-        if name in a.binary_ops and name in b.binary_ops:
-            binary.append(name)
     for name in _KIND_OPT_CONSTANTS.get(kind, ()):
         have = (name in a.constants) + (name in b.constants)
         if have == 1:
@@ -561,7 +643,7 @@ def _kind_ops(a: FiniteAlgebra, b: FiniteAlgebra, kind: str):
                 f"constant {name!r} declared on only one side")
         if have == 2:
             constants.append(name)
-    return tuple(binary), tuple(unary), tuple(constants)
+    return binary, unary, tuple(constants)
 
 
 def _space_parts(s, kind: str):

@@ -41,19 +41,17 @@ from .algebra import (
 )
 from .documents import (
     ALGEBRA_KINDS,
-    Document,
     check_document,
-    document_data,
     dumps_document,
     load_document,
     realize_document,
 )
-from .duality import GRSpace, GRSpaceWithInvolution, FiniteSpace
+from .duality import GRSpaceWithInvolution
 from .errors import AlgebraError, DocumentError, IsomorphismFailure
 from .generate import random_ibsl
 from .hasse import dot_hasse
 from .lattices import FinitePoset
-from .systems import DirectSystem, InverseSystem, plonka_decompose, plonka_sum
+from .systems import plonka_decompose, plonka_sum
 from .algebra import Check
 
 _IDENTITY_VARS = ("x", "y", "z")
@@ -319,17 +317,34 @@ def cmd_hasse(args) -> int:
     return 0
 
 
+# Over an index of four or more elements the bottom fiber holds all
+# max_atoms + 1 >= 3 generators (8 elements) and at least one more fiber sits
+# above it, so no such draw is smaller than this.
+_GEN_MIN_WIDE = 9
+_GEN_DRAWS = 1000
+
+
 def cmd_gen(args) -> int:
+    if args.size < 1 or args.fibers < 0 or (
+            args.fibers > 3 and args.size < _GEN_MIN_WIDE):
+        print(f"error: no instance with --fibers {args.fibers} has at most "
+              f"{args.size} elements (need --size >= 1, --fibers >= 0, and "
+              f"--size >= {_GEN_MIN_WIDE} when --fibers > 3)", file=sys.stderr)
+        return 2
     rng = Random(args.seed)
     fibers = args.fibers if args.fibers else rng.randint(1, 3)
     max_atoms = 2
     while fibers * (1 << max_atoms + 1) <= args.size and max_atoms < 4:
         max_atoms += 1
-    algebra = random_ibsl(rng, max_fibers=fibers, max_atoms=max_atoms)
-    while algebra.size > args.size:
+    for _ in range(_GEN_DRAWS):
         algebra = random_ibsl(rng, max_fibers=fibers, max_atoms=max_atoms)
-    _write_output(dumps_document(algebra, "ibsl"), args.output)
-    return 0
+        if algebra.size <= args.size:
+            _write_output(dumps_document(algebra, "ibsl"), args.output)
+            return 0
+    print(f"error: none of {_GEN_DRAWS} draws with --fibers {fibers} had at "
+          f"most {args.size} elements; raise --size or lower --fibers",
+          file=sys.stderr)
+    return 2
 
 
 # ---------------------------------------------------------------------------

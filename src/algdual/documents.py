@@ -30,7 +30,7 @@ from .algebra import (
 )
 from .duality import FiniteSpace, GRSpace, GRSpaceWithInvolution, base_of
 from .duality import validate_gr_involution, validate_gr_space
-from .errors import DocumentError, InvalidSystem
+from .errors import DocumentError
 from .lattices import FinitePoset
 from .systems import DirectSystem, InverseSystem, check_system
 
@@ -61,29 +61,46 @@ def _fail(msg: str) -> DocumentError:
     return DocumentError(f"malformed document: {msg}")
 
 
-def _expect_size(data) -> int:
-    size = data.get("size")
-    if not isinstance(size, int) or isinstance(size, bool):
-        raise _fail("'size' must be an integer")
-    return size
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_list(value, what: str) -> list:
+    if not isinstance(value, list) or not all(map(_is_int, value)):
+        raise _fail(f"{what} must be a list of integers")
+    return value
+
+
+def _int_table(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise _fail(f"{what} must be a table of integers")
+    return [_int_list(row, f"rows of {what}") for row in value]
+
+
+def _expect_int(data, key: str) -> int:
+    value = data.get(key)
+    if not _is_int(value):
+        raise _fail(f"{key!r} must be an integer")
+    return value
 
 
 def _parse_algebra(kind: str, data: dict) -> FiniteAlgebra:
-    size = _expect_size(data)
+    size = _expect_int(data, "size")
     ops = data.get("ops")
     if not isinstance(ops, dict):
         raise _fail("'ops' must be an object")
     names = data.get("names")
+    if names is not None and (not isinstance(names, list) or not all(
+            isinstance(v, str) for v in names)):
+        raise _fail("'names' must be a list of strings")
     binary, unary, constants = {}, {}, {}
     for name, value in ops.items():
-        if isinstance(value, bool):
-            raise _fail(f"op {name!r} has a boolean value")
-        if isinstance(value, int):
+        if _is_int(value):
             constants[name] = value
         elif isinstance(value, list) and value and isinstance(value[0], list):
-            binary[name] = value
+            binary[name] = _int_table(value, f"op {name!r}")
         elif isinstance(value, list):
-            unary[name] = value
+            unary[name] = _int_list(value, f"op {name!r}")
         else:
             raise _fail(f"op {name!r} must be an int, list or table")
     try:
@@ -104,14 +121,15 @@ def _parse_matrix01(data, key: str, size: int):
 
 
 def _parse_gr(data: dict) -> Union[GRSpace, GRSpaceWithInvolution]:
-    size = _expect_size(data)
+    size = _expect_int(data, "size")
     leq = _parse_matrix01(data, "leq", size)
+    star = _int_table(data.get("star"), "'star'")
+    c0, c1, calpha = (_expect_int(data, key) for key in ("c0", "c1", "calpha"))
+    neg = _int_list(data["neg"], "'neg'") if "neg" in data else None
     try:
-        base = GRSpace(size, data.get("star", ()), leq,
-                       data.get("c0", -1), data.get("c1", -1),
-                       data.get("calpha", -1))
-        if "neg" in data:
-            return GRSpaceWithInvolution(base, data["neg"])
+        base = GRSpace(size, star, leq, c0, c1, calpha)
+        if neg is not None:
+            return GRSpaceWithInvolution(base, neg)
         return base
     except (ValueError, TypeError) as exc:
         raise _fail(str(exc))
@@ -170,9 +188,9 @@ def _parse_system(kind: str, data: dict) -> SystemParts:
             objects[i] = _parse_algebra(inner, doc)
         else:
             if inner == "space":
-                objects[i] = FiniteSpace(_expect_size(doc))
+                objects[i] = FiniteSpace(_expect_int(doc, "size"))
             elif inner == "poset":
-                size = _expect_size(doc)
+                size = _expect_int(doc, "size")
                 leq = _parse_matrix01(doc, "leq", size)
                 w = is_partial_order(leq)
                 if w is not None:
@@ -188,10 +206,7 @@ def _parse_system(kind: str, data: dict) -> SystemParts:
     arrows = {}
     for key, vec in raw_arrows.items():
         i, j = _parse_arrow_key(key, index_algebra.size)
-        if not isinstance(vec, list) or any(
-                not isinstance(v, int) or isinstance(v, bool) for v in vec):
-            raise _fail(f"arrow {key!r} must be a list of integers")
-        arrows[(i, j)] = tuple(vec)
+        arrows[(i, j)] = tuple(_int_list(vec, f"arrow {key!r}"))
     for i in objects:
         arrows.setdefault((i, i), tuple(range(objects[i].size)))
     return SystemParts(variant, index_algebra, bottom, objects, arrows,
@@ -209,12 +224,12 @@ def parse_document(data: dict) -> Document:
     if kind == "gr":
         return Document(kind, _parse_gr(data))
     if kind == "space":
-        size = _expect_size(data)
+        size = _expect_int(data, "size")
         if size < 0:
             raise _fail("space size must be non-negative")
         return Document(kind, FiniteSpace(size))
     if kind == "poset":
-        size = _expect_size(data)
+        size = _expect_int(data, "size")
         leq = _parse_matrix01(data, "leq", size)
         return Document(kind, (size, leq))
     return Document(kind, _parse_system(kind, data))

@@ -165,6 +165,15 @@ def base_of(g) -> GRSpace:
 # GR validation
 # ---------------------------------------------------------------------------
 
+STAR_IDENTITIES = (
+    ("star-idempotent", ("star", "x", "x"), "x"),
+    ("star-associative",
+     ("star", "x", ("star", "y", "z")), ("star", ("star", "x", "y"), "z")),
+    ("star-left-normal",
+     ("star", "x", ("star", "y", "z")), ("star", "x", ("star", "z", "y"))),
+)
+
+
 def validate_gr_space(g, subject="GR space") -> ValidationReport:
     """Left normal band + partial order + compatibility + constants (1)-(4).
 
@@ -175,14 +184,7 @@ def validate_gr_space(g, subject="GR space") -> ValidationReport:
     n = g.size
     star_alg = FiniteAlgebra(n, {"star": g.star})
     checks = []
-    for name, lhs, rhs in (
-            ("star-idempotent", ("star", "x", "x"), "x"),
-            ("star-associative",
-             ("star", "x", ("star", "y", "z")),
-             ("star", ("star", "x", "y"), "z")),
-            ("star-left-normal",
-             ("star", "x", ("star", "y", "z")),
-             ("star", "x", ("star", "z", "y")))):
+    for name, lhs, rhs in STAR_IDENTITIES:
         w = first_violation(star_alg, lhs, rhs)
         checks.append(Check(name, w is None, w))
 

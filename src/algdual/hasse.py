@@ -26,6 +26,12 @@ def covering_edges(leq: OrderMatrix) -> list[tuple[int, int]]:
     return sorted(out)
 
 
+def _dot_string(text: str) -> str:
+    """``text`` escaped for a double-quoted DOT string."""
+    return (text.replace("\\", "\\\\").replace('"', '\\"')
+            .replace("\r", "\\r").replace("\n", "\\n"))
+
+
 def dot_hasse(leq: OrderMatrix, labels: Optional[Sequence[str]] = None,
               name: str = "hasse") -> str:
     n = len(leq)
@@ -33,7 +39,7 @@ def dot_hasse(leq: OrderMatrix, labels: Optional[Sequence[str]] = None,
         labels = [str(i) for i in range(n)]
     lines = [f"digraph {name} {{", "  rankdir=BT;"]
     for i in range(n):
-        lines.append(f'  n{i} [label="{labels[i]}"];')
+        lines.append(f'  n{i} [label="{_dot_string(labels[i])}"];')
     for i, j in covering_edges(leq):
         lines.append(f"  n{i} -> n{j};")
     lines.append("}")

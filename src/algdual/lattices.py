@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Optional, Sequence
+from typing import Optional
 
 from .algebra import (
     FiniteAlgebra,

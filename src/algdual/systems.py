@@ -15,7 +15,7 @@ local units ``a + a'``; transitions add the target fiber's local zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .algebra import (
@@ -26,10 +26,7 @@ from .algebra import (
     ValidationReport,
     enumerate_homs,
     ibsl_completion,
-    is_partial_order,
     morphism_violations,
-    validate_boolean_algebra,
-    validate_distributive_lattice,
     validate_ibsl,
     validate_for_kind,
     validate_semilattice,

@@ -8,6 +8,41 @@ into tests were computed with these.
 from itertools import permutations, product
 
 
+def eval_term(a, term, env):
+    """Value of a term (nested tuples, as in ``algdual.algebra``) under the
+    variable assignment ``env``, by walking the tree."""
+    if isinstance(term, str):
+        return env[term]
+    op = term[0]
+    if len(term) == 1:
+        return a.const(op)
+    if len(term) == 2:
+        return a.unary(op)[eval_term(a, term[1], env)]
+    return a.binary(op)[eval_term(a, term[1], env)][eval_term(a, term[2], env)]
+
+
+def term_vars(term, acc):
+    if isinstance(term, str):
+        acc.add(term)
+    else:
+        for t in term[1:]:
+            term_vars(t, acc)
+
+
+def naive_first_violation(a, lhs, rhs):
+    """First assignment, over the sorted variable names in ``product``
+    order, at which the two sides of ``lhs = rhs`` differ; None if none."""
+    vs = set()
+    term_vars(lhs, vs)
+    term_vars(rhs, vs)
+    names = sorted(vs)
+    for values in product(range(a.size), repeat=len(names)):
+        env = dict(zip(names, values))
+        if eval_term(a, lhs, env) != eval_term(a, rhs, env):
+            return values
+    return None
+
+
 def naive_algebra_homs(a, b, binary=(), unary=(), constants=()):
     """All maps a -> b preserving the named operations, by full enumeration."""
     out = []

@@ -5,6 +5,7 @@ import pytest
 from algdual.algebra import FiniteAlgebra, builtin
 from algdual.cli import main
 from algdual.documents import dumps_document, loads_document, check_document
+from algdual.duality import wk_space
 from algdual.systems import plonka_decompose
 
 
@@ -293,3 +294,107 @@ def test_color_env(capsys, wk_file, monkeypatch):
     monkeypatch.setenv("ALGCTL_COLOR", "0")
     code, out, _ = run(capsys, "check", wk_file)
     assert "\x1b[" not in out
+
+
+def _write_json(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
+
+
+def _wk_data():
+    return json.loads(dumps_document(builtin("wk"), "ibsl"))
+
+
+def _gr_data():
+    return json.loads(dumps_document(wk_space()))
+
+
+def _system_data():
+    return json.loads(dumps_document(plonka_decompose(builtin("wk"))))
+
+
+def _set(data, path, value):
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return data
+
+
+@pytest.mark.parametrize("make, path, value", [
+    (_wk_data, ("ops", "join", 0, 0), 0.0),
+    (_wk_data, ("ops", "join", 0, 0), 1.9),
+    (_wk_data, ("ops", "join", 0, 0), "0"),
+    (_wk_data, ("ops", "join", 0, 0), True),
+    (_wk_data, ("ops", "neg", 0), 1.0),
+    (_wk_data, ("ops", "neg", 0), "1"),
+    (_wk_data, ("ops", "zero"), 0.0),
+    (_wk_data, ("ops", "zero"), "0"),
+    (_wk_data, ("names",), [0, 1, 2]),
+    (_wk_data, ("names",), "01a"),
+    (_gr_data, ("star", 0, 0), 0.0),
+    (_gr_data, ("star", 0, 0), "0"),
+    (_gr_data, ("neg", 0), 1.5),
+    (_gr_data, ("c0",), 0.0),
+    (_gr_data, ("c1",), "1"),
+    (_gr_data, ("calpha",), False),
+    (_system_data, ("fibers", "0", "ops", "neg", 0), 1.0),
+    (_system_data, ("index", "ops", "join", 0, 0), "0"),
+    (_system_data, ("index", "names"), [0]),
+])
+def test_non_integer_entries_exit_2(capsys, tmp_path, make, path, value):
+    # entries used to be coerced with int(): 1.9 -> 1, "0" -> 0, True -> 1
+    doc = _write_json(tmp_path, "doc.json", _set(make(), path, value))
+    code, out, err = run(capsys, "check", doc)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: malformed document")
+
+
+def test_hasse_escapes_quotes_in_labels(capsys, tmp_path):
+    data = _set(_wk_data(), ("names",), ["0", '1"', "a\\\nb"])
+    doc = _write_json(tmp_path, "quote.json", data)
+    code, out, _ = run(capsys, "hasse", doc, "--order", "meet")
+    assert code == 0
+    assert out == (
+        "digraph hasse {\n"
+        "  rankdir=BT;\n"
+        '  n0 [label="0"];\n'
+        '  n1 [label="1\\""];\n'
+        '  n2 [label="a\\\\\\nb"];\n'
+        "  n0 -> n1;\n"
+        "  n2 -> n0;\n"
+        "}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("--size", "0"),
+    ("--size", "-3"),
+    ("--fibers", "-1"),
+    ("--fibers", "5", "--size", "3"),
+    ("--fibers", "4", "--size", "8"),
+])
+def test_gen_unreachable_size_exit_2(capsys, argv):
+    code, out, err = run(capsys, "gen", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: no instance")
+
+
+def test_gen_gives_up_after_bounded_draws(capsys, monkeypatch):
+    # reachable in principle (index of two elements, trivial upper fiber),
+    # but practically never drawn: the draw budget ends the search
+    import algdual.cli as cli
+
+    monkeypatch.setattr(cli, "_GEN_DRAWS", 5)
+    code, out, err = run(capsys, "gen", "--fibers", "4", "--size", "9")
+    assert code == 2
+    assert out == ""
+    assert "none of 5 draws" in err
+
+
+def test_gen_smallest_reachable_size(capsys):
+    code, out, _ = run(capsys, "gen", "--size", "1", "--seed", "0")
+    assert code == 0
+    assert loads_document(out).payload.size == 1
