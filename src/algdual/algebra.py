@@ -17,14 +17,15 @@ lexicographic order as before, so every witness is unchanged.
 ``tests/oracles.py`` keeps the term-tree evaluation as the reference.
 
 Homomorphism enumeration is a backtracking search over the value vector
-``(f(0), ..., f(n-1))``, pruning as soon as an equation over already-assigned
-arguments is violated, and therefore yields morphisms sorted
-lexicographically by value vector.  Dual-space constructions downstream rely
-on that ordering.
+``(f(0), ..., f(n-1))`` that propagates the values the equations force and
+fails a branch at its first conflict (see :func:`_search_homs`); it yields
+morphisms sorted lexicographically by value vector.  Dual-space
+constructions downstream rely on that ordering.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from itertools import count, product
 from typing import Mapping, Optional, Sequence
@@ -824,76 +825,168 @@ def validate_for_kind(obj, kind: str) -> ValidationReport:
 # Homomorphism search
 # ---------------------------------------------------------------------------
 
-def _search_homs(source, target, kind: str, *, injective=False,
-                 candidates=None, limit=None) -> list[tuple[int, ...]]:
-    """Backtracking enumeration of kind-preserving value vectors in
-    lexicographic order, pruning on the first violated equation over
-    already-assigned arguments."""
-    n, m = source.size, target.size
+def _search_parts(source, target, kind: str):
+    """The equations a kind-hom source -> target must satisfy, as
+    ``(binary, unary, constants, order, reflect)``: pairs of source/target
+    tables, (source, target) constant pairs, the (source, target) order
+    matrices or None, and whether the order must also be reflected."""
     if kind in ALGEBRA_KINDS:
         binary, unary, constants = _kind_ops(source, target, kind)
-        binops = [(source.binary(nm), target.binary(nm)) for nm in binary]
-        unops = [(source.unary(nm), target.unary(nm)) for nm in unary]
-        consts = [(source.const(nm), target.const(nm)) for nm in constants]
-        leq_pair = None
-    else:
-        star_a, leq_a, consts_a, neg_a = _space_parts(source, kind)
-        star_b, leq_b, consts_b, neg_b = _space_parts(target, kind)
-        binops = [(star_a, star_b)]
-        unops = [(neg_a, neg_b)] if neg_a is not None else []
-        consts = list(zip(consts_a, consts_b))
-        leq_pair = (leq_a, leq_b)
+        return ([(source.binary(nm), target.binary(nm)) for nm in binary],
+                [(source.unary(nm), target.unary(nm)) for nm in unary],
+                [(source.const(nm), target.const(nm)) for nm in constants],
+                None, False)
+    if kind == "poset":
+        return [], [], [], (source.leq, target.leq), True
+    star_a, leq_a, consts_a, neg_a = _space_parts(source, kind)
+    star_b, leq_b, consts_b, neg_b = _space_parts(target, kind)
+    return ([(star_a, star_b)],
+            [(neg_a, neg_b)] if neg_a is not None else [],
+            list(zip(consts_a, consts_b)), (leq_a, leq_b), False)
+
+
+def _search_homs(source, target, kind: str, *, injective=False,
+                 candidates=None, limit=None) -> list[tuple[int, ...]]:
+    """Value vectors of all kind-homs source -> target, in lexicographic
+    order (by position in ``candidates[x]`` when given), at most ``limit``.
+
+    Kinds are the algebra kinds, ``gr`` and ``igr`` (for ``igr`` only maps
+    that pull the target's zero-morphism back to the source's, a
+    restriction of each element's values), and ``poset``: maps that
+    preserve and reflect the order, which with ``injective`` and equal sizes
+    are the order isomorphisms.
+
+    The search branches on f(0), f(1), ... in turn and propagates forced
+    values.  Every equation is indexed under the elements it reads: a
+    binary-table cell ``f(ta[x][y]) = tb[f x][f y]`` under x and y (row x and
+    column y of the table), a unary entry ``f(ua[x]) = ub[f x]`` under x, an
+    order pair under both ends.  Constants are assigned before the first
+    branch.  Assigned elements are processed in turn: each equation of the
+    element whose arguments are all assigned is checked, and its result, if
+    not yet assigned, is forced: f(x*y) once f(x) and f(y) are set, f(x')
+    once f(x) is set.  A forced value must lie in the element's candidates
+    and, when ``injective``, be unused.  A conflict fails the branch at
+    once, and a trail of assigned elements undoes the branch on backtrack.
+    Elements already forced are skipped by the branching.
+
+    A forced value is the only value the element can take in any
+    completion, and a conflict means the branch has no completion, so
+    propagation prunes exactly branches that yield no hom.  The vectors
+    found, and their lexicographic order, are therefore those of plain
+    backtracking over every position.  The loop keeps its own stack, so
+    large carriers do not meet Python's recursion limit.
+    """
+    n, m = source.size, target.size
+    binops, unops, consts, order, reflect = _search_parts(source, target, kind)
+    domains = [None] * n if candidates is None else [list(c) for c in candidates]
+    if kind == "igr":
+        # the zero-morphism condition z_tgt(f x) = z_src(x) is a per-element
+        # restriction of the values
+        from .duality import zero_morphism
+
+        z_src, z_tgt = zero_morphism(source), zero_morphism(target)
+        if z_src is None or z_tgt is None:
+            return []
+        domains = [[v for v in (range(m) if d is None else d)
+                    if z_tgt[v] == z_src[x]] for x, d in enumerate(domains)]
+    allowed = [None if d is None else set(d) for d in domains]
+    # order pairs: x <= y must give f x <= f y, and with reflect the converse
+    related = operator.eq if reflect else operator.le
+
+    # the cells reading e are row e of each table and row e of its
+    # transpose; a table commutative on both sides needs no transpose
+    sides = []
+    for ta, tb in binops:
+        sides.append((ta, tb))
+        transposed = (tuple(zip(*ta)), tuple(zip(*tb)))
+        if transposed != (ta, tb):
+            sides.append(transposed)
 
     f = [-1] * n
     used = [False] * m
-    results: list[tuple[int, ...]] = []
+    trail: list[int] = []
 
-    def consistent(k: int) -> bool:
-        for ca, cb in consts:
-            if ca == k and f[k] != cb:
+    def values(k: int):
+        return range(m) if domains[k] is None else domains[k]
+
+    def assign(z: int, t: int) -> bool:
+        if allowed[z] is not None and t not in allowed[z]:
+            return False
+        if injective:
+            if used[t]:
                 return False
-        for ua, ub in unops:
-            y = ua[k]
-            if y <= k and ub[f[k]] != f[y]:
-                return False
-            for x in range(k):
-                if ua[x] == k and ub[f[x]] != f[k]:
-                    return False
-        for ta, tb in binops:
-            for x in range(k + 1):
-                row = ta[x]
-                for y in range(k + 1):
-                    z = row[y]
-                    if z > k or (x != k and y != k and z != k):
-                        continue
-                    if tb[f[x]][f[y]] != f[z]:
-                        return False
-        if leq_pair is not None:
-            leq_a, leq_b = leq_pair
-            for x in range(k + 1):
-                if leq_a[x][k] and not leq_b[f[x]][f[k]]:
-                    return False
-                if leq_a[k][x] and not leq_b[f[k]][f[x]]:
-                    return False
+            used[t] = True
+        f[z] = t
+        trail.append(z)
         return True
 
-    def extend(k: int) -> bool:
-        if k == n:
-            results.append(tuple(f))
-            return limit is not None and len(results) >= limit
-        values = candidates[k] if candidates is not None else range(m)
-        for v in values:
-            if injective and used[v]:
-                continue
-            f[k] = v
-            used[v] = True
-            if consistent(k) and extend(k + 1):
-                return True
-            used[v] = False
-        f[k] = -1
-        return False
+    def propagate(head: int) -> bool:
+        """Check and force the equations of trail[head:], and of every
+        element they force in turn."""
+        while head < len(trail):
+            e = trail[head]
+            head += 1
+            v = f[e]
+            for ua, ub in unops:
+                z, t = ua[e], ub[v]
+                if f[z] != t and (f[z] >= 0 or not assign(z, t)):
+                    return False
+            for ta, tb in sides:
+                ra, rb = ta[e], tb[v]
+                for y in trail:
+                    z, t = ra[y], rb[f[y]]
+                    if f[z] != t and (f[z] >= 0 or not assign(z, t)):
+                        return False
+            if order is not None:
+                la, lb = order
+                for x in trail:
+                    w = f[x]
+                    if not (related(la[x][e], lb[w][v])
+                            and related(la[e][x], lb[v][w])):
+                        return False
+        return True
 
-    extend(0)
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            z = trail.pop()
+            used[f[z]] = False
+            f[z] = -1
+
+    def free_from(k: int) -> int:
+        while k < n and f[k] >= 0:
+            k += 1
+        return k
+
+    results: list[tuple[int, ...]] = []
+    for ca, cb in consts:
+        if f[ca] != cb and (f[ca] >= 0 or not assign(ca, cb)):
+            return results
+    if not propagate(0):
+        return results
+    k = free_from(0)
+    if k == n:
+        results.append(tuple(f))
+        return results
+    # one frame per branching element: (element, its remaining values,
+    # trail length before its assignment)
+    stack = [(k, iter(values(k)), len(trail))]
+    while stack:
+        k, remaining, mark = stack[-1]
+        undo(mark)
+        for v in remaining:
+            if assign(k, v) and propagate(mark):
+                break
+            undo(mark)
+        else:
+            stack.pop()
+            continue
+        nxt = free_from(k + 1)
+        if nxt < n:
+            stack.append((nxt, iter(values(nxt)), len(trail)))
+            continue
+        results.append(tuple(f))
+        if limit is not None and len(results) >= limit:
+            break
     return results
 
 
@@ -908,13 +1001,8 @@ def enumerate_homs(source, target, kind: str, *, validate=True) -> list[Morphism
                 raise KindMismatch(
                     f"object is not a valid {kind!r}: "
                     f"{[c.name for c in report.failures()]}", report)
-    vecs = _search_homs(source, target, kind)
-    if kind == "igr":
-        # the zero-morphism condition is not checkable during backtracking
-        vecs = [v for v in vecs
-                if not morphism_violations(source, target, v, kind,
-                                           stop_early=True)]
-    return [Morphism(source, target, vec, kind) for vec in vecs]
+    return [Morphism(source, target, vec, kind)
+            for vec in _search_homs(source, target, kind)]
 
 
 def _structure_parts(obj, kind: str, ops):
@@ -991,9 +1079,6 @@ def find_isomorphism(source, target, kind: str, *, validate=True) -> Optional[Mo
     for vec in _search_homs(source, target, kind, injective=True,
                             candidates=candidates):
         if len(set(vec)) != source.size:
-            continue
-        if kind == "igr" and morphism_violations(source, target, vec, kind,
-                                                 stop_early=True):
             continue
         inv = [0] * source.size
         for x, v in enumerate(vec):

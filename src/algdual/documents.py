@@ -84,6 +84,12 @@ def _expect_int(data, key: str) -> int:
     return value
 
 
+# Operation names with a fixed meaning, by arity: validators synthesize or
+# look up each under that arity only.
+_RESERVED_ARITY = {"join": "binary", "meet": "binary", "neg": "unary",
+                   "zero": "constant", "one": "constant", "bottom": "constant"}
+
+
 def _parse_algebra(kind: str, data: dict) -> FiniteAlgebra:
     size = _expect_int(data, "size")
     ops = data.get("ops")
@@ -103,6 +109,12 @@ def _parse_algebra(kind: str, data: dict) -> FiniteAlgebra:
             unary[name] = _int_list(value, f"op {name!r}")
         else:
             raise _fail(f"op {name!r} must be an int, list or table")
+    for arity, ops_of in (("binary", binary), ("unary", unary),
+                          ("constant", constants)):
+        for name in ops_of:
+            if _RESERVED_ARITY.get(name, arity) != arity:
+                raise _fail(f"op {name!r} must be a {_RESERVED_ARITY[name]} "
+                            f"operation, not a {arity} one")
     try:
         return FiniteAlgebra(size, binary, unary, constants,
                              tuple(names) if names else None)
@@ -115,7 +127,7 @@ def _parse_matrix01(data, key: str, size: int):
     if (not isinstance(m, list) or len(m) != size
             or any(not isinstance(r, list) or len(r) != size for r in m)):
         raise _fail(f"'{key}' must be a {size}x{size} matrix")
-    if any(v not in (0, 1, True, False) for r in m for v in r):
+    if any(not isinstance(v, int) or v not in (0, 1) for r in m for v in r):
         raise _fail(f"'{key}' entries must be 0 or 1")
     return tuple(tuple(bool(v) for v in r) for r in m)
 
@@ -188,7 +200,10 @@ def _parse_system(kind: str, data: dict) -> SystemParts:
             objects[i] = _parse_algebra(inner, doc)
         else:
             if inner == "space":
-                objects[i] = FiniteSpace(_expect_int(doc, "size"))
+                size = _expect_int(doc, "size")
+                if size < 0:
+                    raise _fail(f"term {key!r} size must be non-negative")
+                objects[i] = FiniteSpace(size)
             elif inner == "poset":
                 size = _expect_int(doc, "size")
                 leq = _parse_matrix01(doc, "leq", size)

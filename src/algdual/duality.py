@@ -217,16 +217,23 @@ def validate_gr_space(g, subject="GR space") -> ValidationReport:
               if g.star[c0][x] == g.star[c1][x] and x != ca), None)
     checks.append(Check("c0-c1-separation", w is None, w))
 
+    # for a !<= b the down-set of b excludes a, so it separates the pair
+    # exactly when it contains b and is closed downward, which depends on b
+    # alone
+    separates = [_downset_closed(g.leq, b) for b in range(n)]
     w = next(((a, b) for a in range(n) for b in range(n)
-              if not g.leq[a][b] and not _downset_separates(g.leq, a, b)), None)
+              if not g.leq[a][b] and not separates[b]), None)
     checks.append(Check("order-disconnected", w is None, w))
     return ValidationReport(subject, tuple(checks))
 
 
-def _downset_separates(leq: OrderMatrix, a: int, b: int) -> bool:
+def _downset_closed(leq: OrderMatrix, b: int) -> bool:
+    """Whether the down-set of b contains b and is a lower set."""
     down = [y for y in range(len(leq)) if leq[y][b]]
-    return (b in down and a not in down
-            and all(leq[z][y] <= (z in down) for y in down for z in range(len(leq))))
+    inside = set(down)
+    return (b in inside
+            and all(not leq[z][y] or z in inside
+                    for y in down for z in range(len(leq))))
 
 
 @lru_cache(maxsize=512)
@@ -253,11 +260,21 @@ def zero_morphism(g) -> Optional[RawMap]:
     preservation of the algebras' zero constant, and without it the
     hom-space functor would admit maps dual to no algebra hom.
     """
-    homs = gr_homs(g)
-    n = base_of(g).size
+    return _zero_morphism_of(base_of(g))
+
+
+@lru_cache(maxsize=512)
+def _zero_morphism_of(base: GRSpace) -> Optional[RawMap]:
+    # phi is join-neutral iff JOIN3[q[a]][phi[a]] == q[a] for every hom q
+    # and point a, so each point allows the values neutral for all q[a]
+    homs = gr_homs(base)
+    neutral_at = []
+    for a in range(base.size):
+        seen = {q[a] for q in homs}
+        neutral_at.append({v for v in range(3)
+                           if all(JOIN3[u][v] == u for u in seen)})
     neutral = [p for p in homs
-               if all(JOIN3[q[a]][p[a]] == q[a] for q in homs
-                      for a in range(n))]
+               if all(p[a] in neutral_at[a] for a in range(base.size))]
     if len(neutral) != 1:
         return None
     return neutral[0]

@@ -29,6 +29,7 @@ from .algebra import (
     Morphism,
     JoinSemilattice,
     OrderMatrix,
+    _search_homs,
     is_partial_order,
     order_from_binary,
     validate_bisemilattice,
@@ -229,28 +230,8 @@ def find_poset_isomorphism(p: FinitePoset, q: FinitePoset) -> Optional[RawMap]:
     """First order isomorphism in lexicographic order, or None."""
     if p.size != q.size:
         return None
-    n = p.size
-    f = [-1] * n
-    used = [False] * n
-
-    def extend(k: int) -> Optional[RawMap]:
-        if k == n:
-            return tuple(f)
-        for v in range(n):
-            if used[v]:
-                continue
-            if all(p.leq[x][k] == q.leq[f[x]][v]
-                   and p.leq[k][x] == q.leq[v][f[x]] for x in range(k)):
-                f[k] = v
-                used[v] = True
-                res = extend(k + 1)
-                if res is not None:
-                    return res
-                used[v] = False
-        f[k] = -1
-        return None
-
-    return extend(0)
+    found = _search_homs(p, q, "poset", injective=True, limit=1)
+    return found[0] if found else None
 
 
 # ---------------------------------------------------------------------------

@@ -142,3 +142,64 @@ def naive_bisemilattice_ok(a):
                 if m[x][j[y][z]] != j[m[x][y]][m[x][z]]:
                     return False
     return True
+
+
+def naive_zero_morphism(g, three):
+    """The join-neutral hom of g into the three-point space ``three`` by the
+    plain scan over all pairs of homs, or None unless exactly one exists."""
+    from algdual.algebra import builtin
+
+    join = builtin("three").binary("join")
+    base = getattr(g, "base", g)
+    homs = naive_gr_homs(base, three)
+    neutral = [p for p in homs
+               if all(join[q[a]][p[a]] == q[a] for q in homs
+                      for a in range(base.size))]
+    return neutral[0] if len(neutral) == 1 else None
+
+
+def naive_igr_homs(g, h, three):
+    """Involution-preserving GR maps g -> h that pull the zero-morphism of
+    h back to that of g."""
+    z_g, z_h = naive_zero_morphism(g, three), naive_zero_morphism(h, three)
+    if z_g is None or z_h is None:
+        return []
+    return [f for f in naive_gr_homs(g, h, involution=True)
+            if all(z_h[f[x]] == z_g[x] for x in range(g.size))]
+
+
+def naive_order_embeddings(p, q):
+    """All maps p -> q that preserve and reflect the order, by full
+    enumeration."""
+    n = p.size
+    return [f for f in product(range(q.size), repeat=n)
+            if all(p.leq[x][y] == q.leq[f[x]][f[y]]
+                   for x in range(n) for y in range(n))]
+
+
+def naive_poset_isomorphism(p, q):
+    """First bijection, in lexicographic order, that preserves and reflects
+    the order; None if there is none."""
+    if p.size != q.size:
+        return None
+    n = p.size
+    for perm in permutations(range(n)):
+        if all(p.leq[x][y] == q.leq[perm[x]][perm[y]]
+               for x in range(n) for y in range(n)):
+            return perm
+    return None
+
+
+def _downset_separates(leq, a, b):
+    down = [y for y in range(len(leq)) if leq[y][b]]
+    return (b in down and a not in down
+            and all(leq[z][y] <= (z in down) for y in down for z in range(len(leq))))
+
+
+def naive_order_disconnected_witness(leq):
+    """First pair a !<= b whose down-set of b fails to separate them (the
+    witness of the ``order-disconnected`` GR check), rebuilding the down-set
+    for every pair; None if there is none."""
+    n = len(leq)
+    return next(((a, b) for a in range(n) for b in range(n)
+                 if not leq[a][b] and not _downset_separates(leq, a, b)), None)

@@ -398,3 +398,43 @@ def test_gen_smallest_reachable_size(capsys):
     code, out, _ = run(capsys, "gen", "--size", "1", "--seed", "0")
     assert code == 0
     assert loads_document(out).payload.size == 1
+
+
+def _poset_data():
+    return {"kind": "poset", "size": 2, "leq": [[1, 1], [0, 1]]}
+
+
+def _inverse_system_data():
+    from algdual.duality import lift_functor_dir_to_inv
+
+    return json.loads(dumps_document(
+        lift_functor_dir_to_inv(plonka_decompose(builtin("wk")))))
+
+
+@pytest.mark.parametrize("make, path, value", [
+    (_poset_data, ("leq", 0, 0), 1.0),
+    (_poset_data, ("leq", 1, 0), 0.0),
+    (_poset_data, ("leq", 0, 1), "1"),
+    (_gr_data, ("leq", 0, 0), 1.0),
+    (_inverse_system_data, ("terms", "0", "size"), -1),
+    (_wk_data, ("ops", "meet"), 0),
+    (_wk_data, ("ops", "one"), [0, 1, 2]),
+    (_wk_data, ("ops", "neg"), [[0, 1, 2]] * 3),
+])
+def test_bad_entries_sizes_and_arities_exit_2(capsys, tmp_path, make, path,
+                                             value):
+    # 1.0 used to pass the 0/1 test of order matrices; a negative term size,
+    # and a reserved op name at the wrong arity ("meet" as a constant clashed
+    # with the synthesized meet table), escaped as ValueError tracebacks
+    doc = _write_json(tmp_path, "doc.json", _set(make(), path, value))
+    code, out, err = run(capsys, "check", doc)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: malformed document")
+
+
+def test_boolean_order_entries_still_accepted(capsys, tmp_path):
+    doc = _write_json(tmp_path, "doc.json",
+                      {"kind": "poset", "size": 2, "leq": [[True, 1], [0, 1]]})
+    code, _, _ = run(capsys, "check", doc)
+    assert code == 0
