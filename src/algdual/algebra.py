@@ -26,8 +26,8 @@ constructions downstream rely on that ordering.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from itertools import count, product
+from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from .errors import (
@@ -42,6 +42,42 @@ from .errors import (
 Table = tuple[tuple[int, ...], ...]
 
 
+class Record:
+    """Base of the immutable value classes.
+
+    A subclass declares its fields as class annotations, in constructor
+    order, and stores them in its ``__init__`` through ``self.__dict__``.
+    Records are equal when they are of the same class with equal fields,
+    hash by their fields, print as ``Name(field=value, ...)`` and refuse
+    assignment.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__)
+        cls._key = operator.attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 def _freeze_binary(table) -> Table:
     return tuple(tuple(int(v) for v in row) for row in table)
 
@@ -50,48 +86,66 @@ def _freeze_unary(table) -> tuple[int, ...]:
     return tuple(int(v) for v in table)
 
 
-@dataclass(frozen=True)
-class FiniteAlgebra:
-    """A finite algebra on carrier {0, ..., size-1} with named operations."""
+_NO_OPS: Mapping = MappingProxyType({})
+
+
+class FiniteAlgebra(Record):
+    """A finite algebra on carrier {0, ..., size-1} with named operations.
+
+    The operation maps are read-only views, so an algebra is hashable.
+    """
 
     size: int
-    binary_ops: Mapping[str, Table] = field(default_factory=dict)
-    unary_ops: Mapping[str, tuple[int, ...]] = field(default_factory=dict)
-    constants: Mapping[str, int] = field(default_factory=dict)
-    names: Optional[tuple[str, ...]] = None
+    binary_ops: Mapping[str, Table]
+    unary_ops: Mapping[str, tuple[int, ...]]
+    constants: Mapping[str, int]
+    names: Optional[tuple[str, ...]]
 
-    def __post_init__(self):
-        if self.size < 1:
+    def __init__(self, size: int, binary_ops: Mapping = _NO_OPS,
+                 unary_ops: Mapping = _NO_OPS, constants: Mapping = _NO_OPS,
+                 names=None):
+        if size < 1:
             raise ValueError("carrier must be non-empty")
-        object.__setattr__(
-            self, "binary_ops",
-            {k: _freeze_binary(t) for k, t in self.binary_ops.items()})
-        object.__setattr__(
-            self, "unary_ops",
-            {k: _freeze_unary(t) for k, t in self.unary_ops.items()})
-        object.__setattr__(
-            self, "constants", {k: int(v) for k, v in self.constants.items()})
-        if self.names is not None:
-            object.__setattr__(self, "names", tuple(self.names))
-            if len(self.names) != self.size:
+        binary_ops = {k: _freeze_binary(t) for k, t in binary_ops.items()}
+        unary_ops = {k: _freeze_unary(t) for k, t in unary_ops.items()}
+        constants = {k: int(v) for k, v in constants.items()}
+        if names is not None:
+            names = tuple(names)
+            if len(names) != size:
                 raise ValueError("names must match carrier size")
         seen = set()
-        for name in (*self.binary_ops, *self.unary_ops, *self.constants):
+        for name in (*binary_ops, *unary_ops, *constants):
             if name in seen:
                 raise ValueError(f"duplicate operation name {name!r}")
             seen.add(name)
-        rng = range(self.size)
-        for name, t in self.binary_ops.items():
-            if len(t) != self.size or any(len(row) != self.size for row in t):
-                raise ValueError(f"table {name!r} is not {self.size}x{self.size}")
+        rng = range(size)
+        for name, t in binary_ops.items():
+            if len(t) != size or any(len(row) != size for row in t):
+                raise ValueError(f"table {name!r} is not {size}x{size}")
             if any(v not in rng for row in t for v in row):
                 raise ValueError(f"table {name!r} has out-of-range entries")
-        for name, t in self.unary_ops.items():
-            if len(t) != self.size or any(v not in rng for v in t):
+        for name, t in unary_ops.items():
+            if len(t) != size or any(v not in rng for v in t):
                 raise ValueError(f"map {name!r} is not a carrier self-map")
-        for name, c in self.constants.items():
+        for name, c in constants.items():
             if c not in rng:
                 raise ValueError(f"constant {name!r} out of range")
+        self.__dict__.update(size=size,
+                             binary_ops=MappingProxyType(binary_ops),
+                             unary_ops=MappingProxyType(unary_ops),
+                             constants=MappingProxyType(constants),
+                             names=names)
+
+    def __hash__(self):
+        return hash((self.size, frozenset(self.binary_ops.items()),
+                     frozenset(self.unary_ops.items()),
+                     frozenset(self.constants.items()), self.names))
+
+    def __reduce__(self):
+        # read-only views cannot be pickled; rebuild from plain dicts
+        return FiniteAlgebra, (self.size, dict(self.binary_ops),
+                               dict(self.unary_ops), dict(self.constants),
+                               self.names)
 
     def binary(self, name: str) -> Table:
         try:
@@ -274,20 +328,26 @@ def first_violation(a: FiniteAlgebra, lhs, rhs) -> Optional[tuple[int, ...]]:
     return check(a)
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(Record):
     """Outcome of a single named check, with an optional witness tuple."""
 
     name: str
     holds: bool
-    witness: Optional[tuple[int, ...]] = None
-    note: str = ""
+    witness: Optional[tuple[int, ...]]
+    note: str
+
+    def __init__(self, name: str, holds: bool,
+                 witness: Optional[tuple[int, ...]] = None, note: str = ""):
+        self.__dict__.update(name=name, holds=holds, witness=witness,
+                             note=note)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     subject: str
     checks: tuple[Check, ...]
+
+    def __init__(self, subject: str, checks: tuple[Check, ...]):
+        self.__dict__.update(subject=subject, checks=checks)
 
     @property
     def ok(self) -> bool:
@@ -550,23 +610,22 @@ def builtin(name: str) -> FiniteAlgebra:
 # Join semilattices (index sets of systems)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class JoinSemilattice:
+class JoinSemilattice(Record):
     """A validated join semilattice with least element, used as an index set."""
 
     algebra: FiniteAlgebra
     bottom: int
 
-    def __post_init__(self):
-        report = validate_semilattice(self.algebra)
+    def __init__(self, algebra: FiniteAlgebra, bottom: int):
+        report = validate_semilattice(algebra)
         if not report.ok:
             raise NotSemilattice("join is not a semilattice operation", report)
-        join = self.algebra.binary("join")
-        if any(join[self.bottom][x] != x for x in range(self.size)):
-            raise MissingBottom(
-                f"element {self.bottom} is not a least element")
-        if self.algebra.constants.get("bottom", self.bottom) != self.bottom:
+        join = algebra.binary("join")
+        if any(join[bottom][x] != x for x in range(algebra.size)):
+            raise MissingBottom(f"element {bottom} is not a least element")
+        if algebra.constants.get("bottom", bottom) != bottom:
             raise ValueError("declared bottom constant disagrees")
+        self.__dict__.update(algebra=algebra, bottom=bottom)
 
     @classmethod
     def from_table(cls, table, bottom: Optional[int] = None,
@@ -748,8 +807,7 @@ def morphism_violations(source, target, mapping: Sequence[int], kind: str,
     return out
 
 
-@dataclass(frozen=True)
-class Morphism:
+class Morphism(Record):
     """A total carrier map validated against its kind's preservation laws."""
 
     source: object
@@ -757,18 +815,19 @@ class Morphism:
     map: tuple[int, ...]
     kind: str
 
-    def __post_init__(self):
-        object.__setattr__(self, "map", tuple(int(v) for v in self.map))
-        if len(self.map) != self.source.size:
+    def __init__(self, source, target, map: Sequence[int], kind: str):
+        map = tuple(int(v) for v in map)
+        if len(map) != source.size:
             raise InvalidMorphism("map length does not match source carrier")
-        if any(v < 0 or v >= self.target.size for v in self.map):
+        if any(v < 0 or v >= target.size for v in map):
             raise InvalidMorphism("map has out-of-range values")
-        bad = morphism_violations(self.source, self.target, self.map,
-                                  self.kind, stop_early=True)
+        bad = morphism_violations(source, target, map, kind, stop_early=True)
         if bad:
             name, witness = bad[0]
             raise InvalidMorphism(
                 f"map does not preserve {name!r} at {witness}")
+        self.__dict__.update(source=source, target=target, map=map,
+                             kind=kind)
 
     def __call__(self, x: int) -> int:
         return self.map[x]
@@ -1076,10 +1135,14 @@ def find_isomorphism(source, target, kind: str, *, validate=True) -> Optional[Mo
         return None
     candidates = [[v for v in range(target.size) if cb[v] == ca[x]]
                   for x in range(source.size)]
+    # A bijective hom of algebras is an isomorphism, so the first one is the
+    # answer; a bijective hom of spaces must also reflect the order.
+    algebra = kind in ALGEBRA_KINDS
     for vec in _search_homs(source, target, kind, injective=True,
-                            candidates=candidates):
-        if len(set(vec)) != source.size:
-            continue
+                            candidates=candidates,
+                            limit=1 if algebra else None):
+        if algebra:
+            return Morphism(source, target, vec, kind)
         inv = [0] * source.size
         for x, v in enumerate(vec):
             inv[v] = x

@@ -21,6 +21,10 @@ Exit codes
 
 Output on stdout is byte-identical for identical inputs, flags and seeds;
 timing goes to stderr.  Set ``ALGCTL_COLOR=1`` to colorize text reports.
+
+Every run is a fresh process, so each command imports the modules it needs
+when it runs: ``check`` of an algebra document loads only the algebra,
+document and error modules.
 """
 
 from __future__ import annotations
@@ -29,10 +33,9 @@ import argparse
 import os
 import sys
 import time
-from random import Random
 
-from . import duality, lattices
 from .algebra import (
+    Check,
     FiniteAlgebra,
     ValidationReport,
     enumerate_homs,
@@ -46,13 +49,7 @@ from .documents import (
     load_document,
     realize_document,
 )
-from .duality import GRSpaceWithInvolution
 from .errors import AlgebraError, DocumentError, IsomorphismFailure
-from .generate import random_ibsl
-from .hasse import dot_hasse
-from .lattices import FinitePoset
-from .systems import plonka_decompose, plonka_sum
-from .algebra import Check
 
 _IDENTITY_VARS = ("x", "y", "z")
 
@@ -161,31 +158,43 @@ def cmd_check(args) -> int:
 
 
 def _dual_object(kind: str, obj):
+    # Birkhoff duality lives in lattices, the other dualities in duality
+    if kind == "dl":
+        from .lattices import priestley_dual
+
+        return priestley_dual(obj), None
+    if kind == "poset":
+        from .lattices import dl_of_poset
+
+        return dl_of_poset(obj), "dl"
+    if kind == "direct-system" and obj.kind == "dl":
+        from .lattices import lift_system_dl_to_posets
+
+        return lift_system_dl_to_posets(obj), None
+    if kind == "inverse-system":
+        from .lattices import FinitePoset, lift_system_posets_to_dl
+
+        if obj.index.size and isinstance(obj.term(0), FinitePoset):
+            return lift_system_posets_to_dl(obj), None
+    from . import duality
+
     if kind == "ibsl":
         return duality.dual_of_ibsl(obj), None
     if kind == "bsl":
         return duality.dual_of_bsl(obj), None
     if kind == "ba":
         return duality.stone_dual(obj), None
-    if kind == "dl":
-        return lattices.priestley_dual(obj), None
     if kind == "gr":
-        if isinstance(obj, GRSpaceWithInvolution):
+        if isinstance(obj, duality.GRSpaceWithInvolution):
             return duality.dual_of_gr(obj), "ibsl"
         return duality.bsl_of_gr(obj), "bsl"
     if kind == "space":
         return duality.ba_of_space(obj), "ba"
-    if kind == "poset":
-        return lattices.dl_of_poset(obj), "dl"
     if kind == "direct-system":
         if obj.kind == "ba":
             return duality.lift_functor_dir_to_inv(obj), None
-        if obj.kind == "dl":
-            return lattices.lift_system_dl_to_posets(obj), None
         raise AlgebraError(f"no dual for systems of kind {obj.kind!r}")
     if kind == "inverse-system":
-        if obj.index.size and isinstance(obj.term(0), FinitePoset):
-            return lattices.lift_system_posets_to_dl(obj), None
         return duality.lift_functor_inv_to_dir(obj), None
     raise AlgebraError(f"no dual defined for kind {kind!r}")
 
@@ -202,13 +211,19 @@ def cmd_plonka(args) -> int:
     if args.mode == "sum":
         if kind != "direct-system":
             raise AlgebraError("plonka sum expects a direct-system document")
+        from .systems import plonka_sum
+
         out_kind = "ibsl" if obj.kind == "ba" else "bsl"
         _write_output(dumps_document(plonka_sum(obj), out_kind), args.output)
         return 0
     if kind == "ibsl":
+        from .systems import plonka_decompose
+
         system = plonka_decompose(obj)
     elif kind == "bsl":
-        system = lattices.plonka_decompose_bsl(obj)
+        from .lattices import plonka_decompose_bsl
+
+        system = plonka_decompose_bsl(obj)
     else:
         raise AlgebraError("plonka decompose expects an ibsl or bsl document")
     _write_output(dumps_document(system), args.output)
@@ -255,29 +270,39 @@ def _roundtrip_checks(kind: str, obj) -> list[Check]:
         except AlgebraError as exc:
             checks.append(Check(name, False, None, str(exc)))
 
-    if kind == "ibsl":
+    if kind in ("ibsl", "bsl"):
+        from .systems import plonka_sum
+
+        if kind == "ibsl":
+            from .systems import plonka_decompose as decompose
+        else:
+            from .lattices import plonka_decompose_bsl as decompose
+
         def plonka_trip():
-            system = plonka_decompose(obj)
-            if find_isomorphism(plonka_sum(system), obj, "ibsl") is None:
+            if find_isomorphism(plonka_sum(decompose(obj)), obj, kind) is None:
                 raise IsomorphismFailure("sum of decomposition not isomorphic")
 
         attempt("plonka-roundtrip", plonka_trip)
-        attempt("double-dual-iso", lambda: duality.eps_iso(obj))
+        if kind == "ibsl":
+            from .duality import eps_iso
+
+            attempt("double-dual-iso", lambda: eps_iso(obj))
     elif kind == "ba":
-        attempt("stone-double-dual", lambda: duality.stone_double_dual_iso(obj))
-    elif kind == "bsl":
-        def plonka_trip():
-            system = lattices.plonka_decompose_bsl(obj)
-            if find_isomorphism(plonka_sum(system), obj, "bsl") is None:
-                raise IsomorphismFailure("sum of decomposition not isomorphic")
+        from .duality import stone_double_dual_iso
 
-        attempt("plonka-roundtrip", plonka_trip)
+        attempt("stone-double-dual", lambda: stone_double_dual_iso(obj))
     elif kind == "dl":
-        attempt("birkhoff-double-dual", lambda: lattices.dl_double_dual_iso(obj))
+        from .lattices import dl_double_dual_iso
+
+        attempt("birkhoff-double-dual", lambda: dl_double_dual_iso(obj))
     elif kind == "poset":
-        attempt("downset-double-dual", lambda: lattices.poset_double_dual_iso(obj))
-    elif kind == "gr" and isinstance(obj, GRSpaceWithInvolution):
-        attempt("double-dual-iso", lambda: duality.delta_iso(obj))
+        from .lattices import poset_double_dual_iso
+
+        attempt("downset-double-dual", lambda: poset_double_dual_iso(obj))
+    elif kind == "gr" and hasattr(obj, "neg"):  # a GR space with involution
+        from .duality import delta_iso
+
+        attempt("double-dual-iso", lambda: delta_iso(obj))
     else:
         raise AlgebraError(f"no roundtrip defined for kind {kind!r}")
     return checks
@@ -295,6 +320,8 @@ def cmd_roundtrip(args) -> int:
 
 
 def cmd_hasse(args) -> int:
+    from .hasse import dot_hasse
+
     kind, obj = _checked_payload(args.file)
     labels = None
     if kind in ALGEBRA_KINDS:
@@ -331,6 +358,10 @@ def cmd_gen(args) -> int:
               f"{args.size} elements (need --size >= 1, --fibers >= 0, and "
               f"--size >= {_GEN_MIN_WIDE} when --fibers > 3)", file=sys.stderr)
         return 2
+    from random import Random
+
+    from .generate import random_ibsl
+
     rng = Random(args.seed)
     fibers = args.fibers if args.fibers else rng.randint(1, 3)
     max_atoms = 2

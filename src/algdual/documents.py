@@ -12,35 +12,35 @@ entries: :class:`DocumentError`, CLI exit 2) from well-formed documents that
 violate their kind's axioms (reported by :func:`check_document`, CLI
 exit 1).  Serialization is canonical, so equal objects produce byte-equal
 documents.
+
+Algebra documents need only :mod:`algdual.algebra`; the space, poset and
+system modules are imported by the functions below when a document of
+their kinds comes up.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Optional, Union
+import sys
+from typing import Optional
 
 from .algebra import (
     Check,
     FiniteAlgebra,
     JoinSemilattice,
+    Record,
     ValidationReport,
     is_partial_order,
     validate_for_kind,
 )
-from .duality import FiniteSpace, GRSpace, GRSpaceWithInvolution, base_of
-from .duality import validate_gr_involution, validate_gr_space
 from .errors import DocumentError
-from .lattices import FinitePoset
-from .systems import DirectSystem, InverseSystem, check_system
 
 ALGEBRA_KINDS = ("ibsl", "ba", "bsl", "dl", "sl")
 KINDS = ALGEBRA_KINDS + ("gr", "poset", "space", "direct-system",
                          "inverse-system")
 
 
-@dataclass(frozen=True)
-class SystemParts:
+class SystemParts(Record):
     """Shape-valid but not yet coherence-checked system data."""
 
     variant: str  # "direct" | "inverse"
@@ -50,11 +50,20 @@ class SystemParts:
     arrows: dict
     fiber_kind: Optional[str]
 
+    def __init__(self, variant: str, index_algebra: FiniteAlgebra,
+                 bottom: int, objects: dict, arrows: dict,
+                 fiber_kind: Optional[str]):
+        self.__dict__.update(variant=variant, index_algebra=index_algebra,
+                             bottom=bottom, objects=objects, arrows=arrows,
+                             fiber_kind=fiber_kind)
 
-@dataclass(frozen=True)
-class Document:
+
+class Document(Record):
     kind: str
     payload: object
+
+    def __init__(self, kind: str, payload: object):
+        self.__dict__.update(kind=kind, payload=payload)
 
 
 def _fail(msg: str) -> DocumentError:
@@ -132,12 +141,14 @@ def _parse_matrix01(data, key: str, size: int):
     return tuple(tuple(bool(v) for v in r) for r in m)
 
 
-def _parse_gr(data: dict) -> Union[GRSpace, GRSpaceWithInvolution]:
+def _parse_gr(data: dict):
     size = _expect_int(data, "size")
     leq = _parse_matrix01(data, "leq", size)
     star = _int_table(data.get("star"), "'star'")
     c0, c1, calpha = (_expect_int(data, key) for key in ("c0", "c1", "calpha"))
     neg = _int_list(data["neg"], "'neg'") if "neg" in data else None
+    from .duality import GRSpace, GRSpaceWithInvolution
+
     try:
         base = GRSpace(size, star, leq, c0, c1, calpha)
         if neg is not None:
@@ -203,6 +214,8 @@ def _parse_system(kind: str, data: dict) -> SystemParts:
                 size = _expect_int(doc, "size")
                 if size < 0:
                     raise _fail(f"term {key!r} size must be non-negative")
+                from .duality import FiniteSpace
+
                 objects[i] = FiniteSpace(size)
             elif inner == "poset":
                 size = _expect_int(doc, "size")
@@ -210,6 +223,8 @@ def _parse_system(kind: str, data: dict) -> SystemParts:
                 w = is_partial_order(leq)
                 if w is not None:
                     raise _fail(f"term {key!r} order is not a partial order")
+                from .lattices import FinitePoset
+
                 objects[i] = FinitePoset(size, leq)
             else:
                 raise _fail(f"term {key!r} has unsupported kind {inner!r}")
@@ -242,6 +257,8 @@ def parse_document(data: dict) -> Document:
         size = _expect_int(data, "size")
         if size < 0:
             raise _fail("space size must be non-negative")
+        from .duality import FiniteSpace
+
         return Document(kind, FiniteSpace(size))
     if kind == "poset":
         size = _expect_int(data, "size")
@@ -287,6 +304,12 @@ def check_document(doc: Document) -> ValidationReport:
     if doc.kind in ALGEBRA_KINDS:
         return validate_for_kind(doc.payload, doc.kind)
     if doc.kind == "gr":
+        from .duality import (
+            GRSpaceWithInvolution,
+            validate_gr_involution,
+            validate_gr_space,
+        )
+
         if isinstance(doc.payload, GRSpaceWithInvolution):
             return validate_gr_involution(doc.payload)
         return validate_gr_space(doc.payload)
@@ -299,6 +322,8 @@ def check_document(doc: Document) -> ValidationReport:
         w = is_partial_order(leq)
         return ValidationReport("finite poset",
                                 (Check("order-partial", w is None, w),))
+    from .systems import check_system
+
     parts = doc.payload
     return check_system(parts.index_algebra, parts.bottom, parts.objects,
                         parts.arrows, parts.fiber_kind,
@@ -311,8 +336,12 @@ def realize_document(doc: Document):
     if doc.kind in ALGEBRA_KINDS or doc.kind in ("gr", "space"):
         return doc.payload
     if doc.kind == "poset":
+        from .lattices import FinitePoset
+
         size, leq = doc.payload
         return FinitePoset(size, leq)
+    from .systems import DirectSystem, InverseSystem
+
     parts = doc.payload
     index = JoinSemilattice(
         parts.index_algebra if "bottom" in parts.index_algebra.constants
@@ -350,21 +379,28 @@ def document_data(obj, kind: Optional[str] = None) -> dict:
         if kind is None:
             raise ValueError("algebra serialization needs an explicit kind")
         return _algebra_data(kind, obj)
-    if isinstance(obj, (GRSpace, GRSpaceWithInvolution)):
-        base = base_of(obj)
+    # Every other object is an instance of a class of duality, lattices or
+    # systems, and a module nobody has imported has no instances, so look
+    # only at the loaded ones instead of importing all three.
+    duality, lattices, systems = (sys.modules.get(f"{__package__}.{name}")
+                                  for name in ("duality", "lattices",
+                                               "systems"))
+    if duality and isinstance(obj, (duality.GRSpace,
+                                    duality.GRSpaceWithInvolution)):
+        base = duality.base_of(obj)
         data = {"kind": "gr", "size": base.size,
                 "star": [list(r) for r in base.star],
                 "leq": [[1 if v else 0 for v in r] for r in base.leq],
                 "c0": base.c0, "c1": base.c1, "calpha": base.calpha}
-        if isinstance(obj, GRSpaceWithInvolution):
+        if isinstance(obj, duality.GRSpaceWithInvolution):
             data["neg"] = list(obj.neg)
         return data
-    if isinstance(obj, FiniteSpace):
+    if duality and isinstance(obj, duality.FiniteSpace):
         return {"kind": "space", "size": obj.size}
-    if isinstance(obj, FinitePoset):
+    if lattices and isinstance(obj, lattices.FinitePoset):
         return {"kind": "poset", "size": obj.size,
                 "leq": [[1 if v else 0 for v in r] for r in obj.leq]}
-    if isinstance(obj, DirectSystem):
+    if systems and isinstance(obj, systems.DirectSystem):
         return {
             "kind": "direct-system",
             "index": _algebra_data("sl", obj.index.algebra),
@@ -374,7 +410,7 @@ def document_data(obj, kind: Optional[str] = None) -> dict:
                             for (i, j), v in sorted(obj.transitions.items())
                             if i != j},
         }
-    if isinstance(obj, InverseSystem):
+    if systems and isinstance(obj, systems.InverseSystem):
         return {
             "kind": "inverse-system",
             "index": _algebra_data("sl", obj.index.algebra),

@@ -21,7 +21,6 @@ reports rather than rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Optional, Sequence
 
@@ -30,6 +29,7 @@ from .algebra import (
     FiniteAlgebra,
     Morphism,
     OrderMatrix,
+    Record,
     ValidationReport,
     _search_homs,
     atoms,
@@ -66,20 +66,19 @@ NEG3 = (1, 0, 2)
 LEQ3 = order_from_binary(MEET3, "meet")
 
 
-@dataclass(frozen=True)
-class FiniteSpace:
+class FiniteSpace(Record):
     """A finite discrete space; possibly empty (dual of the one-element
     Boolean algebra)."""
 
     size: int
 
-    def __post_init__(self):
-        if self.size < 0:
+    def __init__(self, size: int):
+        if size < 0:
             raise ValueError("negative size")
+        self.__dict__["size"] = size
 
 
-@dataclass(frozen=True)
-class GRSpace:
+class GRSpace(Record):
     """Partially ordered left normal band with constants, finite/discrete.
 
     ``points``, when present, records the hom value vectors a dual space was
@@ -92,25 +91,26 @@ class GRSpace:
     c0: int
     c1: int
     calpha: int
-    points: Optional[tuple[RawMap, ...]] = None
+    points: Optional[tuple[RawMap, ...]]
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "star", tuple(tuple(int(v) for v in row) for row in self.star))
-        object.__setattr__(
-            self, "leq", tuple(tuple(bool(v) for v in row) for row in self.leq))
-        n = self.size
+    def __init__(self, size: int, star, leq, c0: int, c1: int, calpha: int,
+                 points: Optional[tuple[RawMap, ...]] = None):
+        star = tuple(tuple(int(v) for v in row) for row in star)
+        leq = tuple(tuple(bool(v) for v in row) for row in leq)
+        n = size
         if n < 1:
             raise ValueError("GR spaces are non-empty (they carry constants)")
-        if len(self.star) != n or any(len(r) != n for r in self.star):
+        if len(star) != n or any(len(r) != n for r in star):
             raise ValueError("star table is not square")
-        if any(v < 0 or v >= n for row in self.star for v in row):
+        if any(v < 0 or v >= n for row in star for v in row):
             raise ValueError("star table has out-of-range entries")
-        if len(self.leq) != n or any(len(r) != n for r in self.leq):
+        if len(leq) != n or any(len(r) != n for r in leq):
             raise ValueError("order matrix is not square")
-        for c in (self.c0, self.c1, self.calpha):
+        for c in (c0, c1, calpha):
             if c < 0 or c >= n:
                 raise ValueError("constant out of range")
+        self.__dict__.update(size=size, star=star, leq=leq, c0=c0, c1=c1,
+                             calpha=calpha, points=points)
 
     @property
     def box(self) -> OrderMatrix:
@@ -121,17 +121,17 @@ class GRSpace:
             for a in range(self.size))
 
 
-@dataclass(frozen=True)
-class GRSpaceWithInvolution:
+class GRSpaceWithInvolution(Record):
     base: GRSpace
     neg: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "neg", tuple(int(v) for v in self.neg))
-        if len(self.neg) != self.base.size:
+    def __init__(self, base: GRSpace, neg: Sequence[int]):
+        neg = tuple(int(v) for v in neg)
+        if len(neg) != base.size:
             raise ValueError("involution is not a carrier self-map")
-        if any(v < 0 or v >= self.base.size for v in self.neg):
+        if any(v < 0 or v >= base.size for v in neg):
             raise ValueError("involution has out-of-range values")
+        self.__dict__.update(base=base, neg=neg)
 
     size = property(lambda self: self.base.size)
     star = property(lambda self: self.base.star)
@@ -457,18 +457,6 @@ def lift_system_morphism_dir_to_inv(m: DirectSystemMorphism) -> InverseSystemMor
     comps = {i: stone_dual_hom(m.components[i])
              for i in range(m.source.index.size)}
     return InverseSystemMorphism(src, tgt, m.index_map, comps)
-
-
-def lift_system_morphism_inv_to_dir(m: InverseSystemMorphism) -> DirectSystemMorphism:
-    src = lift_functor_inv_to_dir(m.target)
-    tgt = lift_functor_inv_to_dir(m.source)
-    comps = {}
-    for j in range(m.target.index.size):
-        phi_j = m.index_map(j)
-        hom = preimage_hom(m.components[j], m.target.term(j),
-                           m.source.term(phi_j))
-        comps[j] = Morphism(src.fiber(j), tgt.fiber(phi_j), hom.map, "ba")
-    return DirectSystemMorphism(src, tgt, m.index_map, comps)
 
 
 # ---------------------------------------------------------------------------

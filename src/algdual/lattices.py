@@ -20,7 +20,6 @@ raises on decompositions that fall outside either restriction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from typing import Optional
 
@@ -29,6 +28,7 @@ from .algebra import (
     Morphism,
     JoinSemilattice,
     OrderMatrix,
+    Record,
     _search_homs,
     is_partial_order,
     order_from_binary,
@@ -46,40 +46,39 @@ from .errors import (
 from .systems import DirectSystem, InverseSystem, RawMap
 
 
-@dataclass(frozen=True)
-class DistributiveLattice:
+class DistributiveLattice(Record):
     """A finite algebra validated against the distributive-lattice axioms."""
 
     algebra: FiniteAlgebra
 
-    def __post_init__(self):
-        report = validate_distributive_lattice(self.algebra)
+    def __init__(self, algebra: FiniteAlgebra):
+        report = validate_distributive_lattice(algebra)
         if not report.ok:
             raise NotDistributive("not a distributive lattice", report)
+        self.__dict__["algebra"] = algebra
 
     @property
     def size(self) -> int:
         return self.algebra.size
 
 
-@dataclass(frozen=True)
-class FinitePoset:
+class FinitePoset(Record):
     """A finite partial order; possibly empty (dual of the one-element
     lattice)."""
 
     size: int
     leq: OrderMatrix
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "leq", tuple(tuple(bool(v) for v in row) for row in self.leq))
-        if self.size < 0:
+    def __init__(self, size: int, leq):
+        leq = tuple(tuple(bool(v) for v in row) for row in leq)
+        if size < 0:
             raise ValueError("negative size")
-        if len(self.leq) != self.size or any(len(r) != self.size for r in self.leq):
+        if len(leq) != size or any(len(r) != size for r in leq):
             raise ValueError("order matrix does not match size")
-        w = is_partial_order(self.leq)
+        w = is_partial_order(leq)
         if w is not None:
             raise ValueError(f"not a partial order, witness {w}")
+        self.__dict__.update(size=size, leq=leq)
 
 
 def _as_lattice(d) -> FiniteAlgebra:

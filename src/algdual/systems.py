@@ -15,7 +15,6 @@ local units ``a + a'``; transitions add the target fiber's local zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .algebra import (
@@ -23,6 +22,7 @@ from .algebra import (
     FiniteAlgebra,
     JoinSemilattice,
     Morphism,
+    Record,
     ValidationReport,
     enumerate_homs,
     ibsl_completion,
@@ -203,8 +203,7 @@ def check_system(index_algebra: FiniteAlgebra, bottom: int,
 # Systems
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DirectSystem:
+class DirectSystem(Record):
     """Join-semilattice-indexed family of algebras with transition homs."""
 
     index: JoinSemilattice
@@ -212,18 +211,21 @@ class DirectSystem:
     transitions: Mapping[tuple[int, int], RawMap]
     kind: str
 
-    def __post_init__(self):
-        object.__setattr__(self, "fibers", dict(self.fibers))
-        object.__setattr__(
-            self, "transitions",
-            {k: tuple(v) for k, v in self.transitions.items()})
-        report = check_system(self.index.algebra, self.index.bottom,
-                              self.fibers, self.transitions, self.kind,
-                              inverse=False, subject="direct system")
+    def __init__(self, index: JoinSemilattice,
+                 fibers: Mapping[int, FiniteAlgebra],
+                 transitions: Mapping[tuple[int, int], Sequence[int]],
+                 kind: str):
+        fibers = dict(fibers)
+        transitions = {k: tuple(v) for k, v in transitions.items()}
+        report = check_system(index.algebra, index.bottom, fibers,
+                              transitions, kind, inverse=False,
+                              subject="direct system")
         if not report.ok:
             raise InvalidSystem(
                 f"invalid direct system: "
                 f"{[c.name for c in report.failures()]}", report)
+        self.__dict__.update(index=index, fibers=fibers,
+                             transitions=transitions, kind=kind)
 
     def fiber(self, i: int) -> FiniteAlgebra:
         return self.fibers[i]
@@ -251,8 +253,7 @@ class DirectSystem:
         raise ValueError(g)
 
 
-@dataclass(frozen=True)
-class InverseSystem:
+class InverseSystem(Record):
     """Join-semilattice-indexed family of finite terms with bonding maps.
 
     ``bondings[(i, j)]`` for i <= j is the value vector of the map
@@ -264,18 +265,17 @@ class InverseSystem:
     terms: Mapping[int, object]
     bondings: Mapping[tuple[int, int], RawMap]
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", dict(self.terms))
-        object.__setattr__(
-            self, "bondings",
-            {k: tuple(v) for k, v in self.bondings.items()})
-        report = check_system(self.index.algebra, self.index.bottom,
-                              self.terms, self.bondings, None,
-                              inverse=True, subject="inverse system")
+    def __init__(self, index: JoinSemilattice, terms: Mapping[int, object],
+                 bondings: Mapping[tuple[int, int], Sequence[int]]):
+        terms = dict(terms)
+        bondings = {k: tuple(v) for k, v in bondings.items()}
+        report = check_system(index.algebra, index.bottom, terms, bondings,
+                              None, inverse=True, subject="inverse system")
         if not report.ok:
             raise InvalidSystem(
                 f"invalid inverse system: "
                 f"{[c.name for c in report.failures()]}", report)
+        self.__dict__.update(index=index, terms=terms, bondings=bondings)
 
     def term(self, i: int):
         return self.terms[i]
@@ -405,8 +405,7 @@ def plonka_decompose(b: FiniteAlgebra) -> DirectSystem:
 # System morphisms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DirectSystemMorphism:
+class DirectSystemMorphism(Record):
     """Pair (index map, per-fiber homs) with commuting squares.
 
     ``index_map`` is a bottom-preserving semilattice hom between the index
@@ -420,34 +419,36 @@ class DirectSystemMorphism:
     index_map: Morphism
     components: Mapping[int, Morphism]
 
-    def __post_init__(self):
-        object.__setattr__(self, "components", dict(self.components))
-        phi = self.index_map
-        if (phi.source != self.source.index.algebra
-                or phi.target != self.target.index.algebra):
+    def __init__(self, source: DirectSystem, target: DirectSystem,
+                 index_map: Morphism, components: Mapping[int, Morphism]):
+        components = dict(components)
+        phi = index_map
+        if (phi.source != source.index.algebra
+                or phi.target != target.index.algebra):
             raise InvalidSystemMorphism("index map endpoints do not match")
         if phi.kind != "sl":
             raise InvalidSystemMorphism("index map must be a semilattice hom")
-        for i in range(self.source.index.size):
-            comp = self.components.get(i)
+        for i in range(source.index.size):
+            comp = components.get(i)
             if comp is None:
                 raise InvalidSystemMorphism(f"missing component at index {i}")
-            if (comp.source != self.source.fiber(i)
-                    or comp.target != self.target.fiber(phi(i))):
+            if (comp.source != source.fiber(i)
+                    or comp.target != target.fiber(phi(i))):
                 raise InvalidSystemMorphism(
                     f"component {i} endpoints do not match")
-        for i, j in self.source.index.comparable_pairs():
-            p = self.source.transitions[(i, j)]
-            q = self.target.transitions[(phi(i), phi(j))]
-            fi, fj = self.components[i].map, self.components[j].map
-            for x in range(self.source.fiber(i).size):
+        for i, j in source.index.comparable_pairs():
+            p = source.transitions[(i, j)]
+            q = target.transitions[(phi(i), phi(j))]
+            fi, fj = components[i].map, components[j].map
+            for x in range(source.fiber(i).size):
                 if fj[p[x]] != q[fi[x]]:
                     raise InvalidSystemMorphism(
                         f"square ({i},{j}) does not commute at {x}")
+        self.__dict__.update(source=source, target=target,
+                             index_map=index_map, components=components)
 
 
-@dataclass(frozen=True)
-class InverseSystemMorphism:
+class InverseSystemMorphism(Record):
     """Morphism of inverse systems: an index map running against the arrow
     direction plus per-index term maps.
 
@@ -461,33 +462,35 @@ class InverseSystemMorphism:
     index_map: Morphism
     components: Mapping[int, RawMap]
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "components",
-            {k: tuple(v) for k, v in self.components.items()})
-        phi = self.index_map
-        if (phi.source != self.target.index.algebra
-                or phi.target != self.source.index.algebra):
+    def __init__(self, source: InverseSystem, target: InverseSystem,
+                 index_map: Morphism,
+                 components: Mapping[int, Sequence[int]]):
+        components = {k: tuple(v) for k, v in components.items()}
+        phi = index_map
+        if (phi.source != target.index.algebra
+                or phi.target != source.index.algebra):
             raise InvalidSystemMorphism("index map endpoints do not match")
         if phi.kind != "sl":
             raise InvalidSystemMorphism("index map must be a semilattice hom")
-        for j in range(self.target.index.size):
-            vec = self.components.get(j)
+        for j in range(target.index.size):
+            vec = components.get(j)
             if vec is None:
                 raise InvalidSystemMorphism(f"missing component at index {j}")
-            src = self.source.term(phi(j))
-            tgt = self.target.term(j)
+            src = source.term(phi(j))
+            tgt = target.term(j)
             if len(vec) != src.size or any(v >= tgt.size for v in vec):
                 raise InvalidSystemMorphism(
                     f"component {j} is not a map term({phi(j)}) -> term({j})")
-        for j, j2 in self.target.index.comparable_pairs():
-            p = self.source.bondings[(phi(j), phi(j2))]
-            q = self.target.bondings[(j, j2)]
-            fj, fj2 = self.components[j], self.components[j2]
-            for x in range(self.source.term(phi(j2)).size):
+        for j, j2 in target.index.comparable_pairs():
+            p = source.bondings[(phi(j), phi(j2))]
+            q = target.bondings[(j, j2)]
+            fj, fj2 = components[j], components[j2]
+            for x in range(source.term(phi(j2)).size):
                 if fj[p[x]] != q[fj2[x]]:
                     raise InvalidSystemMorphism(
                         f"square ({j},{j2}) does not commute at {x}")
+        self.__dict__.update(source=source, target=target,
+                             index_map=index_map, components=components)
 
 
 def identity_system_morphism(system):

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from algdual.algebra import (
@@ -21,6 +24,7 @@ from algdual.errors import (
     MissingOperation,
     UnknownBuiltin,
 )
+from algdual.systems import plonka_decompose
 from oracles import naive_homs, naive_isomorphisms
 
 # The weak Kleene tables, frozen cell for cell (carrier order 0, 1, a).
@@ -266,3 +270,30 @@ def test_join_semilattice_requires_bottom():
 def test_join_semilattice_comparable_pairs(chain2):
     assert chain2.comparable_pairs() == [(0, 0), (0, 1), (1, 1)]
     assert chain2.leq(0, 1) and not chain2.leq(1, 0)
+
+
+def test_finite_algebra_is_read_only_and_hashable(wk):
+    again = FiniteAlgebra(3, {"meet": WK_MEET, "join": WK_JOIN},
+                          {"neg": WK_NEG}, {"zero": 0, "one": 1},
+                          names=wk.names)
+    assert again == wk and hash(again) == hash(wk)
+    assert len({wk, again, builtin("two")}) == 2
+    with pytest.raises(TypeError):
+        wk.binary_ops["join"] = WK_MEET
+    with pytest.raises(TypeError):
+        wk.unary_ops["neg"] = (0, 1, 2)
+    with pytest.raises(TypeError):
+        wk.constants["zero"] = 1
+    with pytest.raises(AttributeError):
+        wk.size = 4
+    assert wk.binary("join") == WK_JOIN and wk.unary("neg") == WK_NEG
+
+
+def test_values_survive_pickle_and_deepcopy(wk):
+    system = plonka_decompose(wk)
+    for obj in (wk, system, Morphism.identity(wk, "ibsl")):
+        for clone in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
+            assert clone == obj and clone is not obj
+    clone = pickle.loads(pickle.dumps(wk))
+    with pytest.raises(TypeError):
+        clone.binary_ops["join"] = WK_MEET

@@ -8,6 +8,7 @@ from random import Random
 
 import pytest
 
+from algdual import algebra
 from algdual.algebra import (
     FiniteAlgebra,
     _search_homs,
@@ -135,10 +136,26 @@ def test_enumerate_homs_matches_naive(kind):
         assert _search_homs(a, b, kind, limit=2) == expected[:2]
 
 
+def _symmetric(kind, rng):
+    """Instances with 6 to 8 elements, some with several automorphisms, where
+    a search that stops at its first isomorphism skips the others."""
+    make = {
+        "ibsl": lambda r: random_ibsl(r, 2, 2),
+        "ba": lambda r: random_boolean_algebra(r, 3, min_atoms=3),
+        "bsl": lambda r: random_bsl(r, 2, 2),
+        "dl": lambda r: random_distributive_lattice(r, 4),
+        "sl": lambda r: random_join_semilattice(r, 7).algebra.reduct(
+            binary=("join",)),
+    }[kind]
+    out = [a for a in (make(rng) for _ in range(200)) if 6 <= a.size <= 8]
+    assert out, kind
+    return out[:1] if kind == "ba" else out[:3]
+
+
 @pytest.mark.parametrize("kind", ["sl", "bsl", "dl", "ibsl", "ba"])
 def test_find_isomorphism_matches_first_naive(kind):
     rng = Random(21)
-    for a in _pool(kind, 22):
+    for a in _pool(kind, 22) + _symmetric(kind, Random(41)):
         for b in (a, permute_algebra(a, random_permutation(rng, a.size)),
                   _perturbed(permute_algebra(
                       a, random_permutation(rng, a.size)), kind, rng, 1)):
@@ -146,6 +163,24 @@ def test_find_isomorphism_matches_first_naive(kind):
             got = find_isomorphism(a, b, kind, validate=False)
             assert (None if got is None else got.map) == \
                 (isos[0] if isos else None), (kind, a, b)
+
+
+def test_find_isomorphism_stops_at_first_hom_for_algebra_kinds(monkeypatch):
+    """A bijective algebra hom is an isomorphism, so the search asks for one
+    hom; GR spaces must also reflect the order, so they scan them all."""
+    limits = []
+    search = algebra._search_homs
+
+    def spy(*args, **kwargs):
+        limits.append(kwargs.get("limit"))
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(algebra, "_search_homs", spy)
+    two = builtin("two")
+    assert find_isomorphism(two, two, "ibsl", validate=False).map == (0, 1)
+    assert find_isomorphism(wk_space(), wk_space(), "gr",
+                            validate=False) is not None
+    assert limits == [1, None]
 
 
 def test_injective_candidates_search_matches_filtered_naive():
