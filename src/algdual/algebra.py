@@ -79,11 +79,11 @@ class Record:
 
 
 def _freeze_binary(table) -> Table:
-    return tuple(tuple(int(v) for v in row) for row in table)
+    return tuple(tuple(map(int, row)) for row in table)
 
 
 def _freeze_unary(table) -> tuple[int, ...]:
-    return tuple(int(v) for v in table)
+    return tuple(map(int, table))
 
 
 _NO_OPS: Mapping = MappingProxyType({})
@@ -122,7 +122,7 @@ class FiniteAlgebra(Record):
         for name, t in binary_ops.items():
             if len(t) != size or any(len(row) != size for row in t):
                 raise ValueError(f"table {name!r} is not {size}x{size}")
-            if any(v not in rng for row in t for v in row):
+            if any(min(row) < 0 or max(row) >= size for row in t):
                 raise ValueError(f"table {name!r} has out-of-range entries")
         for name, t in unary_ops.items():
             if len(t) != size or any(v not in rng for v in t):
@@ -683,9 +683,23 @@ ALGEBRA_KINDS = ("sl", "bsl", "dl", "ibsl", "ba")
 SPACE_KINDS = ("gr", "igr")
 
 
-def _kind_ops(a: FiniteAlgebra, b: FiniteAlgebra, kind: str):
-    """Resolve the (binary, unary, constant) op names a kind-hom a -> b must
-    preserve, raising KindMismatch when required structure is missing."""
+def _signature(source, target, kind: str):
+    """What a kind-hom source -> target must preserve, as ``(binary, unary,
+    constants, order, reflect)``: ``(name, source part, target part)``
+    triples for the binary tables, unary maps and constants, the (source,
+    target) order matrices or None, and whether the order must also be
+    reflected.  Raises KindMismatch when a side lacks required structure."""
+    if kind == "poset":
+        return [], [], [], (source.leq, target.leq), True
+    if kind in SPACE_KINDS:
+        if kind == "igr" and not (hasattr(source, "neg")
+                                  and hasattr(target, "neg")):
+            raise KindMismatch("kind 'igr' needs an involution on both sides")
+        return ([("star", source.star, target.star)],
+                [("neg", source.neg, target.neg)] if kind == "igr" else [],
+                [(nm, getattr(source, nm), getattr(target, nm))
+                 for nm in ("c0", "c1", "calpha")],
+                (source.leq, target.leq), False)
     if kind not in ALGEBRA_KINDS:
         raise KindMismatch(f"unknown morphism kind {kind!r}")
     binary = _KIND_BINARY.get(kind, ())
@@ -693,76 +707,54 @@ def _kind_ops(a: FiniteAlgebra, b: FiniteAlgebra, kind: str):
     constants = list(_KIND_CONSTANTS.get(kind, ()))
     for names in (binary, unary, constants):
         for name in names:
-            if not (a.has(name) and b.has(name)):
+            if not (source.has(name) and target.has(name)):
                 raise KindMismatch(
                     f"kind {kind!r} needs operation {name!r} on both sides")
     for name in _KIND_OPT_CONSTANTS.get(kind, ()):
-        have = (name in a.constants) + (name in b.constants)
+        have = (name in source.constants) + (name in target.constants)
         if have == 1:
             raise KindMismatch(
                 f"constant {name!r} declared on only one side")
         if have == 2:
             constants.append(name)
-    return binary, unary, tuple(constants)
+    return ([(nm, source.binary(nm), target.binary(nm)) for nm in binary],
+            [(nm, source.unary(nm), target.unary(nm)) for nm in unary],
+            [(nm, source.const(nm), target.const(nm)) for nm in constants],
+            None, False)
 
 
-def _space_parts(s, kind: str):
-    star = s.star
-    leq = s.leq
-    consts = (s.c0, s.c1, s.calpha)
-    neg = getattr(s, "neg", None) if kind == "igr" else None
-    if kind == "igr" and neg is None:
-        raise KindMismatch("kind 'igr' needs an involution on both sides")
-    return star, leq, consts, neg
+def _first_cell(f: Sequence[int], ta: Table, tb: Table):
+    """The first (x, y) with f(ta[x][y]) != tb[f x][f y], or None."""
+    for x, row in enumerate(ta):
+        image = tb[f[x]]
+        for y, v in enumerate(row):
+            if f[v] != image[f[y]]:
+                return x, y
+    return None
 
 
 def morphism_violations(source, target, mapping: Sequence[int], kind: str,
                         stop_early: bool = False) -> list[tuple[str, tuple[int, ...]]]:
-    """All (equation, witness) pairs violated by ``mapping``.
+    """All (equation, witness) pairs violated by ``mapping``, at most one
+    per equation: constants, the ``igr`` zero-morphism, unary maps, binary
+    tables, then the order.
 
     Works for algebra kinds (sl/bsl/dl/ibsl/ba) and ordered-space kinds
     (gr/igr); the latter additionally require order preservation.
     """
     f = mapping
-    out = []
-    if kind in ALGEBRA_KINDS:
-        n = source.size
-        binary, unary, constants = _kind_ops(source, target, kind)
-        for name in constants:
-            if f[source.const(name)] != target.const(name):
-                out.append((name, (source.const(name),)))
-                if stop_early:
-                    return out
-        for name in unary:
-            ta, tb = source.unary(name), target.unary(name)
-            for x in range(n):
-                if f[ta[x]] != tb[f[x]]:
-                    out.append((name, (x,)))
-                    if stop_early:
-                        return out
-                    break
-        for name in binary:
-            ta, tb = source.binary(name), target.binary(name)
-            done = False
-            for x in range(n):
-                for y in range(n):
-                    if f[ta[x][y]] != tb[f[x]][f[y]]:
-                        out.append((name, (x, y)))
-                        done = True
-                        break
-                if done:
-                    break
-            if done and stop_early:
-                return out
-        return out
-    star_a, leq_a, consts_a, neg_a = _space_parts(source, kind)
-    star_b, leq_b, consts_b, neg_b = _space_parts(target, kind)
     n = source.size
-    for name, ca, cb in zip(("c0", "c1", "calpha"), consts_a, consts_b):
-        if f[ca] != cb:
-            out.append((name, (ca,)))
-            if stop_early:
-                return out
+    binary, unary, constants, order, reflect = _signature(source, target,
+                                                          kind)
+    out = []
+
+    def found(name, witness) -> bool:
+        out.append((name, witness))
+        return stop_early
+
+    for name, ca, cb in constants:
+        if f[ca] != cb and found(name, (ca,)):
+            return out
     if kind == "igr":
         # involutive dual-space morphisms must pull the target's neutral
         # evaluation morphism back to the source's, or they dualize to maps
@@ -772,38 +764,23 @@ def morphism_violations(source, target, mapping: Sequence[int], kind: str,
         z_src, z_tgt = zero_morphism(source), zero_morphism(target)
         if (z_src is None or z_tgt is None
                 or tuple(z_tgt[f[x]] for x in range(n)) != z_src):
-            out.append(("zero-morphism", ()))
-            if stop_early:
+            if found("zero-morphism", ()):
                 return out
-    if neg_a is not None:
-        for x in range(n):
-            if f[neg_a[x]] != neg_b[f[x]]:
-                out.append(("neg", (x,)))
-                if stop_early:
-                    return out
-                break
-    for x in range(n):
-        hit = False
-        for y in range(n):
-            if f[star_a[x][y]] != star_b[f[x]][f[y]]:
-                out.append(("star", (x, y)))
-                hit = True
-                break
-        if hit:
-            if stop_early:
-                return out
-            break
-    for x in range(n):
-        hit = False
-        for y in range(n):
-            if leq_a[x][y] and not leq_b[f[x]][f[y]]:
-                out.append(("order", (x, y)))
-                hit = True
-                break
-        if hit:
-            if stop_early:
-                return out
-            break
+    for name, ua, ub in unary:
+        w = next(((x,) for x in range(n) if f[ua[x]] != ub[f[x]]), None)
+        if w is not None and found(name, w):
+            return out
+    for name, ta, tb in binary:
+        w = _first_cell(f, ta, tb)
+        if w is not None and found(name, w):
+            return out
+    if order is not None:
+        la, lb = order
+        related = operator.eq if reflect else operator.le
+        w = next(((x, y) for x in range(n) for y in range(n)
+                  if not related(la[x][y], lb[f[x]][f[y]])), None)
+        if w is not None:
+            found("order", w)
     return out
 
 
@@ -884,28 +861,9 @@ def validate_for_kind(obj, kind: str) -> ValidationReport:
 # Homomorphism search
 # ---------------------------------------------------------------------------
 
-def _search_parts(source, target, kind: str):
-    """The equations a kind-hom source -> target must satisfy, as
-    ``(binary, unary, constants, order, reflect)``: pairs of source/target
-    tables, (source, target) constant pairs, the (source, target) order
-    matrices or None, and whether the order must also be reflected."""
-    if kind in ALGEBRA_KINDS:
-        binary, unary, constants = _kind_ops(source, target, kind)
-        return ([(source.binary(nm), target.binary(nm)) for nm in binary],
-                [(source.unary(nm), target.unary(nm)) for nm in unary],
-                [(source.const(nm), target.const(nm)) for nm in constants],
-                None, False)
-    if kind == "poset":
-        return [], [], [], (source.leq, target.leq), True
-    star_a, leq_a, consts_a, neg_a = _space_parts(source, kind)
-    star_b, leq_b, consts_b, neg_b = _space_parts(target, kind)
-    return ([(star_a, star_b)],
-            [(neg_a, neg_b)] if neg_a is not None else [],
-            list(zip(consts_a, consts_b)), (leq_a, leq_b), False)
-
-
 def _search_homs(source, target, kind: str, *, injective=False,
-                 candidates=None, limit=None) -> list[tuple[int, ...]]:
+                 candidates=None, limit=None,
+                 reflect=False) -> list[tuple[int, ...]]:
     """Value vectors of all kind-homs source -> target, in lexicographic
     order (by position in ``candidates[x]`` when given), at most ``limit``.
 
@@ -913,7 +871,8 @@ def _search_homs(source, target, kind: str, *, injective=False,
     that pull the target's zero-morphism back to the source's, a
     restriction of each element's values), and ``poset``: maps that
     preserve and reflect the order, which with ``injective`` and equal sizes
-    are the order isomorphisms.
+    are the order isomorphisms.  With ``reflect`` the maps of an ordered
+    kind must also reflect the order.
 
     The search branches on f(0), f(1), ... in turn and propagates forced
     values.  Every equation is indexed under the elements it reads: a
@@ -936,7 +895,8 @@ def _search_homs(source, target, kind: str, *, injective=False,
     large carriers do not meet Python's recursion limit.
     """
     n, m = source.size, target.size
-    binops, unops, consts, order, reflect = _search_parts(source, target, kind)
+    binary, unary, constants, order, kind_reflects = _signature(
+        source, target, kind)
     domains = [None] * n if candidates is None else [list(c) for c in candidates]
     if kind == "igr":
         # the zero-morphism condition z_tgt(f x) = z_src(x) is a per-element
@@ -950,12 +910,13 @@ def _search_homs(source, target, kind: str, *, injective=False,
                     if z_tgt[v] == z_src[x]] for x, d in enumerate(domains)]
     allowed = [None if d is None else set(d) for d in domains]
     # order pairs: x <= y must give f x <= f y, and with reflect the converse
-    related = operator.eq if reflect else operator.le
+    related = operator.eq if reflect or kind_reflects else operator.le
 
     # the cells reading e are row e of each table and row e of its
     # transpose; a table commutative on both sides needs no transpose
+    unops = [(ua, ub) for _, ua, ub in unary]
     sides = []
-    for ta, tb in binops:
+    for _, ta, tb in binary:
         sides.append((ta, tb))
         transposed = (tuple(zip(*ta)), tuple(zip(*tb)))
         if transposed != (ta, tb):
@@ -1017,7 +978,7 @@ def _search_homs(source, target, kind: str, *, injective=False,
         return k
 
     results: list[tuple[int, ...]] = []
-    for ca, cb in consts:
+    for _, ca, cb in constants:
         if f[ca] != cb and (f[ca] >= 0 or not assign(ca, cb)):
             return results
     if not propagate(0):
@@ -1064,24 +1025,14 @@ def enumerate_homs(source, target, kind: str, *, validate=True) -> list[Morphism
             for vec in _search_homs(source, target, kind)]
 
 
-def _structure_parts(obj, kind: str, ops):
-    if kind in ALGEBRA_KINDS:
-        binary, unary, constants = ops
-        return ([obj.binary(nm) for nm in binary],
-                [obj.unary(nm) for nm in unary],
-                [obj.const(nm) for nm in constants], None)
-    star, leq, consts3, neg = _space_parts(obj, kind)
-    return [star], ([neg] if neg is not None else []), list(consts3), leq
-
-
-def _joint_iso_colors(a, b, kind: str, ops, rounds: int = 2):
+def _joint_iso_colors(a, b, kind: str, rounds: int = 2):
     """Isomorphism-invariant element colors for both endpoints at once.
 
     The refinement starts from constant/fixed-point seeds and folds in the
     multiset of colored operation rows, using one shared canonical numbering,
     so any isomorphism a -> b must map an element to one of equal color.
     """
-    parts = [_structure_parts(a, kind, ops), _structure_parts(b, kind, ops)]
+    binary, unary, constants, order, _ = _signature(a, b, kind)
     sizes = (a.size, b.size)
 
     def canon(values_a, values_b):
@@ -1091,24 +1042,26 @@ def _joint_iso_colors(a, b, kind: str, ops, rounds: int = 2):
             out.append([table.setdefault(v, len(table)) for v in values])
         return out
 
+    # side s of each (name, source part, target part) triple is part 1 + s
     colors = canon(
-        *[[tuple(x == c for c in parts[s][2]) for x in range(sizes[s])]
+        *[[tuple(x == c[1 + s] for c in constants) for x in range(sizes[s])]
           for s in (0, 1)])
     for _ in range(rounds):
         sigs = []
         for s in (0, 1):
-            binops, unops, _, leq = parts[s]
             color = colors[s]
             side = []
             for x in range(sizes[s]):
                 sig = [color[x]]
-                for u in unops:
-                    sig.append(color[u[x]])
-                for t in binops:
+                for u in unary:
+                    sig.append(color[u[1 + s][x]])
+                for op in binary:
+                    t = op[1 + s]
                     sig.append(tuple(sorted(
                         (color[y], color[t[x][y]], color[t[y][x]])
                         for y in range(sizes[s]))))
-                if leq is not None:
+                if order is not None:
+                    leq = order[s]
                     sig.append(tuple(sorted(
                         (color[y], leq[x][y], leq[y][x])
                         for y in range(sizes[s]))))
@@ -1129,23 +1082,13 @@ def find_isomorphism(source, target, kind: str, *, validate=True) -> Optional[Mo
                     f"object is not a valid {kind!r}", report)
     if source.size != target.size:
         return None
-    ops = _kind_ops(source, target, kind) if kind in ALGEBRA_KINDS else None
-    ca, cb = _joint_iso_colors(source, target, kind, ops)
+    ca, cb = _joint_iso_colors(source, target, kind)
     if sorted(ca) != sorted(cb):
         return None
     candidates = [[v for v in range(target.size) if cb[v] == ca[x]]
                   for x in range(source.size)]
-    # A bijective hom of algebras is an isomorphism, so the first one is the
-    # answer; a bijective hom of spaces must also reflect the order.
-    algebra = kind in ALGEBRA_KINDS
-    for vec in _search_homs(source, target, kind, injective=True,
-                            candidates=candidates,
-                            limit=1 if algebra else None):
-        if algebra:
-            return Morphism(source, target, vec, kind)
-        inv = [0] * source.size
-        for x, v in enumerate(vec):
-            inv[v] = x
-        if not morphism_violations(target, source, inv, kind, stop_early=True):
-            return Morphism(source, target, vec, kind)
-    return None
+    # A bijective hom whose inverse is a hom: for algebras every bijective
+    # hom, for spaces one that also reflects the order.
+    found = _search_homs(source, target, kind, injective=True,
+                         candidates=candidates, limit=1, reflect=True)
+    return Morphism(source, target, found[0], kind) if found else None

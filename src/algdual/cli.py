@@ -35,6 +35,8 @@ import sys
 import time
 
 from .algebra import (
+    ALGEBRA_KINDS,
+    SPACE_KINDS,
     Check,
     FiniteAlgebra,
     ValidationReport,
@@ -43,7 +45,7 @@ from .algebra import (
     order_from_binary,
 )
 from .documents import (
-    ALGEBRA_KINDS,
+    KINDS,
     check_document,
     dumps_document,
     load_document,
@@ -216,17 +218,13 @@ def cmd_plonka(args) -> int:
         out_kind = "ibsl" if obj.kind == "ba" else "bsl"
         _write_output(dumps_document(plonka_sum(obj), out_kind), args.output)
         return 0
-    if kind == "ibsl":
-        from .systems import plonka_decompose
-
-        system = plonka_decompose(obj)
-    elif kind == "bsl":
-        from .lattices import plonka_decompose_bsl
-
-        system = plonka_decompose_bsl(obj)
-    else:
+    if kind not in ("ibsl", "bsl"):
         raise AlgebraError("plonka decompose expects an ibsl or bsl document")
-    _write_output(dumps_document(system), args.output)
+    from . import systems
+
+    decompose = (systems.plonka_decompose if kind == "ibsl"
+                 else systems.plonka_decompose_bsl)
+    _write_output(dumps_document(decompose(obj)), args.output)
     return 0
 
 
@@ -271,15 +269,14 @@ def _roundtrip_checks(kind: str, obj) -> list[Check]:
             checks.append(Check(name, False, None, str(exc)))
 
     if kind in ("ibsl", "bsl"):
-        from .systems import plonka_sum
+        from . import systems
 
-        if kind == "ibsl":
-            from .systems import plonka_decompose as decompose
-        else:
-            from .lattices import plonka_decompose_bsl as decompose
+        decompose = (systems.plonka_decompose if kind == "ibsl"
+                     else systems.plonka_decompose_bsl)
 
         def plonka_trip():
-            if find_isomorphism(plonka_sum(decompose(obj)), obj, kind) is None:
+            if find_isomorphism(systems.plonka_sum(decompose(obj)), obj,
+                                kind) is None:
                 raise IsomorphismFailure("sum of decomposition not isomorphic")
 
         attempt("plonka-roundtrip", plonka_trip)
@@ -394,9 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="validate a document against its kind")
     p.add_argument("file")
-    p.add_argument("--kind", choices=("ibsl", "ba", "bsl", "dl", "sl", "gr",
-                                      "poset", "space", "direct-system",
-                                      "inverse-system"))
+    p.add_argument("--kind", choices=KINDS)
     add_format(p)
     p.set_defaults(func=cmd_check)
 
@@ -415,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("--kind", required=True,
-                   choices=("sl", "bsl", "dl", "ibsl", "ba", "gr", "igr"))
+                   choices=ALGEBRA_KINDS + SPACE_KINDS)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--count", action="store_true")
     group.add_argument("--list", action="store_true")
@@ -426,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("--kind", required=True,
-                   choices=("sl", "bsl", "dl", "ibsl", "ba", "gr", "igr"))
+                   choices=ALGEBRA_KINDS + SPACE_KINDS)
     p.set_defaults(func=cmd_iso)
 
     p = sub.add_parser("roundtrip",

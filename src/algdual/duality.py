@@ -21,7 +21,7 @@ reports rather than rejected.
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 from .algebra import (
@@ -68,7 +68,8 @@ LEQ3 = order_from_binary(MEET3, "meet")
 
 class FiniteSpace(Record):
     """A finite discrete space; possibly empty (dual of the one-element
-    Boolean algebra)."""
+    Boolean algebra).  With its discrete order it is the poset whose
+    Birkhoff dual is its power-set algebra."""
 
     size: int
 
@@ -76,6 +77,11 @@ class FiniteSpace(Record):
         if size < 0:
             raise ValueError("negative size")
         self.__dict__["size"] = size
+
+    @cached_property
+    def leq(self) -> OrderMatrix:
+        return tuple(tuple(x == y for y in range(self.size))
+                     for x in range(self.size))
 
 
 class GRSpace(Record):
@@ -348,82 +354,49 @@ def validate_gr_involution(g: GRSpaceWithInvolution,
 
 
 # ---------------------------------------------------------------------------
-# Finite Stone duality
+# Finite Stone duality: the Boolean case of Birkhoff duality
 # ---------------------------------------------------------------------------
-
-def _require_boolean(b: FiniteAlgebra) -> None:
-    report = validate_boolean_algebra(b)
-    if not report.ok:
-        raise NotBoolean("input is not a Boolean algebra", report)
-
+# The atoms of a finite Boolean algebra are its join-irreducibles, and every
+# subset of a discrete space is a down-set, so the maps and algebras below
+# come from the Birkhoff code in ``lattices``, plus complement and bounds.
+# ``lattices`` is imported on use: duals of involutive bisemilattices never
+# need it.
 
 def stone_dual(b: FiniteAlgebra) -> FiniteSpace:
     """The dual space of a finite Boolean algebra: its atoms."""
-    _require_boolean(b)
+    report = validate_boolean_algebra(b)
+    if not report.ok:
+        raise NotBoolean("input is not a Boolean algebra", report)
     return FiniteSpace(len(atoms(b)))
 
 
 def stone_dual_hom(h: Morphism) -> RawMap:
     """Dual of a Boolean homomorphism h: B1 -> B2, as the map sending an
-    atom q of B2 to the unique atom of B1 below the meet of
-    {x : q <= h(x)}."""
-    b1, b2 = h.source, h.target
-    atoms1, atoms2 = atoms(b1), atoms(b2)
-    meet1 = b1.binary("meet")
-    leq1 = order_from_binary(meet1, "meet")
-    leq2 = order_from_binary(b2.binary("meet"), "meet")
-    out = []
-    for q in atoms2:
-        above = [x for x in range(b1.size) if leq2[q][h(x)]]
-        m = reduce(lambda u, v: meet1[u][v], above, b1.const("one"))
-        below = [k for k, p in enumerate(atoms1) if leq1[p][m]]
-        if len(below) != 1:
-            raise NotBoolean("dual point is not an atom; input hom is broken")
-        out.append(below[0])
-    return tuple(out)
+    atom q of B2 to the atom min{x : q <= h(x)} of B1."""
+    from .lattices import priestley_dual_hom
+
+    return priestley_dual_hom(h)
 
 
 def ba_of_space(x: FiniteSpace) -> FiniteAlgebra:
     """Power-set algebra of a finite space, carrier ordered as subset
-    bitmasks."""
-    n = x.size
-    full = (1 << n) - 1
-    masks = range(1 << n)
-    names = tuple(
-        "{" + ",".join(str(i) for i in range(n) if (m >> i) & 1) + "}"
-        if m else "∅" for m in masks)
-    return FiniteAlgebra(
-        1 << n,
-        {"join": [[a | b for b in masks] for a in masks],
-         "meet": [[a & b for b in masks] for a in masks]},
-        {"neg": [full ^ a for a in masks]},
-        {"zero": 0, "one": full},
-        names)
+    bitmasks: the down-set lattice of the discrete order with complement
+    and bounds."""
+    from .lattices import dl_of_poset
 
-
-def preimage_hom(vec: Sequence[int], src: FiniteSpace, tgt: FiniteSpace) -> Morphism:
-    """Dual of a point map f: tgt -> src, the Boolean hom S -> f^-1(S)
-    between the power-set algebras."""
-    table = []
-    for mask in range(1 << src.size):
-        table.append(sum(1 << x for x in range(tgt.size)
-                         if (mask >> vec[x]) & 1))
-    return Morphism(ba_of_space(src), ba_of_space(tgt), tuple(table), "ba")
+    full = (1 << x.size) - 1
+    return dl_of_poset(x).with_ops(
+        unary={"neg": [full ^ a for a in range(full + 1)]},
+        constants={"zero": 0, "one": full})
 
 
 def stone_double_dual_iso(b: FiniteAlgebra) -> Morphism:
     """Canonical isomorphism of a Boolean algebra onto the power set of its
     atom space: x -> the set of atoms below x."""
-    _require_boolean(b)
-    ats = atoms(b)
-    leq = order_from_binary(b.binary("meet"), "meet")
-    vec = tuple(sum(1 << k for k, p in enumerate(ats) if leq[p][x])
-                for x in range(b.size))
-    target = ba_of_space(FiniteSpace(len(ats)))
-    m = Morphism(b, target, vec, "ba")
-    if not m.is_bijective:
-        raise IsomorphismFailure("atom-set map is not bijective")
-    return m
+    from .lattices import dl_double_dual_iso
+
+    space = stone_dual(b)
+    return Morphism(b, ba_of_space(space), dl_double_dual_iso(b).map, "ba")
 
 
 # ---------------------------------------------------------------------------
@@ -442,11 +415,10 @@ def lift_functor_dir_to_inv(s: DirectSystem) -> InverseSystem:
 def lift_functor_inv_to_dir(s: InverseSystem) -> DirectSystem:
     """Apply the power-set functor fiberwise: same index, fibers are the
     power-set algebras, transitions the preimage homs of the bondings."""
+    from .lattices import preimage_transitions
+
     fibers = {i: ba_of_space(s.term(i)) for i in range(s.index.size)}
-    transitions = {
-        (i, j): preimage_hom(s.bonding(i, j), s.term(i), s.term(j)).map
-        for (i, j) in s.index.comparable_pairs()}
-    return DirectSystem(s.index, fibers, transitions, "ba")
+    return DirectSystem(s.index, fibers, preimage_transitions(s), "ba")
 
 
 def lift_system_morphism_dir_to_inv(m: DirectSystemMorphism) -> InverseSystemMorphism:
@@ -470,12 +442,10 @@ def bsl_homs_to_three(b: FiniteAlgebra) -> list[RawMap]:
     return _search_homs(reduct, _THREE, "bsl")
 
 
-def dual_of_bsl(b: FiniteAlgebra) -> GRSpace:
-    """Dual GR space of a bisemilattice: the hom-space into the three-element
-    bisemilattice with the pointwise GR structure of the dualizing object."""
-    report = validate_bisemilattice(b)
-    if not report.ok:
-        raise NotBisemilattice("input is not a bisemilattice", report)
+def _hom_space(b: FiniteAlgebra) -> GRSpace:
+    """The homs of a bisemilattice into the three-element bisemilattice,
+    with the pointwise GR structure of the dualizing object; not yet
+    validated as a GR space."""
     homs = bsl_homs_to_three(b)
     index = {vec: k for k, vec in enumerate(homs)}
     three = gr_three()
@@ -490,11 +460,20 @@ def dual_of_bsl(b: FiniteAlgebra) -> GRSpace:
              for q in homs] for p in homs]
     leq = [[all(LEQ3[p[x]][q[x]] for x in range(n)) for q in homs]
            for p in homs]
-    space = GRSpace(len(homs), star, leq,
-                    c0=locate((0,) * n, "constants"),
-                    c1=locate((1,) * n, "constants"),
-                    calpha=locate((2,) * n, "constants"),
-                    points=tuple(homs))
+    return GRSpace(len(homs), star, leq,
+                   c0=locate((0,) * n, "constants"),
+                   c1=locate((1,) * n, "constants"),
+                   calpha=locate((2,) * n, "constants"),
+                   points=tuple(homs))
+
+
+def dual_of_bsl(b: FiniteAlgebra) -> GRSpace:
+    """Dual GR space of a bisemilattice: the hom-space into the three-element
+    bisemilattice with the pointwise GR structure of the dualizing object."""
+    report = validate_bisemilattice(b)
+    if not report.ok:
+        raise NotBisemilattice("input is not a bisemilattice", report)
+    space = _hom_space(b)
     rep = validate_gr_space(space)
     if not rep.ok:
         raise NotGRSpace("dual space failed GR validation", rep)
@@ -503,12 +482,16 @@ def dual_of_bsl(b: FiniteAlgebra) -> GRSpace:
 
 def dual_of_ibsl(b: FiniteAlgebra) -> GRSpaceWithInvolution:
     """Dual of an involutive bisemilattice: the GR dual of its bisemilattice
-    reduct with the involution (-phi)(x) = (phi(x'))'."""
+    reduct with the involution (-phi)(x) = (phi(x'))'.
+
+    The axioms I1-I8 imply the bisemilattice laws of the reduct, and the
+    involution checks include the GR checks, so each runs once.
+    """
     report = validate_ibsl(b)
     if not report.ok:
         raise NotIBSL("input is not an involutive bisemilattice", report)
     c = ibsl_completion(b)
-    base = dual_of_bsl(c.reduct(binary=("join", "meet")))
+    base = _hom_space(c)
     bneg = c.unary("neg")
     index = {vec: k for k, vec in enumerate(base.points)}
     neg = []

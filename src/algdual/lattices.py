@@ -1,5 +1,5 @@
-"""Bisemilattices as Plonka sums of distributive lattices, and finite
-Priestley duality in its Birkhoff form.
+"""Finite Priestley duality in its Birkhoff form, and its fiberwise lift
+to bisemilattices, the Plonka sums of distributive lattices.
 
 Every finite ordered discrete space is a Priestley space, so the finite
 restriction of Priestley duality is Birkhoff's representation: a finite
@@ -8,10 +8,10 @@ poset to its lattice of down-sets.  The one-element lattice has no
 join-irreducibles; its dual is the empty poset, which is admitted as an
 inverse-system term and flagged in validation reports.
 
-A bisemilattice splits into distributive-lattice fibers along the operation
-``a * b = a . (a + b)``: two elements share a fiber iff ``a * b = a`` and
-``b * a = b``, and the transition into a fiber applies ``* w`` for any
-member w of that fiber (the choice is checked to be immaterial).
+A bisemilattice splits into distributive-lattice fibers
+(:func:`algdual.systems.plonka_decompose_bsl`, also importable from here).
+A finite Stone space is the discrete poset, so the Boolean case of every
+function here is finite Stone duality (:mod:`algdual.duality`).
 
 Only bound-preserving lattice homs have total Birkhoff duals, and only
 bottomed index semilattices fit the system types here, so dualization
@@ -26,24 +26,15 @@ from typing import Optional
 from .algebra import (
     FiniteAlgebra,
     Morphism,
-    JoinSemilattice,
     OrderMatrix,
     Record,
     _search_homs,
     is_partial_order,
     order_from_binary,
-    validate_bisemilattice,
     validate_distributive_lattice,
 )
-from .errors import (
-    IllDefinedTransition,
-    IsomorphismFailure,
-    MissingBottom,
-    NotBisemilattice,
-    NotDistributive,
-    UnboundedTransition,
-)
-from .systems import DirectSystem, InverseSystem, RawMap
+from .errors import IsomorphismFailure, NotDistributive, UnboundedTransition
+from .systems import DirectSystem, InverseSystem, RawMap, plonka_decompose_bsl
 
 
 class DistributiveLattice(Record):
@@ -81,13 +72,8 @@ class FinitePoset(Record):
         self.__dict__.update(size=size, leq=leq)
 
 
-def _as_lattice(d) -> FiniteAlgebra:
-    if isinstance(d, DistributiveLattice):
-        return d.algebra
-    report = validate_distributive_lattice(d)
-    if not report.ok:
-        raise NotDistributive("not a distributive lattice", report)
-    return d
+def _as_lattice(d) -> DistributiveLattice:
+    return d if isinstance(d, DistributiveLattice) else DistributiveLattice(d)
 
 
 def lattice_bounds(d: FiniteAlgebra) -> tuple[int, int]:
@@ -98,15 +84,15 @@ def lattice_bounds(d: FiniteAlgebra) -> tuple[int, int]:
 
 
 def join_irreducibles(d: FiniteAlgebra) -> list[int]:
-    """Elements other than the bottom that are not proper joins."""
+    """Elements other than the bottom that are not proper joins: in a finite
+    lattice, those above the join of all elements strictly below them (the
+    bottom is the empty join)."""
     join = d.binary("join")
     bot, _ = lattice_bounds(d)
     out = []
     for x in range(d.size):
-        if x == bot:
-            continue
-        if all(join[a][b] != x or x in (a, b)
-               for a in range(d.size) for b in range(d.size)):
+        below = [y for y in range(d.size) if y != x and join[y][x] == x]
+        if reduce(lambda u, v: join[u][v], below, bot) != x:
             out.append(x)
     return out
 
@@ -117,7 +103,7 @@ def join_irreducibles(d: FiniteAlgebra) -> list[int]:
 
 def priestley_dual(d) -> FinitePoset:
     """The poset of join-irreducibles with the induced order."""
-    alg = _as_lattice(d)
+    alg = _as_lattice(d).algebra
     irr = join_irreducibles(alg)
     leq = order_from_binary(alg.binary("meet"), "meet")
     return FinitePoset(len(irr),
@@ -183,10 +169,11 @@ def priestley_dual_hom(h: Morphism) -> RawMap:
 def dl_double_dual_iso(d) -> Morphism:
     """Canonical isomorphism of a distributive lattice onto the down-set
     lattice of its join-irreducibles: x -> {q in J : q <= x}."""
-    alg = _as_lattice(d)
+    lattice = _as_lattice(d)
+    alg = lattice.algebra
     irr = join_irreducibles(alg)
     leq = order_from_binary(alg.binary("meet"), "meet")
-    dual_poset = priestley_dual(alg)
+    dual_poset = priestley_dual(lattice)
     target = dl_of_poset(dual_poset)
     masks = downset_masks(dual_poset)
     rank = {m: k for k, m in enumerate(masks)}
@@ -234,111 +221,8 @@ def find_poset_isomorphism(p: FinitePoset, q: FinitePoset) -> Optional[RawMap]:
 
 
 # ---------------------------------------------------------------------------
-# Plonka decomposition of bisemilattices
+# Systems of distributive lattices and posets
 # ---------------------------------------------------------------------------
-
-def star_table(b: FiniteAlgebra) -> tuple[tuple[int, ...], ...]:
-    """The fiber projection a * b = a . (a + b)."""
-    join, meet = b.binary("join"), b.binary("meet")
-    return tuple(tuple(meet[a][join[a][x]] for x in range(b.size))
-                 for a in range(b.size))
-
-
-def plonka_decompose_bsl(b: FiniteAlgebra) -> DirectSystem:
-    """Split a bisemilattice into a direct system of distributive lattices.
-
-    Fibers are the classes of ``a ~ b iff a*b = a and b*a = b``; the
-    transition into fiber F applies ``* w`` for any w in F, with the choice
-    of w checked to be immaterial.  Requires the induced index semilattice
-    to have a least element (sums over pointless semilattices are out of
-    scope here).
-    """
-    report = validate_bisemilattice(b)
-    if not report.ok:
-        raise NotBisemilattice("input is not a bisemilattice", report)
-    n = b.size
-    star = star_table(b)
-    related = [[star[x][y] == x and star[y][x] == y for y in range(n)]
-               for x in range(n)]
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if related[x][y] and related[y][z] and not related[x][z]:
-                    raise IllDefinedTransition(
-                        f"fiber relation is not transitive at {(x, y, z)}")
-    reps = []
-    class_of = [-1] * n
-    for x in range(n):
-        for k, r in enumerate(reps):
-            if related[r][x]:
-                class_of[x] = k
-                break
-        else:
-            class_of[x] = len(reps)
-            reps.append(x)
-    k = len(reps)
-
-    join, meet = b.binary("join"), b.binary("meet")
-    index_join = [[-1] * k for _ in range(k)]
-    for x in range(n):
-        for y in range(n):
-            jx, jy = class_of[x], class_of[y]
-            val = class_of[join[x][y]]
-            if index_join[jx][jy] == -1:
-                index_join[jx][jy] = val
-            elif index_join[jx][jy] != val:
-                raise IllDefinedTransition(
-                    f"index join ill-defined on classes {(jx, jy)}")
-            if class_of[meet[x][y]] != val:
-                raise IllDefinedTransition(
-                    f"join and meet disagree on fiber indices at {(x, y)}")
-    bottoms = [e for e in range(k)
-               if all(index_join[e][f] == f for f in range(k))]
-    if not bottoms:
-        raise MissingBottom(
-            "fiber index semilattice has no least element; "
-            "such sums are out of scope")
-    idx_names = None
-    if b.names:
-        idx_names = tuple(b.element_name(r) for r in reps)
-    index = JoinSemilattice.from_table(index_join, bottom=bottoms[0],
-                                       names=idx_names)
-
-    members = [[x for x in range(n) if class_of[x] == e] for e in range(k)]
-    local = [{x: p for p, x in enumerate(ms)} for ms in members]
-    fibers = {}
-    for e in range(k):
-        ms, loc = members[e], local[e]
-        try:
-            fb_join = [[loc[join[x][y]] for y in ms] for x in ms]
-            fb_meet = [[loc[meet[x][y]] for y in ms] for x in ms]
-        except KeyError:
-            raise IllDefinedTransition(
-                f"fiber {e} is not closed under the operations")
-        fnames = tuple(b.element_name(x) for x in ms) if b.names else None
-        fibers[e] = FiniteAlgebra(
-            len(ms), {"join": fb_join, "meet": fb_meet}, names=fnames)
-        rep = validate_distributive_lattice(fibers[e])
-        if not rep.ok:
-            raise NotDistributive(f"fiber {e} is not a distributive lattice",
-                                  rep)
-
-    transitions = {}
-    for e, f in index.comparable_pairs():
-        vec = []
-        for a in members[e]:
-            images = {star[a][w] for w in members[f]}
-            if len(images) != 1:
-                raise IllDefinedTransition(
-                    f"transition {e}->{f} depends on the representative at {a}")
-            img = images.pop()
-            if class_of[img] != f:
-                raise IllDefinedTransition(
-                    f"transition {e}->{f} escapes its fiber at {a}")
-            vec.append(local[f][img])
-        transitions[(e, f)] = tuple(vec)
-    return DirectSystem(index, fibers, transitions, "dl")
-
 
 def lift_system_dl_to_posets(s: DirectSystem) -> InverseSystem:
     """Apply Birkhoff duality fiberwise to a direct system of distributive
@@ -349,10 +233,10 @@ def lift_system_dl_to_posets(s: DirectSystem) -> InverseSystem:
     return InverseSystem(s.index, terms, bondings)
 
 
-def lift_system_posets_to_dl(s: InverseSystem) -> DirectSystem:
-    """Rebuild the down-set lattices fiberwise from an inverse system of
-    finite posets, transitions by preimage of bondings."""
-    fibers = {i: dl_of_poset(s.term(i)) for i in range(s.index.size)}
+def preimage_transitions(s: InverseSystem) -> dict[tuple[int, int], RawMap]:
+    """Transitions of the fiberwise down-set lattices of an inverse system:
+    a down-set of term i goes to its preimage under the bonding
+    term(j) -> term(i)."""
     transitions = {}
     for (i, j) in s.index.comparable_pairs():
         vec = s.bonding(i, j)
@@ -364,7 +248,14 @@ def lift_system_posets_to_dl(s: InverseSystem) -> DirectSystem:
                       if (mask >> vec[x]) & 1)
             table.append(rank_j[img])
         transitions[(i, j)] = tuple(table)
-    return DirectSystem(s.index, fibers, transitions, "dl")
+    return transitions
+
+
+def lift_system_posets_to_dl(s: InverseSystem) -> DirectSystem:
+    """Rebuild the down-set lattices fiberwise from an inverse system of
+    finite posets, transitions by preimage of bondings."""
+    fibers = {i: dl_of_poset(s.term(i)) for i in range(s.index.size)}
+    return DirectSystem(s.index, fibers, preimage_transitions(s), "dl")
 
 
 def bsl_to_inverse_system(b: FiniteAlgebra) -> InverseSystem:

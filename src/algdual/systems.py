@@ -9,8 +9,10 @@ spaces or posets, anything with a ``size``) and reverse the arrows.
 
 The Plonka sum lays its carrier out canonically: fibers concatenated in
 index order, elements in fiber order, so equal inputs produce identical
-tables.  The decomposition splits an involutive bisemilattice along its
-local units ``a + a'``; transitions add the target fiber's local zero.
+tables.  The decomposition splits a bisemilattice into
+distributive-lattice fibers along ``a * b = a . (a + b)``, and an involutive
+bisemilattice into the same fibers, there Boolean algebras indexed by
+their local units ``a + a'``.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .algebra import (
     enumerate_homs,
     ibsl_completion,
     morphism_violations,
+    validate_bisemilattice,
     validate_ibsl,
     validate_for_kind,
     validate_semilattice,
@@ -34,8 +37,11 @@ from .algebra import (
 from .errors import (
     DomainMismatch,
     FiberSplit,
+    IllDefinedTransition,
     InvalidSystem,
     InvalidSystemMorphism,
+    MissingBottom,
+    NotBisemilattice,
     NotIBSL,
 )
 
@@ -338,67 +344,140 @@ def local_units(b: FiniteAlgebra) -> list[int]:
     return [join[a][neg[a]] for a in range(c.size)]
 
 
+def star_table(b: FiniteAlgebra) -> tuple[tuple[int, ...], ...]:
+    """The fiber projection a * b = a . (a + b)."""
+    join, meet = b.binary("join"), b.binary("meet")
+    return tuple(tuple(m[v] for v in j) for m, j in zip(meet, join))
+
+
+def _fiber_classes(star) -> list[list[int]]:
+    """The classes of ``a ~ b iff a*b = a and b*a = b``, ordered by least
+    member.  The relation is reflexive and symmetric, so it is an
+    equivalence exactly when related elements have the same row."""
+    columns = list(zip(*star))
+    rows = [[y for y, (s, t) in enumerate(zip(star[x], columns[x]))
+             if s == x and t == y] for x in range(len(star))]
+    classes: list[list[int]] = []
+    placed = [False] * len(star)
+    for x, row in enumerate(rows):
+        if placed[x]:
+            continue
+        for y in row:
+            if rows[y] != row:
+                raise IllDefinedTransition(
+                    f"fiber relation is not transitive at {(x, y)}")
+            placed[y] = True
+        classes.append(row)
+    return classes
+
+
+def _split(c: FiniteAlgebra, star, members: list[list[int]], index_names,
+           kind: str) -> DirectSystem:
+    """The direct system of the fibers ``members`` of a bisemilattice, in
+    that order.  The index join is the join of the fibers' members; the
+    transition into fiber F applies ``* w`` for any w in F, with the choice
+    of w checked to be immaterial.  Fibers of kind ``ba`` also carry the
+    restricted neg, the local zero e . e' and the local one e, where e is
+    the fiber's unit.  Requires the index semilattice to have a least
+    element (sums over pointless semilattices are out of scope here).
+    """
+    class_of = [-1] * c.size
+    for e, ms in enumerate(members):
+        for x in ms:
+            class_of[x] = e
+    join, meet = c.binary("join"), c.binary("meet")
+    index_join = []
+    for e, xs in enumerate(members):
+        row = []
+        for f, ys in enumerate(members):
+            found = {class_of[join[x][y]] for x in xs for y in ys}
+            found |= {class_of[meet[x][y]] for x in xs for y in ys}
+            if len(found) != 1:
+                raise IllDefinedTransition(
+                    f"join and meet are ill-defined on the classes {(e, f)}")
+            row.append(found.pop())
+        index_join.append(row)
+    k = len(members)
+    bottoms = [e for e in range(k)
+               if all(index_join[e][f] == f for f in range(k))]
+    if not bottoms:
+        raise MissingBottom(
+            "fiber index semilattice has no least element; "
+            "such sums are out of scope")
+    index = JoinSemilattice.from_table(index_join, bottom=bottoms[0],
+                                       names=index_names)
+
+    local = [{x: p for p, x in enumerate(ms)} for ms in members]
+    neg = c.unary_ops.get("neg")
+    fibers = {}
+    for e, (ms, loc) in enumerate(zip(members, local)):
+        try:
+            binary = {"join": [[loc[join[x][y]] for y in ms] for x in ms],
+                      "meet": [[loc[meet[x][y]] for y in ms] for x in ms]}
+            unary, constants = {}, {}
+            if kind == "ba":
+                unit = join[ms[0]][neg[ms[0]]]
+                unary["neg"] = [loc[neg[x]] for x in ms]
+                constants = {"zero": loc[meet[unit][neg[unit]]],
+                             "one": loc[unit]}
+        except KeyError:
+            raise IllDefinedTransition(
+                f"fiber {e} is not closed under the operations")
+        fnames = tuple(c.element_name(x) for x in ms) if c.names else None
+        fibers[e] = FiniteAlgebra(len(ms), binary, unary, constants, fnames)
+
+    transitions = {}
+    for e, f in index.comparable_pairs():
+        vec = []
+        for a in members[e]:
+            images = {star[a][w] for w in members[f]}
+            if len(images) != 1:
+                raise IllDefinedTransition(
+                    f"transition {e}->{f} depends on the representative at {a}")
+            img = images.pop()
+            if class_of[img] != f:
+                raise IllDefinedTransition(
+                    f"transition {e}->{f} escapes its fiber at {a}")
+            vec.append(local[f][img])
+        transitions[(e, f)] = tuple(vec)
+    return DirectSystem(index, fibers, transitions, kind)
+
+
+def plonka_decompose_bsl(b: FiniteAlgebra) -> DirectSystem:
+    """Split a bisemilattice into a direct system of distributive lattices.
+
+    Fibers are the classes of ``a ~ b iff a*b = a and b*a = b``, ordered by
+    least member and indexed by the names of those members.  The index
+    semilattice must have a least element (:class:`MissingBottom`).
+    """
+    report = validate_bisemilattice(b)
+    if not report.ok:
+        raise NotBisemilattice("input is not a bisemilattice", report)
+    star = star_table(b)
+    members = _fiber_classes(star)
+    names = tuple(b.element_name(ms[0]) for ms in members) if b.names else None
+    return _split(b, star, members, names, "dl")
+
+
 def plonka_decompose(b: FiniteAlgebra) -> DirectSystem:
     """Split an involutive bisemilattice into a direct system of Boolean
     algebras along its local units.
 
-    The fiber at unit e is {a : a + a' = e} with restricted operations,
-    local one e and local zero e . e'; the transition into the fiber at f
-    adds f's local zero: a -> a + (f . f').  ``plonka_sum`` of the result is
-    isomorphic to the input.
+    The fibers are those of its bisemilattice reduct, ordered by and named
+    after their local unit e: the fiber at e is {a : a + a' = e} with
+    restricted operations, local one e and local zero e . e'.  The
+    transition into the fiber at f adds f's local zero: a -> a + (f . f').
+    ``plonka_sum`` of the result is isomorphic to the input.
     """
     report = validate_ibsl(b)
     if not report.ok:
         raise NotIBSL("input is not an involutive bisemilattice", report)
     c = ibsl_completion(b)
-    join, meet, neg = c.binary("join"), c.binary("meet"), c.unary("neg")
-    iota = local_units(c)
-    units = sorted(set(iota))
-    rank = {e: k for k, e in enumerate(units)}
-
-    index_join = []
-    for e in units:
-        row = []
-        for f in units:
-            j = join[e][f]
-            if j not in rank:
-                raise NotIBSL("local units are not closed under join")
-            row.append(rank[j])
-        index_join.append(row)
-    idx_names = tuple(c.element_name(e) for e in units)
-    index = JoinSemilattice.from_table(index_join,
-                                       bottom=rank[iota[c.const("zero")]],
-                                       names=idx_names)
-
-    members = {e: [a for a in range(c.size) if iota[a] == e] for e in units}
-    local = {e: {a: p for p, a in enumerate(members[e])} for e in units}
-    fibers = {}
-    for k, e in enumerate(units):
-        elems = members[e]
-        loc = local[e]
-        try:
-            fb_join = [[loc[join[x][y]] for y in elems] for x in elems]
-            fb_meet = [[loc[meet[x][y]] for y in elems] for x in elems]
-            fb_neg = [loc[neg[x]] for x in elems]
-        except KeyError:
-            raise NotIBSL("fibers are not closed under the operations")
-        fnames = tuple(c.element_name(a) for a in elems) if c.names else None
-        fibers[k] = FiniteAlgebra(
-            len(elems), {"join": fb_join, "meet": fb_meet}, {"neg": fb_neg},
-            {"zero": loc[meet[e][neg[e]]], "one": loc[e]}, fnames)
-
-    transitions = {}
-    for k1, k2 in index.comparable_pairs():
-        f = units[k2]
-        zf = meet[f][neg[f]]
-        vec = []
-        for a in members[units[k1]]:
-            img = join[a][zf]
-            if iota[img] != f:
-                raise NotIBSL("transition image escapes its fiber")
-            vec.append(local[f][img])
-        transitions[(k1, k2)] = tuple(vec)
-    return DirectSystem(index, fibers, transitions, "ba")
+    join, neg = c.binary("join"), c.unary("neg")
+    star = star_table(c)
+    units = sorted((join[ms[0]][neg[ms[0]]], ms) for ms in _fiber_classes(star))
+    names = tuple(c.element_name(e) for e, _ in units)
+    return _split(c, star, [ms for _, ms in units], names, "ba")
 
 
 # ---------------------------------------------------------------------------

@@ -203,3 +203,14 @@ def naive_order_disconnected_witness(leq):
     n = len(leq)
     return next(((a, b) for a in range(n) for b in range(n)
                  if not leq[a][b] and not _downset_separates(leq, a, b)), None)
+
+
+def naive_join_irreducibles(d):
+    """Elements other than the bottom that are not the join of two other
+    elements, by scanning every pair."""
+    join, meet = d.binary("join"), d.binary("meet")
+    bot = next(x for x in range(d.size)
+               if all(meet[x][y] == x for y in range(d.size)))
+    return [x for x in range(d.size) if x != bot
+            and all(join[a][b] != x or x in (a, b)
+                    for a in range(d.size) for b in range(d.size))]

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -438,3 +439,21 @@ def test_boolean_order_entries_still_accepted(capsys, tmp_path):
                       {"kind": "poset", "size": 2, "leq": [[True, 1], [0, 1]]})
     code, _, _ = run(capsys, "check", doc)
     assert code == 0
+
+
+def _kind_choices(command: str):
+    from algdual.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return next(a.choices for a in sub.choices[command]._actions
+                if a.dest == "kind")
+
+
+def test_parser_kind_choices_are_the_kind_tuples():
+    from algdual.algebra import ALGEBRA_KINDS, SPACE_KINDS
+    from algdual.documents import KINDS
+
+    assert tuple(_kind_choices("check")) == KINDS
+    assert tuple(_kind_choices("hom")) == ALGEBRA_KINDS + SPACE_KINDS
+    assert tuple(_kind_choices("iso")) == ALGEBRA_KINDS + SPACE_KINDS

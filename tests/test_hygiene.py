@@ -1,7 +1,13 @@
-"""Every top-level import of a library module is used in that module.
+"""Every top-level import of a library module is used in that module, and
+every top-level definition is used somewhere.
 
-Package ``__init__`` files re-export names, so they are exempt.  Names in
-quoted annotations (``-> "FiniteAlgebra"``) count as used.
+Package ``__init__`` files re-export names, so they are exempt from the
+import check.  Names in quoted annotations (``-> "FiniteAlgebra"``) count
+as used.  A definition counts as used when its name is read outside its
+own body anywhere in ``src/``, ``tests/`` or ``perfbench/``: as a
+variable, an attribute, an imported name, or an identifier string (the
+package's export table and the benchmark's ``getattr`` tables name
+functions that way).
 """
 
 import ast
@@ -9,8 +15,11 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "algdual"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "algdual"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+READERS = sorted([*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py"),
+                  *(ROOT / "perfbench").glob("*.py")])
 
 
 def _annotations(node):
@@ -56,3 +65,70 @@ def test_detector_flags_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_top_level_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def definitions(tree) -> list[tuple[str, ast.AST]]:
+    """(name, node) of every top-level function, class and assigned name,
+    dunder names excepted."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            out.append((node.name, node))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            out += [(n.id, node) for t in targets for n in ast.walk(t)
+                    if isinstance(n, ast.Name)]
+    return [(name, node) for name, node in out
+            if not (name.startswith("__") and name.endswith("__"))]
+
+
+def references(tree) -> list[tuple[str, int]]:
+    """(name, line) of every name the module reads."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            out.append((node.attr, node.lineno))
+        elif isinstance(node, ast.alias):
+            out.append((node.name, node.lineno))
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            out.append((node.value, node.lineno))
+    return out
+
+
+def unused_definitions(defining: dict, reading: dict) -> list[str]:
+    """Definitions in the ``defining`` sources (name -> source) that no
+    source in ``reading`` reads outside the definition's own lines."""
+    trees = {name: ast.parse(text) for name, text in reading.items()}
+    refs = {name: references(tree) for name, tree in trees.items()}
+    out = []
+    for module, text in defining.items():
+        for name, node in definitions(ast.parse(text)):
+            if not any(ref == name and not (
+                    other == module
+                    and node.lineno <= line <= node.end_lineno)
+                    for other, found in refs.items()
+                    for ref, line in found):
+                out.append(f"{module}:{name}")
+    return out
+
+
+def test_detector_flags_unused_definition():
+    lib = ('def used(): pass\ndef recursive(): recursive()\n'
+           'TABLE = {"named": 1}\ndef named(): pass\nLIMIT = 3\n'
+           'def _helper(): return LIMIT\n')
+    reader = 'from lib import used\nused()\n'
+    assert unused_definitions({"lib": lib}, {"lib": lib, "reader": reader}) \
+        == ["lib:recursive", "lib:TABLE", "lib:_helper"]
+
+
+def test_no_unused_top_level_definitions():
+    sources = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8")
+               for p in READERS}
+    defining = {name: text for name, text in sources.items()
+                if name.startswith("src")}
+    assert unused_definitions(defining, sources) == []

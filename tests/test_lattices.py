@@ -17,6 +17,7 @@ from algdual.errors import (
     UnboundedTransition,
 )
 from algdual.generate import (
+    random_boolean_algebra,
     random_bsl,
     random_direct_system,
     random_distributive_lattice,
@@ -35,9 +36,9 @@ from algdual.lattices import (
     poset_double_dual_iso,
     priestley_dual,
     priestley_dual_hom,
-    star_table,
 )
-from algdual.systems import plonka_sum
+from algdual.systems import plonka_sum, star_table
+from oracles import naive_join_irreducibles
 
 
 def chain_dl(n):
@@ -148,6 +149,16 @@ def test_join_irreducibles_examples():
     assert join_irreducibles(chain_dl(3)) == [1, 2]
     assert len(join_irreducibles(dl_of_poset(
         FinitePoset(2, ((True, False), (False, True)))))) == 2
+
+
+def test_join_irreducibles_match_pair_scan():
+    rng = Random(13)
+    lattices = [random_distributive_lattice(rng, 5) for _ in range(60)]
+    lattices += [random_boolean_algebra(rng, 4) for _ in range(20)]
+    lattices += [plonka_decompose_bsl(random_bsl(rng, 3, 3)).fiber(0)
+                 for _ in range(20)]
+    for d in lattices:
+        assert join_irreducibles(d) == naive_join_irreducibles(d)
 
 
 def test_priestley_dual_examples():

@@ -7,10 +7,13 @@ from random import Random
 from hypothesis import given, settings, strategies as st
 
 from algdual.algebra import (
+    FiniteAlgebra,
     enumerate_homs,
     find_isomorphism,
+    ibsl_completion,
     induced_orders,
     is_partial_order,
+    validate_bisemilattice,
     validate_ibsl,
 )
 from algdual.duality import (
@@ -39,6 +42,28 @@ seeds = st.integers(min_value=0, max_value=10 ** 9)
 def test_sum_of_boolean_system_is_ibsl(seed):
     system = random_direct_system(Random(seed), "ba", 3, 3)
     assert validate_ibsl(plonka_sum(system)).ok
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeds, st.integers(min_value=0, max_value=2))
+def test_ibsl_axioms_imply_bisemilattice_laws(seed, changes):
+    """Whenever I1-I8 hold, so do the bisemilattice laws of the join/meet
+    reduct of the completion: the dual of an IBSL need not check them."""
+    rng = Random(seed)
+    a = random_ibsl(rng, 3, 1)
+    join = [list(row) for row in a.binary("join")]
+    neg = list(a.unary("neg"))
+    for _ in range(changes):
+        x, y, v = (rng.randrange(a.size) for _ in range(3))
+        if rng.random() < 0.5:
+            join[x][y] = join[y][x] = v
+        else:
+            neg[x] = v
+    b = FiniteAlgebra(a.size, {"join": join}, {"neg": neg},
+                      {"zero": a.const("zero")})
+    if validate_ibsl(b).ok:
+        reduct = ibsl_completion(b).reduct(binary=("join", "meet"))
+        assert validate_bisemilattice(reduct).ok
 
 
 @settings(max_examples=20, deadline=None)

@@ -11,6 +11,7 @@ import pytest
 from algdual import algebra
 from algdual.algebra import (
     FiniteAlgebra,
+    Morphism,
     _search_homs,
     builtin,
     enumerate_homs,
@@ -20,6 +21,7 @@ from algdual.algebra import (
 from algdual.duality import (
     GRSpace,
     GRSpaceWithInvolution,
+    dual_of_bsl,
     dual_of_ibsl,
     gr_homs,
     gr_three,
@@ -166,8 +168,9 @@ def test_find_isomorphism_matches_first_naive(kind):
 
 
 def test_find_isomorphism_stops_at_first_hom_for_algebra_kinds(monkeypatch):
-    """A bijective algebra hom is an isomorphism, so the search asks for one
-    hom; GR spaces must also reflect the order, so they scan them all."""
+    """The search asks for one bijective hom for every kind: for algebras
+    that is an isomorphism, and for GR spaces the search itself also
+    reflects the order."""
     limits = []
     search = algebra._search_homs
 
@@ -180,7 +183,20 @@ def test_find_isomorphism_stops_at_first_hom_for_algebra_kinds(monkeypatch):
     assert find_isomorphism(two, two, "ibsl", validate=False).map == (0, 1)
     assert find_isomorphism(wk_space(), wk_space(), "gr",
                             validate=False) is not None
-    assert limits == [1, None]
+    assert limits == [1, 1]
+
+
+def test_find_isomorphism_of_spaces_reflects_the_order():
+    """Dropping one order pair leaves a GR space, and the identity into the
+    original is a bijective GR hom whose inverse is not monotone."""
+    g = dual_of_bsl(random_bsl(Random(9), 2, 2))
+    assert g.size == 9 and g.leq[1][2]
+    leq = [list(row) for row in g.leq]
+    leq[1][2] = False
+    weaker = GRSpace(g.size, g.star, leq, g.c0, g.c1, g.calpha)
+    assert validate_gr_space(weaker).ok
+    assert Morphism(weaker, g, range(g.size), "gr").is_bijective
+    assert find_isomorphism(weaker, g, "gr") is None
 
 
 def test_injective_candidates_search_matches_filtered_naive():

@@ -112,6 +112,28 @@ def test_search_and_hasse_on_algebras_load_no_heavy_module(
     assert not modules & (HEAVY - allowed)
 
 
+# what the involutive-bisemilattice pipeline needs: no lattice, generator
+# or DOT module
+IBSL_PIPELINE = {"algdual", "algdual.algebra", "algdual.cli",
+                 "algdual.documents", "algdual.duality", "algdual.errors",
+                 "algdual.systems"}
+
+
+@pytest.mark.parametrize("argv", [["dual"], ["plonka", "decompose"],
+                                  ["roundtrip"]])
+def test_ibsl_pipeline_loads_only_its_modules(algebra_files, argv):
+    code, modules = _loaded_after(_main(argv + [algebra_files["ibsl"]]))
+    assert code == 0
+    assert {m for m in modules if m.startswith("algdual")} <= IBSL_PIPELINE
+
+
+@pytest.mark.parametrize("argv", [["plonka", "decompose"], ["roundtrip"]])
+def test_bsl_decomposition_loads_no_lattice_module(algebra_files, argv):
+    code, modules = _loaded_after(_main(argv + [algebra_files["bsl"]]))
+    assert code == 0
+    assert "algdual.lattices" not in modules
+
+
 @pytest.mark.parametrize("name, data", [
     ("not-json", "{"),
     ("unknown-kind", {"kind": "monoid"}),
