@@ -25,7 +25,10 @@ constructions downstream rely on that ordering.
 
 from __future__ import annotations
 
+import functools
+import importlib
 import operator
+import weakref
 from itertools import count, product
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
@@ -183,14 +186,19 @@ class FiniteAlgebra(Record):
         )
 
     def with_ops(self, binary=None, unary=None, constants=None) -> "FiniteAlgebra":
-        """A copy extended with additional operations."""
-        return FiniteAlgebra(
-            self.size,
-            {**self.binary_ops, **(binary or {})},
-            {**self.unary_ops, **(unary or {})},
-            {**self.constants, **(constants or {})},
-            self.names,
-        )
+        """A copy extended with additional operations.  It shares the tables
+        this algebra holds; only the new ones are frozen and checked."""
+        new = FiniteAlgebra(self.size, binary or {}, unary or {},
+                            constants or {})
+        ops = {f: {**getattr(self, f), **getattr(new, f)}
+               for f in ("binary_ops", "unary_ops", "constants")}
+        names = [name for t in ops.values() for name in t]
+        if len(set(names)) != len(names):
+            raise ValueError("duplicate operation name")
+        out = FiniteAlgebra.__new__(FiniteAlgebra)
+        out.__dict__.update(self.__dict__, **{
+            f: MappingProxyType(t) for f, t in ops.items()})
+        return out
 
 
 def permute_algebra(a: FiniteAlgebra, perm: Sequence[int]) -> FiniteAlgebra:
@@ -356,6 +364,11 @@ class ValidationReport(Record):
     def failures(self) -> list[Check]:
         return [c for c in self.checks if not c.holds]
 
+    def require(self, error, message: str) -> None:
+        """Raise ``error(message, self)`` unless every check holds."""
+        if not self.ok:
+            raise error(message, self)
+
     def check(self, name: str) -> Check:
         for c in self.checks:
             if c.name == name:
@@ -428,6 +441,25 @@ BOOLEAN_COMPLEMENT = (
 )
 
 
+_VERDICTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def validated_once(validate):
+    """Memoize ``validate(obj, subject=...)`` weakly per object: validating
+    an object again, or an equal one (objects are immutable and compare by
+    their fields), costs one hash, and the memo dies with its objects."""
+    (default_subject,) = validate.__defaults__
+
+    @functools.wraps(validate)
+    def memoized(obj, subject=default_subject) -> ValidationReport:
+        verdicts = _VERDICTS.setdefault(obj, {})
+        if memoized not in verdicts:
+            verdicts[memoized] = validate(obj).checks
+        return ValidationReport(subject, verdicts[memoized])
+
+    return memoized
+
+
 def _require(a: FiniteAlgebra, binary=(), unary=(), constants=()):
     for name in binary:
         if name not in a.binary_ops:
@@ -440,6 +472,7 @@ def _require(a: FiniteAlgebra, binary=(), unary=(), constants=()):
             raise MissingOperation(f"missing constant {name!r}")
 
 
+@validated_once
 def validate_bisemilattice(a: FiniteAlgebra, subject="bisemilattice") -> ValidationReport:
     """Check that join and meet are both semilattice operations distributing
     over each other."""
@@ -468,6 +501,7 @@ def ibsl_completion(a: FiniteAlgebra) -> FiniteAlgebra:
     return a.with_ops(binary=extra_bin, constants=extra_const)
 
 
+@validated_once
 def validate_ibsl(a: FiniteAlgebra, subject="involutive bisemilattice") -> ValidationReport:
     """Check the involutive-bisemilattice axioms I1-I8 plus two derived laws.
 
@@ -480,6 +514,7 @@ def validate_ibsl(a: FiniteAlgebra, subject="involutive bisemilattice") -> Valid
     return ValidationReport(subject, tuple(checks))
 
 
+@validated_once
 def validate_boolean_algebra(a: FiniteAlgebra, subject="boolean algebra") -> ValidationReport:
     """Bounded distributive lattice plus complement laws."""
     _require(a, binary=("join", "meet"), unary=("neg",), constants=("zero", "one"))
@@ -487,12 +522,14 @@ def validate_boolean_algebra(a: FiniteAlgebra, subject="boolean algebra") -> Val
     return ValidationReport(subject, tuple(_identity_checks(a, identities)))
 
 
+@validated_once
 def validate_distributive_lattice(a: FiniteAlgebra, subject="distributive lattice") -> ValidationReport:
     _require(a, binary=("join", "meet"))
     identities = BISEMILATTICE_IDENTITIES + LATTICE_ABSORPTION
     return ValidationReport(subject, tuple(_identity_checks(a, identities)))
 
 
+@validated_once
 def validate_semilattice(a: FiniteAlgebra, subject="join semilattice") -> ValidationReport:
     """Single-operation semilattice; the bottom law is checked when a bottom
     constant is declared."""
@@ -548,9 +585,7 @@ def induced_orders(a: FiniteAlgebra) -> tuple[OrderMatrix, OrderMatrix]:
     """
     from .errors import NotBisemilattice
 
-    report = validate_bisemilattice(a)
-    if not report.ok:
-        raise NotBisemilattice("not a bisemilattice", report)
+    validate_bisemilattice(a).require(NotBisemilattice, "not a bisemilattice")
     return (order_from_binary(a.binary("join"), "join"),
             order_from_binary(a.binary("meet"), "meet"))
 
@@ -617,9 +652,8 @@ class JoinSemilattice(Record):
     bottom: int
 
     def __init__(self, algebra: FiniteAlgebra, bottom: int):
-        report = validate_semilattice(algebra)
-        if not report.ok:
-            raise NotSemilattice("join is not a semilattice operation", report)
+        validate_semilattice(algebra).require(
+            NotSemilattice, "join is not a semilattice operation")
         join = algebra.binary("join")
         if any(join[bottom][x] != x for x in range(algebra.size)):
             raise MissingBottom(f"element {bottom} is not a least element")
@@ -666,21 +700,37 @@ class JoinSemilattice(Record):
 # Morphisms and kind dispatch
 # ---------------------------------------------------------------------------
 
-# Operations a morphism of each kind must preserve.  An involutive
-# bisemilattice's meet and unit are derived from join, neg and zero, so
-# preserving the required group preserves them too and they are not listed.
-# A semilattice bottom is enforced exactly when both endpoints declare one
-# (index semilattices of systems always do).
-_KIND_BINARY = {
-    "sl": ("join",), "bsl": ("join", "meet"), "dl": ("join", "meet"),
-    "ibsl": ("join",), "ba": ("join", "meet"),
-}
-_KIND_UNARY = {"ibsl": ("neg",), "ba": ("neg",)}
-_KIND_CONSTANTS = {"ibsl": ("zero",), "ba": ("zero", "one")}
-_KIND_OPT_CONSTANTS = {"sl": ("bottom",)}
+def resolve(ref):
+    """``ref``, or the attribute a ``(module, name)`` pair names, looked up
+    now: its module loads on first use, and a replacing wrapper is seen."""
+    if callable(ref):
+        return ref
+    module, name = ref
+    return getattr(importlib.import_module(f"{__package__}.{module}"), name)
 
-ALGEBRA_KINDS = ("sl", "bsl", "dl", "ibsl", "ba")
+
+# Morphism kinds: (validator, then the operations a morphism must preserve:
+# binary, unary, constants, and constants preserved exactly when both
+# endpoints declare them).  An involutive bisemilattice's meet and unit are
+# derived from join, neg and zero, so preserving those preserves them too;
+# index semilattices of systems always declare a bottom.  Ordered spaces
+# preserve their GR structure instead (see ``_signature``).
+MORPHISM_KINDS = {
+    "ibsl": (("algebra", "validate_ibsl"), ("join",), ("neg",), ("zero",),
+             ()),
+    "ba": (("algebra", "validate_boolean_algebra"), ("join", "meet"),
+           ("neg",), ("zero", "one"), ()),
+    "bsl": (("algebra", "validate_bisemilattice"), ("join", "meet"), (), (),
+            ()),
+    "dl": (("algebra", "validate_distributive_lattice"), ("join", "meet"),
+           (), (), ()),
+    "sl": (("algebra", "validate_semilattice"), ("join",), (), (),
+           ("bottom",)),
+    "gr": (("duality", "validate_gr_space"),),
+    "igr": (("duality", "validate_gr_involution"),),
+}
 SPACE_KINDS = ("gr", "igr")
+ALGEBRA_KINDS = tuple(k for k in MORPHISM_KINDS if k not in SPACE_KINDS)
 
 
 def _signature(source, target, kind: str):
@@ -702,15 +752,14 @@ def _signature(source, target, kind: str):
                 (source.leq, target.leq), False)
     if kind not in ALGEBRA_KINDS:
         raise KindMismatch(f"unknown morphism kind {kind!r}")
-    binary = _KIND_BINARY.get(kind, ())
-    unary = _KIND_UNARY.get(kind, ())
-    constants = list(_KIND_CONSTANTS.get(kind, ()))
+    _, binary, unary, constants, optional = MORPHISM_KINDS[kind]
+    constants = list(constants)
     for names in (binary, unary, constants):
         for name in names:
             if not (source.has(name) and target.has(name)):
                 raise KindMismatch(
                     f"kind {kind!r} needs operation {name!r} on both sides")
-    for name in _KIND_OPT_CONSTANTS.get(kind, ()):
+    for name in optional:
         have = (name in source.constants) + (name in target.constants)
         if have == 1:
             raise KindMismatch(
@@ -837,24 +886,10 @@ class Morphism(Record):
 
 
 def validate_for_kind(obj, kind: str) -> ValidationReport:
-    """Run the validator matching a morphism kind."""
-    if kind == "sl":
-        return validate_semilattice(obj)
-    if kind == "bsl":
-        return validate_bisemilattice(obj)
-    if kind == "dl":
-        return validate_distributive_lattice(obj)
-    if kind == "ibsl":
-        return validate_ibsl(obj)
-    if kind == "ba":
-        return validate_boolean_algebra(obj)
-    if kind in SPACE_KINDS:
-        from . import duality
-
-        if kind == "igr":
-            return duality.validate_gr_involution(obj)
-        return duality.validate_gr_space(obj)
-    raise KindMismatch(f"unknown morphism kind {kind!r}")
+    """Run the validator of a morphism kind."""
+    if kind not in MORPHISM_KINDS:
+        raise KindMismatch(f"unknown morphism kind {kind!r}")
+    return resolve(MORPHISM_KINDS[kind][0])(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -1017,10 +1052,8 @@ def enumerate_homs(source, target, kind: str, *, validate=True) -> list[Morphism
     if validate:
         for obj in (source, target):
             report = validate_for_kind(obj, kind)
-            if not report.ok:
-                raise KindMismatch(
-                    f"object is not a valid {kind!r}: "
-                    f"{[c.name for c in report.failures()]}", report)
+            report.require(KindMismatch, f"object is not a valid {kind!r}: "
+                           f"{[c.name for c in report.failures()]}")
     return [Morphism(source, target, vec, kind)
             for vec in _search_homs(source, target, kind)]
 
@@ -1076,10 +1109,8 @@ def find_isomorphism(source, target, kind: str, *, validate=True) -> Optional[Mo
     also a kind-hom, or None."""
     if validate:
         for obj in (source, target):
-            report = validate_for_kind(obj, kind)
-            if not report.ok:
-                raise KindMismatch(
-                    f"object is not a valid {kind!r}", report)
+            validate_for_kind(obj, kind).require(
+                KindMismatch, f"object is not a valid {kind!r}")
     if source.size != target.size:
         return None
     ca, cb = _joint_iso_colors(source, target, kind)

@@ -17,7 +17,7 @@ Exit codes
 ----------
     0  valid / pass / found
     1  validation failure, kind mismatch, or absent isomorphism
-    2  unreadable or malformed input (parse diagnostics on stderr)
+    2  unreadable, malformed or unprocessably large input (message on stderr)
 
 Output on stdout is byte-identical for identical inputs, flags and seeds;
 timing goes to stderr.  Set ``ALGCTL_COLOR=1`` to colorize text reports.
@@ -35,23 +35,23 @@ import sys
 import time
 
 from .algebra import (
-    ALGEBRA_KINDS,
-    SPACE_KINDS,
+    MORPHISM_KINDS,
     Check,
     FiniteAlgebra,
     ValidationReport,
     enumerate_homs,
     find_isomorphism,
-    order_from_binary,
+    resolve,
 )
 from .documents import (
     KINDS,
     check_document,
     dumps_document,
+    kind_entry,
     load_document,
     realize_document,
 )
-from .errors import AlgebraError, DocumentError, IsomorphismFailure
+from .errors import AlgebraError, DocumentError
 
 _IDENTITY_VARS = ("x", "y", "z")
 
@@ -134,10 +134,8 @@ def _checked_payload(path: str):
     report on semantic failure."""
     doc = load_document(path)
     report = check_document(doc)
-    if not report.ok:
-        raise AlgebraError(
-            f"{path}: invalid {doc.kind} document: "
-            f"{[c.name for c in report.failures()]}", report)
+    report.require(AlgebraError, f"{path}: invalid {doc.kind} document: "
+                   f"{[c.name for c in report.failures()]}")
     return doc.kind, realize_document(doc)
 
 
@@ -159,72 +157,26 @@ def cmd_check(args) -> int:
     return 0 if report.ok else 1
 
 
-def _dual_object(kind: str, obj):
-    # Birkhoff duality lives in lattices, the other dualities in duality
-    if kind == "dl":
-        from .lattices import priestley_dual
-
-        return priestley_dual(obj), None
-    if kind == "poset":
-        from .lattices import dl_of_poset
-
-        return dl_of_poset(obj), "dl"
-    if kind == "direct-system" and obj.kind == "dl":
-        from .lattices import lift_system_dl_to_posets
-
-        return lift_system_dl_to_posets(obj), None
-    if kind == "inverse-system":
-        from .lattices import FinitePoset, lift_system_posets_to_dl
-
-        if obj.index.size and isinstance(obj.term(0), FinitePoset):
-            return lift_system_posets_to_dl(obj), None
-    from . import duality
-
-    if kind == "ibsl":
-        return duality.dual_of_ibsl(obj), None
-    if kind == "bsl":
-        return duality.dual_of_bsl(obj), None
-    if kind == "ba":
-        return duality.stone_dual(obj), None
-    if kind == "gr":
-        if isinstance(obj, duality.GRSpaceWithInvolution):
-            return duality.dual_of_gr(obj), "ibsl"
-        return duality.bsl_of_gr(obj), "bsl"
-    if kind == "space":
-        return duality.ba_of_space(obj), "ba"
-    if kind == "direct-system":
-        if obj.kind == "ba":
-            return duality.lift_functor_dir_to_inv(obj), None
-        raise AlgebraError(f"no dual for systems of kind {obj.kind!r}")
-    if kind == "inverse-system":
-        return duality.lift_functor_inv_to_dir(obj), None
-    raise AlgebraError(f"no dual defined for kind {kind!r}")
-
-
 def cmd_dual(args) -> int:
     kind, obj = _checked_payload(args.file)
-    dual, out_kind = _dual_object(kind, obj)
-    _write_output(dumps_document(dual, out_kind), args.output)
+    entry = kind_entry(kind, obj)
+    if "dual" not in entry:
+        raise AlgebraError(f"no dual defined for kind {kind!r}")
+    _write_output(dumps_document(resolve(entry["dual"])(obj),
+                                 entry.get("dual_kind")), args.output)
     return 0
+
+
+_PLONKA_INPUT = {"sum": "a direct-system", "decompose": "an ibsl or bsl"}
 
 
 def cmd_plonka(args) -> int:
     kind, obj = _checked_payload(args.file)
-    if args.mode == "sum":
-        if kind != "direct-system":
-            raise AlgebraError("plonka sum expects a direct-system document")
-        from .systems import plonka_sum
-
-        out_kind = "ibsl" if obj.kind == "ba" else "bsl"
-        _write_output(dumps_document(plonka_sum(obj), out_kind), args.output)
-        return 0
-    if kind not in ("ibsl", "bsl"):
-        raise AlgebraError("plonka decompose expects an ibsl or bsl document")
-    from . import systems
-
-    decompose = (systems.plonka_decompose if kind == "ibsl"
-                 else systems.plonka_decompose_bsl)
-    _write_output(dumps_document(decompose(obj)), args.output)
+    step = kind_entry(kind, obj).get("plonka")
+    if step is None or step[0] != args.mode:
+        raise AlgebraError(f"plonka {args.mode} expects "
+                           f"{_PLONKA_INPUT[args.mode]} document")
+    _write_output(dumps_document(resolve(step[1])(obj)), args.output)
     return 0
 
 
@@ -258,57 +210,19 @@ def cmd_iso(args) -> int:
     return 0
 
 
-def _roundtrip_checks(kind: str, obj) -> list[Check]:
-    checks = []
-
-    def attempt(name, thunk):
-        try:
-            thunk()
-            checks.append(Check(name, True))
-        except AlgebraError as exc:
-            checks.append(Check(name, False, None, str(exc)))
-
-    if kind in ("ibsl", "bsl"):
-        from . import systems
-
-        decompose = (systems.plonka_decompose if kind == "ibsl"
-                     else systems.plonka_decompose_bsl)
-
-        def plonka_trip():
-            if find_isomorphism(systems.plonka_sum(decompose(obj)), obj,
-                                kind) is None:
-                raise IsomorphismFailure("sum of decomposition not isomorphic")
-
-        attempt("plonka-roundtrip", plonka_trip)
-        if kind == "ibsl":
-            from .duality import eps_iso
-
-            attempt("double-dual-iso", lambda: eps_iso(obj))
-    elif kind == "ba":
-        from .duality import stone_double_dual_iso
-
-        attempt("stone-double-dual", lambda: stone_double_dual_iso(obj))
-    elif kind == "dl":
-        from .lattices import dl_double_dual_iso
-
-        attempt("birkhoff-double-dual", lambda: dl_double_dual_iso(obj))
-    elif kind == "poset":
-        from .lattices import poset_double_dual_iso
-
-        attempt("downset-double-dual", lambda: poset_double_dual_iso(obj))
-    elif kind == "gr" and hasattr(obj, "neg"):  # a GR space with involution
-        from .duality import delta_iso
-
-        attempt("double-dual-iso", lambda: delta_iso(obj))
-    else:
-        raise AlgebraError(f"no roundtrip defined for kind {kind!r}")
-    return checks
-
-
 def cmd_roundtrip(args) -> int:
     kind, obj = _checked_payload(args.file)
     t0 = time.perf_counter()
-    checks = _roundtrip_checks(kind, obj)
+    steps = kind_entry(kind, obj).get("roundtrip")
+    if steps is None:
+        raise AlgebraError(f"no roundtrip defined for kind {kind!r}")
+    checks = []
+    for name, step in steps.items():
+        try:
+            resolve(step)(obj)
+            checks.append(Check(name, True))
+        except AlgebraError as exc:
+            checks.append(Check(name, False, None, str(exc)))
     elapsed = time.perf_counter() - t0
     report = ValidationReport(f"roundtrip of {kind}", tuple(checks))
     _emit_report(report, obj, args.format, sys.stdout)
@@ -320,24 +234,13 @@ def cmd_hasse(args) -> int:
     from .hasse import dot_hasse
 
     kind, obj = _checked_payload(args.file)
-    labels = None
-    if kind in ALGEBRA_KINDS:
-        if args.order == "box":
-            raise AlgebraError("the box order exists only on GR spaces")
-        op = "join" if args.order == "join" else "meet"
-        leq = order_from_binary(obj.binary(op), op)
-        labels = obj.names
-    elif kind == "gr":
-        if args.order == "join":
-            raise AlgebraError(
-                "GR spaces carry the base order (--order meet) and the "
-                "derived order (--order box)")
-        leq = obj.leq if args.order == "meet" else obj.box
-    elif kind == "poset":
-        leq = obj.leq
-    else:
-        raise AlgebraError(f"no order diagram for kind {kind!r}")
-    _write_output(dot_hasse(leq, labels), args.output)
+    entry = kind_entry(kind, obj)
+    order = entry.get("hasse", {}).get(args.order)
+    if order is None:
+        raise AlgebraError(entry.get("hasse_refusal",
+                                     f"no order diagram for kind {kind!r}"))
+    _write_output(dot_hasse(resolve(order)(obj), getattr(obj, "names", None)),
+                  args.output)
     return 0
 
 
@@ -410,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("--kind", required=True,
-                   choices=ALGEBRA_KINDS + SPACE_KINDS)
+                   choices=tuple(MORPHISM_KINDS))
     group = p.add_mutually_exclusive_group()
     group.add_argument("--count", action="store_true")
     group.add_argument("--list", action="store_true")
@@ -421,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("--kind", required=True,
-                   choices=ALGEBRA_KINDS + SPACE_KINDS)
+                   choices=tuple(MORPHISM_KINDS))
     p.set_defaults(func=cmd_iso)
 
     p = sub.add_parser("roundtrip",
@@ -462,6 +365,10 @@ def main(argv=None) -> int:
             for line in _report_lines(exc.report):
                 print(line, file=sys.stderr)
         return 1
+    except (MemoryError, RecursionError) as exc:
+        print(f"error: input too large to process ({type(exc).__name__})",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

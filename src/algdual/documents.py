@@ -13,31 +13,30 @@ violate their kind's axioms (reported by :func:`check_document`, CLI
 exit 1).  Serialization is canonical, so equal objects produce byte-equal
 documents.
 
-Algebra documents need only :mod:`algdual.algebra`; the space, poset and
-system modules are imported by the functions below when a document of
-their kinds comes up.
+Every kind has one entry in :data:`KIND_TABLE`.  Algebra documents need only
+:mod:`algdual.algebra`; the other modules load with the kinds that use them.
 """
 
 from __future__ import annotations
 
 import json
-import sys
+from operator import attrgetter
 from typing import Optional
 
 from .algebra import (
+    ALGEBRA_KINDS,
+    MORPHISM_KINDS,
     Check,
     FiniteAlgebra,
     JoinSemilattice,
     Record,
     ValidationReport,
+    find_isomorphism,
     is_partial_order,
-    validate_for_kind,
+    order_from_binary,
+    resolve,
 )
-from .errors import DocumentError
-
-ALGEBRA_KINDS = ("ibsl", "ba", "bsl", "dl", "sl")
-KINDS = ALGEBRA_KINDS + ("gr", "poset", "space", "direct-system",
-                         "inverse-system")
+from .errors import AlgebraError, DocumentError, IsomorphismFailure
 
 
 class SystemParts(Record):
@@ -99,7 +98,7 @@ _RESERVED_ARITY = {"join": "binary", "meet": "binary", "neg": "unary",
                    "zero": "constant", "one": "constant", "bottom": "constant"}
 
 
-def _parse_algebra(kind: str, data: dict) -> FiniteAlgebra:
+def _parse_algebra(data: dict) -> FiniteAlgebra:
     size = _expect_int(data, "size")
     ops = data.get("ops")
     if not isinstance(ops, dict):
@@ -171,11 +170,25 @@ def _parse_arrow_key(key: str, size: int) -> tuple[int, int]:
     return i, j
 
 
-def _parse_system(kind: str, data: dict) -> SystemParts:
+def _parse_space(data: dict):
+    size = _expect_int(data, "size")
+    if size < 0:
+        raise _fail("space size must be non-negative")
+    from .duality import FiniteSpace
+
+    return FiniteSpace(size)
+
+
+def _parse_poset(data: dict) -> tuple:
+    size = _expect_int(data, "size")
+    return size, _parse_matrix01(data, "leq", size)
+
+
+def _parse_system(data: dict) -> SystemParts:
     index_doc = data.get("index")
     if not isinstance(index_doc, dict):
         raise _fail("'index' must be a semilattice document")
-    index_algebra = _parse_algebra("sl", index_doc)
+    index_algebra = _parse_algebra(index_doc)
     if "join" not in index_algebra.binary_ops:
         raise _fail("index semilattice needs a 'join' op")
     bottom = index_algebra.constants.get("bottom")
@@ -185,7 +198,7 @@ def _parse_system(kind: str, data: dict) -> SystemParts:
             (b for b in range(index_algebra.size)
              if all(join[b][x] == x for x in range(index_algebra.size))), 0)
 
-    variant = "direct" if kind == "direct-system" else "inverse"
+    variant = "direct" if data["kind"] == "direct-system" else "inverse"
     obj_key = "fibers" if variant == "direct" else "terms"
     raw_objects = data.get(obj_key)
     if not isinstance(raw_objects, dict):
@@ -208,7 +221,7 @@ def _parse_system(kind: str, data: dict) -> SystemParts:
                 fiber_kind = inner
             elif fiber_kind != inner:
                 raise _fail("fibers carry inconsistent kinds")
-            objects[i] = _parse_algebra(inner, doc)
+            objects[i] = _parse_algebra(doc)
         else:
             if inner == "space":
                 size = _expect_int(doc, "size")
@@ -249,22 +262,7 @@ def parse_document(data: dict) -> Document:
     kind = data.get("kind")
     if kind not in KINDS:
         raise _fail(f"unknown kind {kind!r}")
-    if kind in ALGEBRA_KINDS:
-        return Document(kind, _parse_algebra(kind, data))
-    if kind == "gr":
-        return Document(kind, _parse_gr(data))
-    if kind == "space":
-        size = _expect_int(data, "size")
-        if size < 0:
-            raise _fail("space size must be non-negative")
-        from .duality import FiniteSpace
-
-        return Document(kind, FiniteSpace(size))
-    if kind == "poset":
-        size = _expect_int(data, "size")
-        leq = _parse_matrix01(data, "leq", size)
-        return Document(kind, (size, leq))
-    return Document(kind, _parse_system(kind, data))
+    return Document(kind, resolve(KIND_TABLE[kind]["parse"])(data))
 
 
 def loads_document(text: str) -> Document:
@@ -296,53 +294,60 @@ def load_document(path: str) -> Document:
 
 
 # ---------------------------------------------------------------------------
-# Semantic checking and realization
+# Checking, realization and serialization, by kind
 # ---------------------------------------------------------------------------
 
 def check_document(doc: Document) -> ValidationReport:
     """Kind-appropriate semantic validation of a shape-valid document."""
-    if doc.kind in ALGEBRA_KINDS:
-        return validate_for_kind(doc.payload, doc.kind)
-    if doc.kind == "gr":
-        from .duality import (
-            GRSpaceWithInvolution,
-            validate_gr_involution,
-            validate_gr_space,
-        )
-
-        if isinstance(doc.payload, GRSpaceWithInvolution):
-            return validate_gr_involution(doc.payload)
-        return validate_gr_space(doc.payload)
-    if doc.kind == "space":
-        return ValidationReport("finite discrete space",
-                                (Check("size-non-negative",
-                                       doc.payload.size >= 0),))
-    if doc.kind == "poset":
-        size, leq = doc.payload
-        w = is_partial_order(leq)
-        return ValidationReport("finite poset",
-                                (Check("order-partial", w is None, w),))
-    from .systems import check_system
-
-    parts = doc.payload
-    return check_system(parts.index_algebra, parts.bottom, parts.objects,
-                        parts.arrows, parts.fiber_kind,
-                        inverse=(parts.variant == "inverse"),
-                        subject=doc.kind)
+    return resolve(kind_entry(doc.kind, doc.payload)["check"])(doc.payload)
 
 
 def realize_document(doc: Document):
     """Build the validated object; assumes :func:`check_document` passed."""
-    if doc.kind in ALGEBRA_KINDS or doc.kind in ("gr", "space"):
-        return doc.payload
-    if doc.kind == "poset":
-        from .lattices import FinitePoset
+    realize = kind_entry(doc.kind, doc.payload).get("realize")
+    return doc.payload if realize is None else resolve(realize)(doc.payload)
 
-        size, leq = doc.payload
-        return FinitePoset(size, leq)
+
+def document_data(obj, kind: Optional[str] = None) -> dict:
+    """Serialize a library object to its JSON document dict.  An algebra
+    needs its ``kind``; every other object has a class of its own."""
+    if isinstance(obj, Document):
+        return document_data(obj.payload, obj.kind)
+    if isinstance(obj, FiniteAlgebra):
+        if kind not in ALGEBRA_KINDS:
+            raise ValueError("algebra serialization needs an explicit kind")
+    else:
+        kind = _KIND_OF_CLASS.get(type(obj).__name__)
+        if kind is None:
+            raise ValueError(f"cannot serialize {type(obj).__name__}")
+    return resolve(KIND_TABLE[kind]["data"])(obj, kind)
+
+
+def dumps_document(obj, kind: Optional[str] = None) -> str:
+    """Canonical UTF-8 JSON text: sorted keys, two-space indent, trailing
+    newline.  Equal objects serialize byte-identically."""
+    return json.dumps(document_data(obj, kind), ensure_ascii=False,
+                      indent=2, sort_keys=True) + "\n"
+
+
+def _check_poset(payload: tuple) -> ValidationReport:
+    w = is_partial_order(payload[1])
+    return ValidationReport("finite poset",
+                            (Check("order-partial", w is None, w),))
+
+
+def _check_system(parts: SystemParts) -> ValidationReport:
+    from .systems import check_system
+
+    return check_system(parts.index_algebra, parts.bottom, parts.objects,
+                        parts.arrows, parts.fiber_kind,
+                        inverse=(parts.variant == "inverse"),
+                        subject=f"{parts.variant}-system")
+
+
+def _realize_system(parts: SystemParts):
     from .systems import DirectSystem, InverseSystem
 
-    parts = doc.payload
     index = JoinSemilattice(
         parts.index_algebra if "bottom" in parts.index_algebra.constants
         else parts.index_algebra.with_ops(constants={"bottom": parts.bottom}),
@@ -353,11 +358,7 @@ def realize_document(doc: Document):
     return InverseSystem(index, parts.objects, parts.arrows)
 
 
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-def _algebra_data(kind: str, a: FiniteAlgebra) -> dict:
+def _algebra_data(a: FiniteAlgebra, kind: str) -> dict:
     ops = {}
     for name, t in a.binary_ops.items():
         ops[name] = [list(row) for row in t]
@@ -371,60 +372,137 @@ def _algebra_data(kind: str, a: FiniteAlgebra) -> dict:
     return data
 
 
-def document_data(obj, kind: Optional[str] = None) -> dict:
-    """Serialize a library object to its JSON document dict."""
-    if isinstance(obj, Document):
-        return document_data(obj.payload, obj.kind)
-    if isinstance(obj, FiniteAlgebra):
-        if kind is None:
-            raise ValueError("algebra serialization needs an explicit kind")
-        return _algebra_data(kind, obj)
-    # Every other object is an instance of a class of duality, lattices or
-    # systems, and a module nobody has imported has no instances, so look
-    # only at the loaded ones instead of importing all three.
-    duality, lattices, systems = (sys.modules.get(f"{__package__}.{name}")
-                                  for name in ("duality", "lattices",
-                                               "systems"))
-    if duality and isinstance(obj, (duality.GRSpace,
-                                    duality.GRSpaceWithInvolution)):
-        base = duality.base_of(obj)
-        data = {"kind": "gr", "size": base.size,
-                "star": [list(r) for r in base.star],
-                "leq": [[1 if v else 0 for v in r] for r in base.leq],
-                "c0": base.c0, "c1": base.c1, "calpha": base.calpha}
-        if isinstance(obj, duality.GRSpaceWithInvolution):
-            data["neg"] = list(obj.neg)
-        return data
-    if duality and isinstance(obj, duality.FiniteSpace):
-        return {"kind": "space", "size": obj.size}
-    if lattices and isinstance(obj, lattices.FinitePoset):
-        return {"kind": "poset", "size": obj.size,
-                "leq": [[1 if v else 0 for v in r] for r in obj.leq]}
-    if systems and isinstance(obj, systems.DirectSystem):
-        return {
-            "kind": "direct-system",
-            "index": _algebra_data("sl", obj.index.algebra),
-            "fibers": {str(i): _algebra_data(obj.kind, obj.fiber(i))
-                       for i in range(obj.index.size)},
-            "transitions": {f"{i}->{j}": list(v)
-                            for (i, j), v in sorted(obj.transitions.items())
-                            if i != j},
-        }
-    if systems and isinstance(obj, systems.InverseSystem):
-        return {
-            "kind": "inverse-system",
-            "index": _algebra_data("sl", obj.index.algebra),
-            "terms": {str(i): document_data(obj.term(i))
-                      for i in range(obj.index.size)},
-            "bondings": {f"{i}->{j}": list(v)
-                         for (i, j), v in sorted(obj.bondings.items())
-                         if i != j},
-        }
-    raise ValueError(f"cannot serialize {type(obj).__name__}")
+def _gr_data(g, kind: str) -> dict:
+    # a GR space with involution is a "gr" document with a "neg" map
+    data = {"kind": "gr", "size": g.size, "star": [list(r) for r in g.star],
+            "leq": [list(map(int, r)) for r in g.leq],
+            "c0": g.c0, "c1": g.c1, "calpha": g.calpha}
+    if kind == "igr":
+        data["neg"] = list(g.neg)
+    return data
 
 
-def dumps_document(obj, kind: Optional[str] = None) -> str:
-    """Canonical UTF-8 JSON text: sorted keys, two-space indent, trailing
-    newline.  Equal objects serialize byte-identically."""
-    return json.dumps(document_data(obj, kind), ensure_ascii=False,
-                      indent=2, sort_keys=True) + "\n"
+def _system_data(s, kind: str) -> dict:
+    keys = (("fibers", "transitions") if kind == "direct-system"
+            else ("terms", "bondings"))
+    objects, arrows = (getattr(s, key) for key in keys)
+    # fibers are algebras of the system's kind; terms know their kind
+    fiber_kind = getattr(s, "kind", None)
+    return {"kind": kind, "index": _algebra_data(s.index.algebra, "sl"),
+            keys[0]: {str(i): document_data(objects[i], fiber_kind)
+                      for i in range(s.index.size)},
+            keys[1]: {f"{i}->{j}": list(v)
+                      for (i, j), v in sorted(arrows.items()) if i != j}}
+
+
+def _lifted_dual(system):
+    """The duality of a system's terms applied termwise.  A direct system
+    names its fiber kind; an inverse system's terms are spaces or posets."""
+    term_kind = (getattr(system, "kind", None) or _KIND_OF_CLASS.get(
+        type(system.term(0)).__name__, "space"))
+    lift = KIND_TABLE[term_kind].get("lift")
+    if lift is None:
+        raise AlgebraError(f"no dual for systems of kind {term_kind!r}")
+    return resolve(lift)(system)
+
+
+def _plonka_roundtrip(b: FiniteAlgebra, kind: str) -> None:
+    """Check that ``b`` is isomorphic to the Plonka sum of its
+    decomposition."""
+    system = resolve(KIND_TABLE[kind]["plonka"][1])(b)
+    if find_isomorphism(resolve(("systems", "plonka_sum"))(system), b,
+                        kind) is None:
+        raise IsomorphismFailure("sum of decomposition not isomorphic")
+
+
+def _plonka_sum(system) -> Document:
+    from .systems import plonka_sum
+
+    # over Boolean fibers the sum is involutive
+    return Document("ibsl" if system.kind == "ba" else "bsl",
+                    plonka_sum(system))
+
+
+# ---------------------------------------------------------------------------
+# The kind table
+# ---------------------------------------------------------------------------
+# A function is named by a (module, name) pair when its module may not be
+# loaded yet (see ``algebra.resolve``).  parse: document dict -> payload
+# (``igr`` comes from ``gr`` documents); check: payload -> report; realize:
+# checked payload -> object (default: the payload); data: (object, kind) ->
+# document dict; dual, and dual_kind when the dual is an algebra; lift: the
+# duality applied termwise to a system; roundtrip: check name -> function
+# raising AlgebraError; plonka: (mode, function); hasse: order name ->
+# function giving the order matrix.
+
+_ALGEBRA = {"parse": _parse_algebra, "data": _algebra_data,
+            "hasse": {op: lambda a, op=op: order_from_binary(a.binary(op), op)
+                      for op in ("join", "meet")},
+            "hasse_refusal": "the box order exists only on GR spaces"}
+_GR = {"data": _gr_data, "hasse": {"meet": attrgetter("leq"),
+                                   "box": attrgetter("box")},
+       "hasse_refusal": "GR spaces carry the base order (--order meet) and "
+                        "the derived order (--order box)"}
+_SYSTEM = {"parse": _parse_system, "check": _check_system,
+           "realize": _realize_system, "data": _system_data,
+           "dual": _lifted_dual}
+
+KIND_TABLE = {
+    "ibsl": {**_ALGEBRA, "check": MORPHISM_KINDS["ibsl"][0],
+             "dual": ("duality", "dual_of_ibsl"),
+             "roundtrip": {"plonka-roundtrip":
+                           lambda b: _plonka_roundtrip(b, "ibsl"),
+                           "double-dual-iso": ("duality", "eps_iso")},
+             "plonka": ("decompose", ("systems", "plonka_decompose"))},
+    "ba": {**_ALGEBRA, "check": MORPHISM_KINDS["ba"][0],
+           "dual": ("duality", "stone_dual"),
+           "lift": ("duality", "lift_functor_dir_to_inv"),
+           "roundtrip": {"stone-double-dual":
+                         ("duality", "stone_double_dual_iso")}},
+    "bsl": {**_ALGEBRA, "check": MORPHISM_KINDS["bsl"][0],
+            "dual": ("duality", "dual_of_bsl"),
+            "roundtrip": {"plonka-roundtrip":
+                          lambda b: _plonka_roundtrip(b, "bsl")},
+            "plonka": ("decompose", ("systems", "plonka_decompose_bsl"))},
+    "dl": {**_ALGEBRA, "check": MORPHISM_KINDS["dl"][0],
+           "dual": ("lattices", "priestley_dual"),
+           "lift": ("lattices", "lift_system_dl_to_posets"),
+           "roundtrip": {"birkhoff-double-dual":
+                         ("lattices", "dl_double_dual_iso")}},
+    "sl": {**_ALGEBRA, "check": MORPHISM_KINDS["sl"][0]},
+    "gr": {**_GR, "parse": _parse_gr, "check": MORPHISM_KINDS["gr"][0],
+           "dual": ("duality", "bsl_of_gr"), "dual_kind": "bsl"},
+    "igr": {**_GR, "check": MORPHISM_KINDS["igr"][0],
+            "dual": ("duality", "dual_of_gr"), "dual_kind": "ibsl",
+            "roundtrip": {"double-dual-iso": ("duality", "delta_iso")}},
+    "poset": {"parse": _parse_poset, "check": _check_poset,
+              "realize": lambda p: resolve(("lattices", "FinitePoset"))(*p),
+              "data": lambda p, kind: {"kind": kind, "size": p.size, "leq": [
+                  list(map(int, r)) for r in p.leq]},
+              "dual": ("lattices", "dl_of_poset"), "dual_kind": "dl",
+              "lift": ("lattices", "lift_system_posets_to_dl"),
+              "roundtrip": {"downset-double-dual":
+                            ("lattices", "poset_double_dual_iso")},
+              "hasse": dict.fromkeys(("join", "meet", "box"),
+                                     attrgetter("leq"))},
+    "space": {"parse": _parse_space,
+              "check": lambda s: ValidationReport("finite discrete space", (
+                  Check("size-non-negative", s.size >= 0),)),
+              "data": lambda s, kind: {"kind": kind, "size": s.size},
+              "dual": ("duality", "ba_of_space"), "dual_kind": "ba",
+              "lift": ("duality", "lift_functor_inv_to_dir")},
+    "direct-system": {**_SYSTEM, "plonka": ("sum", _plonka_sum)},
+    "inverse-system": _SYSTEM,
+}
+# the kinds a document can declare
+KINDS = tuple(kind for kind, entry in KIND_TABLE.items() if "parse" in entry)
+# the kind of every library object other than an algebra, by class name
+_KIND_OF_CLASS = {"GRSpace": "gr", "GRSpaceWithInvolution": "igr",
+                  "FinitePoset": "poset", "FiniteSpace": "space",
+                  "DirectSystem": "direct-system",
+                  "InverseSystem": "inverse-system"}
+
+
+def kind_entry(kind: str, obj) -> dict:
+    """The entry of ``obj``, read from a document of kind ``kind``."""
+    return KIND_TABLE[_KIND_OF_CLASS.get(type(obj).__name__, kind)]

@@ -42,6 +42,7 @@ from .algebra import (
     validate_bisemilattice,
     validate_boolean_algebra,
     validate_ibsl,
+    validated_once,
 )
 from .errors import (
     IsomorphismFailure,
@@ -180,6 +181,7 @@ STAR_IDENTITIES = (
 )
 
 
+@validated_once
 def validate_gr_space(g, subject="GR space") -> ValidationReport:
     """Left normal band + partial order + compatibility + constants (1)-(4).
 
@@ -286,6 +288,7 @@ def _zero_morphism_of(base: GRSpace) -> Optional[RawMap]:
     return neutral[0]
 
 
+@validated_once
 def validate_gr_involution(g: GRSpaceWithInvolution,
                            subject="GR space with involution") -> ValidationReport:
     """G1-G6 on top of the base GR checks.
@@ -364,9 +367,8 @@ def validate_gr_involution(g: GRSpaceWithInvolution,
 
 def stone_dual(b: FiniteAlgebra) -> FiniteSpace:
     """The dual space of a finite Boolean algebra: its atoms."""
-    report = validate_boolean_algebra(b)
-    if not report.ok:
-        raise NotBoolean("input is not a Boolean algebra", report)
+    validate_boolean_algebra(b).require(
+        NotBoolean, "input is not a Boolean algebra")
     return FiniteSpace(len(atoms(b)))
 
 
@@ -470,13 +472,11 @@ def _hom_space(b: FiniteAlgebra) -> GRSpace:
 def dual_of_bsl(b: FiniteAlgebra) -> GRSpace:
     """Dual GR space of a bisemilattice: the hom-space into the three-element
     bisemilattice with the pointwise GR structure of the dualizing object."""
-    report = validate_bisemilattice(b)
-    if not report.ok:
-        raise NotBisemilattice("input is not a bisemilattice", report)
+    validate_bisemilattice(b).require(
+        NotBisemilattice, "input is not a bisemilattice")
     space = _hom_space(b)
-    rep = validate_gr_space(space)
-    if not rep.ok:
-        raise NotGRSpace("dual space failed GR validation", rep)
+    validate_gr_space(space).require(
+        NotGRSpace, "dual space failed GR validation")
     return space
 
 
@@ -487,9 +487,8 @@ def dual_of_ibsl(b: FiniteAlgebra) -> GRSpaceWithInvolution:
     The axioms I1-I8 imply the bisemilattice laws of the reduct, and the
     involution checks include the GR checks, so each runs once.
     """
-    report = validate_ibsl(b)
-    if not report.ok:
-        raise NotIBSL("input is not an involutive bisemilattice", report)
+    validate_ibsl(b).require(
+        NotIBSL, "input is not an involutive bisemilattice")
     c = ibsl_completion(b)
     base = _hom_space(c)
     bneg = c.unary("neg")
@@ -501,18 +500,15 @@ def dual_of_ibsl(b: FiniteAlgebra) -> GRSpaceWithInvolution:
             raise NotGRSpace("hom-space is not closed under the involution")
         neg.append(index[nvec])
     g = GRSpaceWithInvolution(base, tuple(neg))
-    rep = validate_gr_involution(g)
-    if not rep.ok:
-        raise NotGRSpace("dual space failed involution validation", rep)
+    validate_gr_involution(g).require(
+        NotGRSpace, "dual space failed involution validation")
     return g
 
 
 def bsl_of_gr(g: GRSpace) -> FiniteAlgebra:
     """Dual bisemilattice of a plain GR space: GR morphisms into the
     three-point space with pointwise join and meet."""
-    rep = validate_gr_space(g)
-    if not rep.ok:
-        raise NotGRSpace("input fails GR validation", rep)
+    validate_gr_space(g).require(NotGRSpace, "input fails GR validation")
     homs = gr_homs(g)
     index = {vec: k for k, vec in enumerate(homs)}
     n = base_of(g).size
@@ -530,9 +526,8 @@ def dual_of_gr(g: GRSpaceWithInvolution) -> FiniteAlgebra:
     """Dual involutive bisemilattice of a GR space with involution: GR
     morphisms into the three-point space with pointwise operations, the
     involution (-Phi)(a) = (Phi(-a))', and zero the join-neutral morphism."""
-    rep = validate_gr_involution(g)
-    if not rep.ok:
-        raise NotGRSpace("input fails GR-with-involution validation", rep)
+    validate_gr_involution(g).require(
+        NotGRSpace, "input fails GR-with-involution validation")
     homs = gr_homs(g)
     index = {vec: k for k, vec in enumerate(homs)}
     n = g.size
@@ -555,9 +550,8 @@ def dual_of_gr(g: GRSpaceWithInvolution) -> FiniteAlgebra:
     algebra = FiniteAlgebra(
         len(homs), {"join": join, "meet": meet}, {"neg": neg},
         {"zero": zeros[0], "one": neg[zeros[0]]})
-    check = validate_ibsl(algebra)
-    if not check.ok:
-        raise NotGRSpace("dual algebra failed validation", check)
+    validate_ibsl(algebra).require(
+        NotGRSpace, "dual algebra failed validation")
     return algebra
 
 

@@ -35,6 +35,7 @@ from .lattices import (
     dl_of_poset,
     join_irreducibles,
     lattice_bounds,
+    priestley_dual,
 )
 from .systems import DirectSystem
 
@@ -135,7 +136,7 @@ def random_dl_hom(rng: Random, a: FiniteAlgebra, b: FiniteAlgebra,
     """Random lattice hom a -> b: a bounded hom from a random monotone map
     of irreducibles, optionally followed by an interval translate
     x -> (x v c) ^ d, which may move the bounds."""
-    pa, pb = _irr_poset(a), _irr_poset(b)
+    pa, pb = priestley_dual(a), priestley_dual(b)
     mono = None
     for _ in range(20):
         mono = random_monotone_map(rng, pb, pa)
@@ -160,13 +161,6 @@ def random_dl_hom(rng: Random, a: FiniteAlgebra, b: FiniteAlgebra,
         d = join_b[c][rng.randrange(b.size)]
         vec = [meet_b[join_b[v][c]][d] for v in vec]
     return Morphism(a, b, tuple(vec), "dl")
-
-
-def _irr_poset(d: FiniteAlgebra) -> FinitePoset:
-    irr = join_irreducibles(d)
-    leq = order_from_binary(d.binary("meet"), "meet")
-    return FinitePoset(len(irr),
-                       tuple(tuple(leq[p][q] for q in irr) for p in irr))
 
 
 def _chain_index(k: int) -> JoinSemilattice:

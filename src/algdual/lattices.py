@@ -43,9 +43,8 @@ class DistributiveLattice(Record):
     algebra: FiniteAlgebra
 
     def __init__(self, algebra: FiniteAlgebra):
-        report = validate_distributive_lattice(algebra)
-        if not report.ok:
-            raise NotDistributive("not a distributive lattice", report)
+        validate_distributive_lattice(algebra).require(
+            NotDistributive, "not a distributive lattice")
         self.__dict__["algebra"] = algebra
 
     @property
@@ -169,11 +168,10 @@ def priestley_dual_hom(h: Morphism) -> RawMap:
 def dl_double_dual_iso(d) -> Morphism:
     """Canonical isomorphism of a distributive lattice onto the down-set
     lattice of its join-irreducibles: x -> {q in J : q <= x}."""
-    lattice = _as_lattice(d)
-    alg = lattice.algebra
+    alg = _as_lattice(d).algebra
     irr = join_irreducibles(alg)
     leq = order_from_binary(alg.binary("meet"), "meet")
-    dual_poset = priestley_dual(lattice)
+    dual_poset = priestley_dual(alg)
     target = dl_of_poset(dual_poset)
     masks = downset_masks(dual_poset)
     rank = {m: k for k, m in enumerate(masks)}

@@ -226,10 +226,8 @@ class DirectSystem(Record):
         report = check_system(index.algebra, index.bottom, fibers,
                               transitions, kind, inverse=False,
                               subject="direct system")
-        if not report.ok:
-            raise InvalidSystem(
-                f"invalid direct system: "
-                f"{[c.name for c in report.failures()]}", report)
+        report.require(InvalidSystem, f"invalid direct system: "
+                       f"{[c.name for c in report.failures()]}")
         self.__dict__.update(index=index, fibers=fibers,
                              transitions=transitions, kind=kind)
 
@@ -277,10 +275,8 @@ class InverseSystem(Record):
         bondings = {k: tuple(v) for k, v in bondings.items()}
         report = check_system(index.algebra, index.bottom, terms, bondings,
                               None, inverse=True, subject="inverse system")
-        if not report.ok:
-            raise InvalidSystem(
-                f"invalid inverse system: "
-                f"{[c.name for c in report.failures()]}", report)
+        report.require(InvalidSystem, f"invalid inverse system: "
+                       f"{[c.name for c in report.failures()]}")
         self.__dict__.update(index=index, terms=terms, bondings=bondings)
 
     def term(self, i: int):
@@ -450,9 +446,8 @@ def plonka_decompose_bsl(b: FiniteAlgebra) -> DirectSystem:
     least member and indexed by the names of those members.  The index
     semilattice must have a least element (:class:`MissingBottom`).
     """
-    report = validate_bisemilattice(b)
-    if not report.ok:
-        raise NotBisemilattice("input is not a bisemilattice", report)
+    validate_bisemilattice(b).require(
+        NotBisemilattice, "input is not a bisemilattice")
     star = star_table(b)
     members = _fiber_classes(star)
     names = tuple(b.element_name(ms[0]) for ms in members) if b.names else None
@@ -469,9 +464,8 @@ def plonka_decompose(b: FiniteAlgebra) -> DirectSystem:
     transition into the fiber at f adds f's local zero: a -> a + (f . f').
     ``plonka_sum`` of the result is isomorphic to the input.
     """
-    report = validate_ibsl(b)
-    if not report.ok:
-        raise NotIBSL("input is not an involutive bisemilattice", report)
+    validate_ibsl(b).require(
+        NotIBSL, "input is not an involutive bisemilattice")
     c = ibsl_completion(b)
     join, neg = c.binary("join"), c.unary("neg")
     star = star_table(c)

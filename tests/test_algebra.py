@@ -297,3 +297,34 @@ def test_values_survive_pickle_and_deepcopy(wk):
     clone = pickle.loads(pickle.dumps(wk))
     with pytest.raises(TypeError):
         clone.binary_ops["join"] = WK_MEET
+
+
+def test_with_ops_equals_a_fully_constructed_algebra(wk):
+    base = wk.reduct(binary=("join",), unary=("neg",), constants=("zero",))
+    extended = base.with_ops(binary={"meet": [list(r) for r in WK_MEET]},
+                             constants={"one": 1})
+    full = FiniteAlgebra(3, {"join": WK_JOIN, "meet": WK_MEET},
+                         {"neg": WK_NEG}, {"zero": 0, "one": 1},
+                         names=wk.names)
+    assert extended == full == wk
+    assert hash(extended) == hash(full)
+    assert list(extended.binary_ops) == ["join", "meet"]
+    # the tables the algebra already held are shared, not rebuilt
+    assert extended.binary("join") is base.binary("join")
+    assert extended.unary("neg") is base.unary("neg")
+    with pytest.raises(AttributeError):
+        extended.size = 4
+    # replacing a table keeps its place and checks the new one
+    assert base.with_ops(unary={"neg": [0, 1, 2]}).unary("neg") == (0, 1, 2)
+
+
+@pytest.mark.parametrize("extra, message", [
+    ({"binary": {"meet": [[0, 0, 3], [0, 1, 2], [2, 2, 2]]}}, "out-of-range"),
+    ({"binary": {"meet": [[0, 0], [0, 1]]}}, "is not 3x3"),
+    ({"unary": {"dual": [0, 1]}}, "not a carrier self-map"),
+    ({"constants": {"one": 3}}, "out of range"),
+    ({"constants": {"neg": 0}}, "duplicate operation name"),
+])
+def test_with_ops_checks_the_new_tables(wk, extra, message):
+    with pytest.raises(ValueError, match=message):
+        wk.with_ops(**extra)

@@ -457,3 +457,20 @@ def test_parser_kind_choices_are_the_kind_tuples():
     assert tuple(_kind_choices("check")) == KINDS
     assert tuple(_kind_choices("hom")) == ALGEBRA_KINDS + SPACE_KINDS
     assert tuple(_kind_choices("iso")) == ALGEBRA_KINDS + SPACE_KINDS
+
+
+@pytest.mark.parametrize("error", [MemoryError, RecursionError])
+def test_resource_exhaustion_exits_2_with_a_message(capsys, monkeypatch,
+                                                    error):
+    # an input too large or too deeply nested must end in a message, never
+    # a traceback
+    import algdual.cli as cli
+
+    def exhausted(args):
+        raise error()
+
+    monkeypatch.setattr(cli, "cmd_check", exhausted)
+    code, out, err = run(capsys, "check", "builtin:wk")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")

@@ -11,6 +11,9 @@ functions that way).
 """
 
 import ast
+import importlib
+import sys
+from collections.abc import Mapping
 from pathlib import Path
 
 import pytest
@@ -132,3 +135,45 @@ def test_no_unused_top_level_definitions():
     defining = {name: text for name, text in sources.items()
                 if name.startswith("src")}
     assert unused_definitions(defining, sources) == []
+
+
+def _refs(value):
+    """Every ``(module, name)`` pair of strings inside a kind-table entry."""
+    if (isinstance(value, tuple) and len(value) == 2
+            and all(isinstance(v, str) for v in value)):
+        yield value
+    elif isinstance(value, tuple):
+        for v in value:
+            yield from _refs(v)
+    elif isinstance(value, Mapping):
+        for v in value.values():
+            yield from _refs(v)
+
+
+def _named_callables():
+    """(where it is named, module, name) of every function that the kind
+    tables and the benchmark's tracer name by strings."""
+    from algdual.algebra import MORPHISM_KINDS
+    from algdual.documents import KIND_TABLE
+
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import spans
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    out = [(f"MORPHISM_KINDS[{kind!r}]", *entry[0])
+           for kind, entry in MORPHISM_KINDS.items()]
+    out += [(f"KIND_TABLE[{kind!r}]", *ref)
+            for kind, entry in KIND_TABLE.items() for ref in _refs(entry)]
+    for table in ("SPANS", "CALL_COUNTERS", "SIZE_COUNTERS"):
+        out += [(f"spans.{table}", *key) for key in getattr(spans, table)]
+    return out
+
+
+def test_named_functions_resolve():
+    named = _named_callables()
+    assert len(named) > 80
+    missing = [f"{where}: {module}.{name}" for where, module, name in named
+               if not callable(getattr(importlib.import_module(
+                   f"algdual.{module}"), name, None))]
+    assert missing == []
