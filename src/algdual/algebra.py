@@ -35,6 +35,7 @@ from typing import Mapping, Optional, Sequence
 
 from .errors import (
     InvalidMorphism,
+    IsomorphismFailure,
     KindMismatch,
     MissingBottom,
     MissingOperation,
@@ -731,6 +732,11 @@ MORPHISM_KINDS = {
 }
 SPACE_KINDS = ("gr", "igr")
 ALGEBRA_KINDS = tuple(k for k in MORPHISM_KINDS if k not in SPACE_KINDS)
+# the classes, by name, of the objects each kind's validator reads; a GR
+# space with involution is also a GR space
+_KIND_CLASSES = {**dict.fromkeys(ALGEBRA_KINDS, ("FiniteAlgebra",)),
+                 "gr": ("GRSpace", "GRSpaceWithInvolution"),
+                 "igr": ("GRSpaceWithInvolution",)}
 
 
 def _signature(source, target, kind: str):
@@ -885,10 +891,33 @@ class Morphism(Record):
         return Morphism(self.target, self.source, tuple(inv), self.kind)
 
 
+def as_isomorphism(source, target, map: Sequence[int], kind: str) -> Morphism:
+    """``map`` as an isomorphism source -> target, by the rule of
+    :func:`find_isomorphism`: a bijective kind-hom that, for the ordered
+    kinds ``gr``, ``igr`` and ``poset``, also reflects the order (a
+    ``poset`` hom reflects it already).  The rule is exact: the inverse of a
+    bijective algebra hom is a hom, and a bijection that preserves star, the
+    constants, the involution and the zero-morphism has an inverse that
+    preserves them too.  Raises IsomorphismFailure otherwise."""
+    try:
+        m = Morphism(source, target, map, kind)
+    except InvalidMorphism as exc:
+        raise IsomorphismFailure(f"map is not a {kind!r} morphism: {exc}")
+    f = m.map
+    if not m.is_bijective or kind in SPACE_KINDS and any(
+            source.leq[x][y] != target.leq[f[x]][f[y]]
+            for x in range(source.size) for y in range(source.size)):
+        raise IsomorphismFailure(f"map is not a {kind!r} isomorphism")
+    return m
+
+
 def validate_for_kind(obj, kind: str) -> ValidationReport:
-    """Run the validator of a morphism kind."""
+    """Run the validator of a morphism kind, on an object of its class."""
     if kind not in MORPHISM_KINDS:
         raise KindMismatch(f"unknown morphism kind {kind!r}")
+    if type(obj).__name__ not in _KIND_CLASSES[kind]:
+        raise KindMismatch(
+            f"kind {kind!r} does not apply to a {type(obj).__name__}")
     return resolve(MORPHISM_KINDS[kind][0])(obj)
 
 

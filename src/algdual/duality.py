@@ -32,12 +32,12 @@ from .algebra import (
     Record,
     ValidationReport,
     _search_homs,
+    as_isomorphism,
     atoms,
     builtin,
     first_violation,
     ibsl_completion,
     is_partial_order,
-    morphism_violations,
     order_from_binary,
     validate_bisemilattice,
     validate_boolean_algebra,
@@ -45,7 +45,6 @@ from .algebra import (
     validated_once,
 )
 from .errors import (
-    IsomorphismFailure,
     NotBisemilattice,
     NotBoolean,
     NotGRSpace,
@@ -274,18 +273,41 @@ def zero_morphism(g) -> Optional[RawMap]:
 @lru_cache(maxsize=512)
 def _zero_morphism_of(base: GRSpace) -> Optional[RawMap]:
     # phi is join-neutral iff JOIN3[q[a]][phi[a]] == q[a] for every hom q
-    # and point a, so each point allows the values neutral for all q[a]
-    homs = gr_homs(base)
-    neutral_at = []
-    for a in range(base.size):
-        seen = {q[a] for q in homs}
-        neutral_at.append({v for v in range(3)
-                           if all(JOIN3[u][v] == u for u in seen)})
-    neutral = [p for p in homs
-               if all(p[a] in neutral_at[a] for a in range(base.size))]
-    if len(neutral) != 1:
-        return None
-    return neutral[0]
+    # and point a, so each point allows the values neutral for all q[a].
+    # Two join-neutral homs p, p' would give p = p v p' = p', so the first
+    # one found is the only one.
+    homs = _gr_homs_to_three(base)
+    neutral_at = [{v for v in range(3)
+                   if all(JOIN3[q[a]][v] == q[a] for q in homs)}
+                  for a in range(base.size)]
+    return next((p for p in homs
+                 if all(v in allowed for v, allowed in zip(p, neutral_at))),
+                None)
+
+
+def _negations(points: Sequence[RawMap], neg: Sequence[int]) -> list[RawMap]:
+    """The involution of a hom-space, ``(-phi)(a) = (phi(-a))'``, on each
+    of ``points``."""
+    return [tuple(NEG3[phi[b]] for b in neg) for phi in points]
+
+
+def _locate(points: Sequence[RawMap], vectors, what: str) -> list[int]:
+    """Positions of ``vectors`` among the hom-space ``points``; raises
+    NotGRSpace when one of them is not a point."""
+    index = {vec: k for k, vec in enumerate(points)}
+    try:
+        return [index[vec] for vec in vectors]
+    except KeyError:
+        raise NotGRSpace(f"hom-space is not closed under {what}") from None
+
+
+def _pointwise(points: Sequence[RawMap], op3, what: str) -> list[list[int]]:
+    """Table of the three-valued binary operation ``op3`` taken pointwise
+    on the hom-space ``points``."""
+    flat = _locate(points, (tuple(op3[u][v] for u, v in zip(p, q))
+                            for p in points for q in points), what)
+    h = len(points)
+    return [flat[k * h:(k + 1) * h] for k in range(h)]
 
 
 @validated_once
@@ -296,7 +318,9 @@ def validate_gr_involution(g: GRSpaceWithInvolution,
     G5 and G6 quantify over the enumerated hom-space into the three-point
     dualizing space, with the involution ``(-phi)(a) = (phi(-a))'`` and
     operations taken pointwise; they are evaluated only when the base checks
-    pass (the hom-space is meaningless otherwise).
+    pass (the hom-space is meaningless otherwise).  G6 asks for a neutral
+    pair phi0, phi1 = -phi0: the join-neutral hom exists (it is unique,
+    :func:`zero_morphism`) and its negation is a point.
     """
     if not isinstance(g, GRSpaceWithInvolution):
         raise NotGRSpace("object carries no involution")
@@ -322,35 +346,17 @@ def validate_gr_involution(g: GRSpaceWithInvolution,
         return ValidationReport(subject, tuple(checks))
 
     homs = gr_homs(base)
-
-    def hom_neg(phi: RawMap) -> RawMap:
-        return tuple(NEG3[phi[neg[a]]] for a in range(n))
-
-    w = None
-    for pi, phi in enumerate(homs):
-        nphi = hom_neg(phi)
-        for qi, psi in enumerate(homs):
-            for a in range(n):
-                if (MEET3[phi[a]][JOIN3[nphi[a]][psi[a]]]
-                        != MEET3[psi[a]][phi[a]]):
-                    w = (pi, qi, a)
-                    break
-            if w:
-                break
-        if w:
-            break
+    pairs = enumerate(zip(homs, _negations(homs, neg)))
+    w = next(((pi, qi, a) for pi, (phi, nphi) in pairs
+              for qi, psi in enumerate(homs) for a in range(n)
+              if MEET3[phi[a]][JOIN3[nphi[a]][psi[a]]]
+              != MEET3[psi[a]][phi[a]]), None)
     checks.append(Check("G5", w is None, w,
                         "" if w is None else "indices into the hom-space"))
 
-    found = False
-    for phi0 in homs:
-        phi1 = hom_neg(phi0)
-        if phi1 not in homs:
-            continue
-        if all(JOIN3[psi[a]][phi0[a]] == psi[a]
-               for psi in homs for a in range(n)):
-            found = True
-            break
+    # the join-neutral hom phi0 is unique when it exists; phi1 = -phi0
+    zero = zero_morphism(base)
+    found = zero is not None and _negations([zero], neg)[0] in set(homs)
     checks.append(Check("G6", found, None,
                         "" if found else "no neutral pair phi0, phi1"))
     return ValidationReport(subject, tuple(checks))
@@ -397,8 +403,8 @@ def stone_double_dual_iso(b: FiniteAlgebra) -> Morphism:
     atom space: x -> the set of atoms below x."""
     from .lattices import dl_double_dual_iso
 
-    space = stone_dual(b)
-    return Morphism(b, ba_of_space(space), dl_double_dual_iso(b).map, "ba")
+    return as_isomorphism(b, ba_of_space(stone_dual(b)),
+                          dl_double_dual_iso(b).map, "ba")
 
 
 # ---------------------------------------------------------------------------
@@ -449,24 +455,12 @@ def _hom_space(b: FiniteAlgebra) -> GRSpace:
     with the pointwise GR structure of the dualizing object; not yet
     validated as a GR space."""
     homs = bsl_homs_to_three(b)
-    index = {vec: k for k, vec in enumerate(homs)}
-    three = gr_three()
-
-    def locate(vec: RawMap, what: str) -> int:
-        if vec not in index:
-            raise NotGRSpace(f"hom-space is not closed under {what}")
-        return index[vec]
-
-    n = b.size
-    star = [[locate(tuple(three.star[p[x]][q[x]] for x in range(n)), "star")
-             for q in homs] for p in homs]
-    leq = [[all(LEQ3[p[x]][q[x]] for x in range(n)) for q in homs]
+    leq = [[all(LEQ3[u][v] for u, v in zip(p, q)) for q in homs]
            for p in homs]
-    return GRSpace(len(homs), star, leq,
-                   c0=locate((0,) * n, "constants"),
-                   c1=locate((1,) * n, "constants"),
-                   calpha=locate((2,) * n, "constants"),
-                   points=tuple(homs))
+    c0, c1, calpha = _locate(homs, [(v,) * b.size for v in range(3)],
+                             "constants")
+    return GRSpace(len(homs), _pointwise(homs, gr_three().star, "star"), leq,
+                   c0=c0, c1=c1, calpha=calpha, points=tuple(homs))
 
 
 def dual_of_bsl(b: FiniteAlgebra) -> GRSpace:
@@ -491,84 +485,45 @@ def dual_of_ibsl(b: FiniteAlgebra) -> GRSpaceWithInvolution:
         NotIBSL, "input is not an involutive bisemilattice")
     c = ibsl_completion(b)
     base = _hom_space(c)
-    bneg = c.unary("neg")
-    index = {vec: k for k, vec in enumerate(base.points)}
-    neg = []
-    for vec in base.points:
-        nvec = tuple(NEG3[vec[bneg[x]]] for x in range(c.size))
-        if nvec not in index:
-            raise NotGRSpace("hom-space is not closed under the involution")
-        neg.append(index[nvec])
-    g = GRSpaceWithInvolution(base, tuple(neg))
+    neg = _locate(base.points, _negations(base.points, c.unary("neg")),
+                  "the involution")
+    g = GRSpaceWithInvolution(base, neg)
     validate_gr_involution(g).require(
         NotGRSpace, "dual space failed involution validation")
     return g
+
+
+def _lattice_ops(g) -> tuple[list[RawMap], dict]:
+    """The hom-space of a GR space into the three-point space, and its
+    pointwise join and meet tables."""
+    homs = gr_homs(g)
+    return homs, {"join": _pointwise(homs, JOIN3, "join"),
+                  "meet": _pointwise(homs, MEET3, "meet")}
 
 
 def bsl_of_gr(g: GRSpace) -> FiniteAlgebra:
     """Dual bisemilattice of a plain GR space: GR morphisms into the
     three-point space with pointwise join and meet."""
     validate_gr_space(g).require(NotGRSpace, "input fails GR validation")
-    homs = gr_homs(g)
-    index = {vec: k for k, vec in enumerate(homs)}
-    n = base_of(g).size
-    try:
-        join = [[index[tuple(JOIN3[p[x]][q[x]] for x in range(n))]
-                 for q in homs] for p in homs]
-        meet = [[index[tuple(MEET3[p[x]][q[x]] for x in range(n))]
-                 for q in homs] for p in homs]
-    except KeyError:
-        raise NotGRSpace("hom-space is not closed under pointwise operations")
-    return FiniteAlgebra(len(homs), {"join": join, "meet": meet})
+    homs, ops = _lattice_ops(g)
+    return FiniteAlgebra(len(homs), ops)
 
 
 def dual_of_gr(g: GRSpaceWithInvolution) -> FiniteAlgebra:
     """Dual involutive bisemilattice of a GR space with involution: GR
     morphisms into the three-point space with pointwise operations, the
-    involution (-Phi)(a) = (Phi(-a))', and zero the join-neutral morphism."""
+    involution (-Phi)(a) = (Phi(-a))', and zero the join-neutral morphism,
+    which G6 makes exist."""
     validate_gr_involution(g).require(
         NotGRSpace, "input fails GR-with-involution validation")
-    homs = gr_homs(g)
-    index = {vec: k for k, vec in enumerate(homs)}
-    n = g.size
-
-    def locate(vec: RawMap, what: str) -> int:
-        if vec not in index:
-            raise NotGRSpace(f"hom-space is not closed under {what}")
-        return index[vec]
-
-    join = [[locate(tuple(JOIN3[p[x]][q[x]] for x in range(n)), "join")
-             for q in homs] for p in homs]
-    meet = [[locate(tuple(MEET3[p[x]][q[x]] for x in range(n)), "meet")
-             for q in homs] for p in homs]
-    neg = [locate(tuple(NEG3[p[g.neg[x]]] for x in range(n)), "involution")
-           for p in homs]
-    zeros = [k for k in range(len(homs))
-             if all(join[j][k] == j for j in range(len(homs)))]
-    if len(zeros) != 1:
-        raise NotGRSpace("hom-space has no unique join-neutral element")
-    algebra = FiniteAlgebra(
-        len(homs), {"join": join, "meet": meet}, {"neg": neg},
-        {"zero": zeros[0], "one": neg[zeros[0]]})
+    homs, ops = _lattice_ops(g)
+    neg = _locate(homs, _negations(homs, g.neg), "the involution")
+    zero = homs.index(zero_morphism(g))
+    algebra = FiniteAlgebra(len(homs), ops, {"neg": neg},
+                            {"zero": zero, "one": neg[zero]})
     validate_ibsl(algebra).require(
         NotGRSpace, "dual algebra failed validation")
     return algebra
-
-
-def _as_iso(source, target, vec, kind: str) -> Morphism:
-    from .errors import InvalidMorphism
-
-    try:
-        m = Morphism(source, target, vec, kind)
-    except InvalidMorphism as exc:
-        raise IsomorphismFailure(f"double-dual map is not a morphism: {exc}")
-    if not m.is_bijective:
-        raise IsomorphismFailure("double-dual map is not bijective")
-    bad = morphism_violations(target, source, m.inverse().map, kind,
-                              stop_early=True)
-    if bad:
-        raise IsomorphismFailure("inverse of double-dual map is not a morphism")
-    return m
 
 
 def eps_iso(b: FiniteAlgebra) -> Morphism:
@@ -576,33 +531,16 @@ def eps_iso(b: FiniteAlgebra) -> Morphism:
     dual: x -> (phi -> phi(x))."""
     dual = dual_of_ibsl(b)
     double = dual_of_gr(dual)
-    ghoms = gr_homs(dual)
-    index = {vec: k for k, vec in enumerate(ghoms)}
-    vec = []
-    for x in range(b.size):
-        ev = tuple(phi[x] for phi in dual.points)
-        if ev not in index:
-            raise IsomorphismFailure(
-                "evaluation image is not a morphism of the dual space")
-        vec.append(index[ev])
-    return _as_iso(b, double, tuple(vec), "ibsl")
+    vec = _locate(gr_homs(dual), zip(*dual.points), "evaluation")
+    return as_isomorphism(b, double, vec, "ibsl")
 
 
 def delta_iso(g: GRSpaceWithInvolution) -> Morphism:
     """Evaluation isomorphism of a GR space with involution onto its double
     dual."""
-    dual_alg = dual_of_gr(g)
-    ghoms = gr_homs(g)
-    double = dual_of_ibsl(dual_alg)
-    index = {vec: k for k, vec in enumerate(double.points)}
-    vec = []
-    for x in range(g.size):
-        ev = tuple(phi[x] for phi in ghoms)
-        if ev not in index:
-            raise IsomorphismFailure(
-                "evaluation image is not a hom of the dual algebra")
-        vec.append(index[ev])
-    return _as_iso(g, double, tuple(vec), "igr")
+    double = dual_of_ibsl(dual_of_gr(g))
+    vec = _locate(double.points, zip(*gr_homs(g)), "evaluation")
+    return as_isomorphism(g, double, vec, "igr")
 
 
 def dual_of_ibsl_hom(f: Morphism) -> Morphism:
@@ -612,14 +550,10 @@ def dual_of_ibsl_hom(f: Morphism) -> Morphism:
         raise NotIBSL("expected a hom of involutive bisemilattices")
     dual_target = dual_of_ibsl(f.target)
     dual_source = dual_of_ibsl(f.source)
-    index = {vec: k for k, vec in enumerate(dual_source.points)}
-    vec = []
-    for point in dual_target.points:
-        composed = tuple(point[f(x)] for x in range(f.source.size))
-        if composed not in index:
-            raise NotGRSpace("precomposition left the dual hom-space")
-        vec.append(index[composed])
-    return Morphism(dual_target, dual_source, tuple(vec), "igr")
+    vec = _locate(dual_source.points,
+                  (tuple(point[v] for v in f.map)
+                   for point in dual_target.points), "precomposition")
+    return Morphism(dual_target, dual_source, vec, "igr")
 
 
 def ibsl_to_inverse_system(b: FiniteAlgebra) -> InverseSystem:

@@ -29,6 +29,7 @@ from .algebra import (
     OrderMatrix,
     Record,
     _search_homs,
+    as_isomorphism,
     is_partial_order,
     order_from_binary,
     validate_distributive_lattice,
@@ -181,10 +182,7 @@ def dl_double_dual_iso(d) -> Morphism:
         if mask not in rank:
             raise IsomorphismFailure("image is not a down-set")
         vec.append(rank[mask])
-    m = Morphism(alg, target, tuple(vec), "dl")
-    if not m.is_bijective:
-        raise IsomorphismFailure("down-set map is not bijective")
-    return m
+    return as_isomorphism(alg, target, vec, "dl")
 
 
 def poset_double_dual_iso(p: FinitePoset) -> RawMap:
@@ -200,14 +198,7 @@ def poset_double_dual_iso(p: FinitePoset) -> RawMap:
         if k not in irr:
             raise IsomorphismFailure("principal down-set is not irreducible")
         vec.append(irr.index(k))
-    dual = priestley_dual(lat)
-    if sorted(vec) != list(range(p.size)):
-        raise IsomorphismFailure("principal map is not bijective")
-    for x in range(p.size):
-        for y in range(p.size):
-            if p.leq[x][y] != dual.leq[vec[x]][vec[y]]:
-                raise IsomorphismFailure("principal map is not an order iso")
-    return tuple(vec)
+    return as_isomorphism(p, priestley_dual(lat), vec, "poset").map
 
 
 def find_poset_isomorphism(p: FinitePoset, q: FinitePoset) -> Optional[RawMap]:

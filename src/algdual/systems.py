@@ -638,7 +638,11 @@ def induced_index_map(h: Morphism, da: DirectSystem, db: DirectSystem) -> Morphi
 def restrict_to_fibers(h: Morphism, da: DirectSystem,
                        db: DirectSystem) -> dict[int, Morphism]:
     """Per-index restrictions of an algebra hom, as fiber homs."""
-    phi = induced_index_map(h, da, db)
+    return _fiber_restrictions(h, da, db, induced_index_map(h, da, db))
+
+
+def _fiber_restrictions(h: Morphism, da: DirectSystem, db: DirectSystem,
+                        phi: Morphism) -> dict[int, Morphism]:
     offs_a, offs_b = da.offsets(), db.offsets()
     out = {}
     for i in range(da.index.size):
@@ -651,8 +655,9 @@ def restrict_to_fibers(h: Morphism, da: DirectSystem,
 
 def hom_to_system_morphism(h: Morphism, da: DirectSystem,
                            db: DirectSystem) -> DirectSystemMorphism:
-    return DirectSystemMorphism(da, db, induced_index_map(h, da, db),
-                                restrict_to_fibers(h, da, db))
+    phi = induced_index_map(h, da, db)
+    return DirectSystemMorphism(da, db, phi,
+                                _fiber_restrictions(h, da, db, phi))
 
 
 def system_morphism_to_hom(m: DirectSystemMorphism) -> Morphism:

@@ -214,3 +214,43 @@ def naive_join_irreducibles(d):
     return [x for x in range(d.size) if x != bot
             and all(join[a][b] != x or x in (a, b)
                     for a in range(d.size) for b in range(d.size))]
+
+
+NEG3 = (1, 0, 2)
+
+
+def _hom_neg(g, phi):
+    """(-phi)(a) = (phi(-a))' on a GR space with involution."""
+    return tuple(NEG3[phi[g.neg[a]]] for a in range(g.size))
+
+
+def reference_g5(g, homs):
+    """The G5 witness by the plain triple loop over pairs of homs and
+    points: the first (pi, qi, a) with phi /\\ (-phi \\/ psi) != psi /\\ phi
+    at a, for phi = homs[pi] and psi = homs[qi]; None if there is none."""
+    from algdual.algebra import builtin
+
+    three = builtin("three")
+    join, meet = three.binary("join"), three.binary("meet")
+    for pi, phi in enumerate(homs):
+        nphi = _hom_neg(g, phi)
+        for qi, psi in enumerate(homs):
+            for a in range(g.size):
+                if meet[phi[a]][join[nphi[a]][psi[a]]] != meet[psi[a]][phi[a]]:
+                    return (pi, qi, a)
+    return None
+
+
+def reference_g6(g, homs):
+    """G6 by the neutral-pair scan: some hom phi0 whose negation phi1 is a
+    hom and that is join-neutral for every hom."""
+    from algdual.algebra import builtin
+
+    join = builtin("three").binary("join")
+    for phi0 in homs:
+        if _hom_neg(g, phi0) not in homs:
+            continue
+        if all(join[psi[a]][phi0[a]] == psi[a]
+               for psi in homs for a in range(g.size)):
+            return True
+    return False

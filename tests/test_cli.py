@@ -474,3 +474,55 @@ def test_resource_exhaustion_exits_2_with_a_message(capsys, monkeypatch,
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+def _sweep_documents() -> dict:
+    """A small valid document of each document kind, and a GR space with
+    involution."""
+    from algdual.duality import FiniteSpace, dual_of_bsl
+
+    two = builtin("two")
+    return {
+        "ibsl": dumps_document(builtin("wk"), "ibsl"),
+        "ba": dumps_document(two, "ba"),
+        "bsl": dumps_document(builtin("three"), "bsl"),
+        "dl": dumps_document(two.reduct(binary=("join", "meet")), "dl"),
+        "sl": dumps_document(FiniteAlgebra(
+            2, {"join": [[0, 1], [1, 1]]}, constants={"bottom": 0}), "sl"),
+        "gr": dumps_document(dual_of_bsl(builtin("three"))),
+        "igr": dumps_document(wk_space()),
+        "poset": json.dumps(_poset_data()),
+        "space": dumps_document(FiniteSpace(2)),
+        "direct-system": json.dumps(_system_data()),
+        "inverse-system": json.dumps(_inverse_system_data()),
+    }
+
+
+def test_hom_and_iso_never_end_in_a_traceback(capsys, tmp_path):
+    # a --kind whose structure the documents lack used to reach a validator
+    # or the search of another structure and end in an AttributeError or a
+    # TypeError; now it is a kind mismatch, exit 1 with a message
+    kinds = _kind_choices("hom")
+    outcomes = {}
+    for name, text in _sweep_documents().items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(text, encoding="utf-8")
+        assert check_document(loads_document(text)).ok, name
+        for kind in kinds:
+            for argv in (("hom", str(path), str(path), "--kind", kind,
+                          "--count"),
+                         ("iso", str(path), str(path), "--kind", kind)):
+                code, out, err = run(capsys, *argv)
+                assert code in (0, 1, 2), argv
+                assert "Traceback" not in err
+                if code:
+                    assert out == "" and err.startswith("error: "), argv
+                outcomes[name, kind, argv[0]] = code
+    # every document is its own image under a hom and an iso of its kind
+    for name in ("ibsl", "ba", "bsl", "dl", "sl", "gr", "igr"):
+        assert outcomes[name, name, "hom"] == 0
+        assert outcomes[name, name, "iso"] == 0
+    assert outcomes["igr", "gr", "iso"] == 0
+    for name in ("poset", "space", "direct-system", "inverse-system"):
+        assert {outcomes[name, kind, cmd] for kind in kinds
+                for cmd in ("hom", "iso")} == {1}

@@ -1,3 +1,4 @@
+from collections import Counter
 from random import Random
 
 import pytest
@@ -35,7 +36,7 @@ from algdual.duality import (
     wk_space,
 )
 from algdual.errors import NotBoolean, NotGRSpace
-from algdual.generate import random_direct_system, random_ibsl
+from algdual.generate import random_bsl, random_direct_system, random_ibsl
 from algdual.systems import (
     DirectSystemMorphism,
     InverseSystemMorphism,
@@ -44,7 +45,7 @@ from algdual.systems import (
     plonka_decompose,
     plonka_sum,
 )
-from oracles import naive_gr_homs, naive_homs
+from oracles import naive_gr_homs, naive_homs, reference_g5, reference_g6
 
 
 def test_gr_three_is_valid():
@@ -302,3 +303,50 @@ def test_duals_validate_for_random_small_ibsl():
         dual = dual_of_ibsl(b)
         assert validate_gr_involution(dual).ok
         assert eps_iso(b).is_bijective
+
+
+def _involutions(n: int) -> list[tuple[int, ...]]:
+    """Every permutation p of range(n) with p[p[a]] == a, each once."""
+    out = []
+
+    def extend(p):
+        if -1 not in p:
+            out.append(tuple(p))
+            return
+        a = p.index(-1)
+        for b in range(a, n):
+            if p[b] == -1:
+                p[a], p[b] = b, a
+                extend(p)
+                p[a] = p[b] = -1
+
+    extend([-1] * n)
+    return out
+
+
+def test_g5_g6_match_the_reference_scans():
+    # every involution passing G1-G4 on the small duals of random BSLs and
+    # IBSLs; the corpus reaches failing G5 and G6 verdicts
+    three = gr_three()
+    bases = {}
+    for s in range(300):
+        for base in (dual_of_bsl(random_bsl(Random(s), 2, 2)),
+                     dual_of_ibsl(random_ibsl(Random(s), 2, 2)).base):
+            if base.size <= 7:
+                bases.setdefault(base)
+    tally = Counter()
+    for base in bases:
+        homs = naive_gr_homs(base, three)
+        for neg in _involutions(base.size):
+            g = GRSpaceWithInvolution(base, neg)
+            report = validate_gr_involution(g)
+            if not all(report.check(f"G{i}").holds for i in range(1, 5)):
+                continue
+            g5, g6 = report.check("G5"), report.check("G6")
+            assert g5.witness == reference_g5(g, homs)
+            assert g5.holds == (g5.witness is None)
+            assert g6.holds == reference_g6(g, homs)
+            tally.update(objects=1, g5_fails=not g5.holds,
+                         g6_fails=not g6.holds)
+    assert len(bases) == 104
+    assert tally == {"objects": 117, "g5_fails": 53, "g6_fails": 3}

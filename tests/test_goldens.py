@@ -22,6 +22,7 @@ from algdual.cli import main
 from algdual.documents import dumps_document
 from algdual.duality import (
     FiniteSpace,
+    GRSpaceWithInvolution,
     dual_of_bsl,
     dual_of_ibsl,
     lift_functor_dir_to_inv,
@@ -78,6 +79,12 @@ def _documents() -> dict:
                            None),
         "system-dl-bounded": (bounded, None),
         "inverse-posets": (lift_system_dl_to_posets(bounded), None),
+        # involutions that pass G1-G4 on the dual of a BSL; the first fails
+        # G5 alone, the second also has no join-neutral hom, so fails G6
+        "igr-g5": (GRSpaceWithInvolution(dual_of_bsl(random_bsl(
+            Random(1), 2, 2)), (3, 2, 1, 0, 4)), None),
+        "igr-g6": (GRSpaceWithInvolution(dual_of_bsl(random_bsl(
+            Random(35), 2, 2)), (3, 2, 1, 0, 5, 4, 6)), None),
     }
     return {name: dumps_document(obj, kind)
             for name, (obj, kind) in objects.items()}
@@ -85,6 +92,14 @@ def _documents() -> dict:
 
 # (argv with {document} placeholders) -> (exit code, sha256 of stdout)
 GOLDENS = {
+    "check {igr-g5}":
+        [1, "b21b33f1ee6b097798129c12cf41ed74bb75b05ac8852c9902bb49085085f73f"],
+    "check {igr-g5} --format json":
+        [1, "a83501f9d4cb5e99222c9c20aa9025f8344534611ec8c8615196d2fe1fe59ccb"],
+    "check {igr-g6}":
+        [1, "62700988dd20726a97cc98b9bf768eb3e6233684636425f5f464abdb71c43a98"],
+    "check {igr-g6} --format json":
+        [1, "a8404e5e04c51bc24821f9170d39f5898a37456f58ab93df75c04b739010353f"],
     "dual {ibsl}":
         [0, "a742eaa8d2283bcf9df249f6e58f88de395ce0ff104a51670e2efc3c51b20101"],
     "dual {ibsl-small}":
@@ -186,7 +201,9 @@ def _run(argv) -> tuple[int, str]:
 
 
 def _commands() -> list[str]:
-    commands = [f"dual {{{d}}}" for d in (
+    commands = [f"check {{{d}}}{fmt}" for d in ("igr-g5", "igr-g6")
+                for fmt in ("", " --format json")]
+    commands += [f"dual {{{d}}}" for d in (
         "ibsl", "ibsl-small", "bsl", "ba", "dl", "gr", "igr", "poset",
         "space", "system-ba", "system-dl", "system-dl-bounded",
         "inverse-spaces", "inverse-posets")]

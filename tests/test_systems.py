@@ -273,3 +273,24 @@ def test_system_morphism_count_random():
         a, b = plonka_sum(sa), plonka_sum(sb)
         assert (len(enumerate_homs(a, b, "ibsl"))
                 == len(enumerate_system_morphisms(sa, sb)))
+
+
+def test_hom_to_system_morphism_builds_each_sum_once(monkeypatch):
+    # the index map is computed once and handed to the fiber restrictions;
+    # computing it twice built each Plonka sum twice
+    import algdual.systems as systems
+
+    wk = builtin("wk")
+    da = plonka_decompose(wk)
+    h = Morphism.identity(wk, "ibsl")
+    calls = []
+    real = systems.plonka_sum
+
+    def spy(system):
+        calls.append(system)
+        return real(system)
+
+    monkeypatch.setattr(systems, "plonka_sum", spy)
+    m = hom_to_system_morphism(h, da, da)
+    assert len(calls) == 2
+    assert m == systems.identity_system_morphism(da)
