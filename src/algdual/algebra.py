@@ -10,11 +10,16 @@ identity.  Each failed identity carries the lexicographically first
 witnessing assignment, which keeps golden outputs small and deterministic.
 
 Identity checks are compiled.  :func:`first_violation` turns each identity,
-on first use, into nested loops over the op tables, one loop per variable in
-sorted name order; each subterm is computed once, in the outermost loop that
-binds all of its variables.  Assignments are visited in the same
-lexicographic order as before, so every witness is unchanged.
-``tests/oracles.py`` keeps the term-tree evaluation as the reference.
+on first use, into nested loops over every variable but the last, in sorted
+name order; each subterm is computed once, in the outermost loop that binds
+all of its variables.  The last variable is a row of all its values, and a
+subterm that reads it is one whole-row gather through a table row, column,
+diagonal or unary map (``bytes.translate`` on byte rows up to 256 elements,
+a tuple gather above; see :func:`row_kernel`).  The sides are compared as
+rows, and the first index where they differ completes the witness, so
+assignments are visited in lexicographic order and every witness is the
+first one.  ``tests/oracles.py`` keeps the one-loop-per-variable form and
+the term-tree evaluation as references.
 
 Homomorphism enumeration is a backtracking search over the value vector
 ``(f(0), ..., f(n-1))`` that propagates the values the equations force and
@@ -29,7 +34,7 @@ import functools
 import importlib
 import operator
 import weakref
-from itertools import count, product
+from itertools import compress
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
@@ -151,6 +156,11 @@ class FiniteAlgebra(Record):
                                dict(self.unary_ops), dict(self.constants),
                                self.names)
 
+    @functools.cached_property
+    def _row_tables(self) -> dict:
+        """The padded tables of :func:`_row_table`, by (op, form)."""
+        return {}
+
     def binary(self, name: str) -> Table:
         try:
             return self.binary_ops[name]
@@ -197,7 +207,7 @@ class FiniteAlgebra(Record):
         if len(set(names)) != len(names):
             raise ValueError("duplicate operation name")
         out = FiniteAlgebra.__new__(FiniteAlgebra)
-        out.__dict__.update(self.__dict__, **{
+        out.__dict__.update(size=self.size, names=self.names, **{
             f: MappingProxyType(t) for f, t in ops.items()})
         return out
 
@@ -222,6 +232,58 @@ def permute_algebra(a: FiniteAlgebra, perm: Sequence[int]) -> FiniteAlgebra:
 
 
 # ---------------------------------------------------------------------------
+# Whole-row kernels
+# ---------------------------------------------------------------------------
+# Scans over a carrier do one C-level operation per row instead of one
+# Python step per cell: a row of ints is gathered through a table at once,
+# and a set of elements is an int, so unions, intersections and subset tests
+# are single operations.
+
+def byteset(row: Sequence[int]) -> int:
+    """The set of positions y where ``row[y]`` is 1 or True, as the int
+    with byte y equal to ``row[y]``."""
+    return int.from_bytes(bytes(row), "little")
+
+
+def _gather(row, table) -> tuple[int, ...]:
+    # rows are longer than 256 here, so itemgetter returns a tuple
+    return operator.itemgetter(*row)(table)
+
+
+def row_kernel(n: int):
+    """``(make, gather, pad)`` for carriers of ``n`` elements: ``make``
+    builds a row from ints below n, ``gather(row, table)`` is the row of
+    ``table[v]`` for each entry v of ``row``, and ``pad`` puts a table of
+    ints below n into the shape ``gather`` reads.  Up to 256 elements rows
+    are bytes, gather is ``bytes.translate`` and a table is padded to 256
+    bytes; above, rows and tables are tuples."""
+    if n <= 256:
+        fill = bytes(256 - n)
+        return bytes, bytes.translate, lambda t: bytes(t) + fill
+    return tuple, _gather, tuple
+
+
+def _row_table(a: FiniteAlgebra, op: str, form: str):
+    """Operation ``op`` of ``a`` padded for the row kernel: the unary map
+    (``form='map'``), or a binary table's ``'rows'``, ``'cols'`` (column y
+    is the map x -> t[x][y]) or ``'diag'`` (x -> t[x][x]).  Cached on the
+    algebra, so the cache dies with it."""
+    cache = a._row_tables
+    if (op, form) not in cache:
+        pad = row_kernel(a.size)[2]
+        if form == "map":
+            out = pad(a.unary_ops[op])
+        else:
+            t = a.binary_ops[op]
+            if form == "diag":
+                out = pad([t[x][x] for x in range(a.size)])
+            else:
+                out = tuple(map(pad, t if form == "rows" else zip(*t)))
+        cache[op, form] = out
+    return cache[op, form]
+
+
+# ---------------------------------------------------------------------------
 # Identity checking
 # ---------------------------------------------------------------------------
 
@@ -231,15 +293,25 @@ def permute_algebra(a: FiniteAlgebra, perm: Sequence[int]) -> FiniteAlgebra:
 _ACCESSORS = {1: "const", 2: "unary", 3: "binary"}
 
 
+def _first_difference(r1, r2) -> int:
+    return next(i for i, (u, v) in enumerate(zip(r1, r2)) if u != v)
+
+
 def _compile_identity(lhs, rhs) -> str:
     """Python source of ``check(a)``, which returns the first assignment
     violating ``lhs = rhs``, or None.
 
-    Loop k binds the k-th variable in sorted order, so assignments run in
-    ``product`` order and the first witness is the tree walk's.  Each
-    distinct subterm is computed once, in the outermost loop that binds all
-    of its variables (level 0 is before the loops), and a binary table's row
-    is hoisted to the level of its first argument.
+    Loop k binds the k-th variable in sorted order, except the last: it
+    becomes the row ``R`` of all its values, and each subterm that reads it
+    is a row too, computed by one gather of the row kernel
+    (:func:`row_kernel`): a unary op gathers from its padded map,
+    ``t[x][row]`` from row x of ``t``, ``t[row][y]`` from column y, and
+    ``t[row][row]`` of one row from the diagonal; two different rows are
+    zipped.  The sides are compared as rows, and the first index where they
+    differ completes the witness, so assignments are visited in ``product``
+    order and the first witness is the tree walk's.  Each distinct subterm
+    is computed once, in the outermost loop that binds all of its loop
+    variables (level 0 is before the loops).
     """
     uses: dict = {}
     names: set[str] = set()
@@ -259,63 +331,79 @@ def _compile_identity(lhs, rhs) -> str:
 
     scan(lhs)
     scan(rhs)
-    var_level = {v: k + 1 for k, v in enumerate(sorted(names))}
-    depth = len(var_level)
-    blocks: list[list[str]] = [[] for _ in range(depth + 1)]
+    *outer, last = sorted(names) or [None]
+    level_of = {v: k + 1 for k, v in enumerate(outer)}
+    blocks: list[list[str]] = [[] for _ in range(len(outer) + 1)]
+    padded: dict = {}
     done: dict = {}
-    rows: dict = {}
-    fresh = count()
 
-    def bind(expr, level):
-        name = f"s{next(fresh)}"
-        blocks[level].append(f"{name} = {expr}")
-        return name
-
-    def hoist(expr, level, consumer_level):
-        if level < consumer_level and not expr.isidentifier():
-            return bind(expr, level)
+    def hoist(expr, level, at=None):
+        """``expr``, bound to a name in loop ``level`` when it is read in a
+        deeper loop ``at`` (always, without ``at``)."""
+        if (at is None or level < at) and not expr.isidentifier():
+            name = f"s{sum(map(len, blocks))}"
+            blocks[level].append(f"{name} = {expr}")
+            return name
         return expr
 
+    def gather(row, op, form, index=None):
+        table = padded.setdefault((op, form), f"p{len(padded)}")
+        if index is not None:
+            table += f"[{index}]"
+        # gathering the identity row through a table is its first n entries
+        return f"{table}[:n]" if row == "R" else f"G({row}, {table})"
+
     def emit(term):
-        """(expression, level) of ``term``.  A compound subterm used once
-        comes back unbound, for its consumer to inline or hoist."""
+        """(expression, level, is a row) of ``term``."""
         if isinstance(term, str):
-            return f"v{var_level[term] - 1}", var_level[term]
+            if term == last:
+                return "R", 0, True
+            return f"v{level_of[term] - 1}", level_of[term], False
         if term in done:
             return done[term]
-        t = tables[(_ACCESSORS[len(term)], term[0])]
-        if len(term) == 1:
-            expr, level = t, 0
-        elif len(term) == 2:
-            arg, level = emit(term[1])
-            expr = f"{t}[{arg}]"
+        op, t = term[0], tables[(_ACCESSORS[len(term)], term[0])]
+        args = [emit(arg) for arg in term[1:]]
+        level = max((lv for _, lv, _ in args), default=0)
+        row = any(r for _, _, r in args)
+        ex = [hoist(e, lv, level) for e, lv, _ in args]
+        if not row:
+            expr = t + "".join(f"[{e}]" for e in ex)
+        elif len(ex) == 1:
+            expr = gather(ex[0], op, "map")
+        elif args[0][2] and args[1][2]:
+            expr = (gather(ex[0], op, "diag") if ex[0] == ex[1] else
+                    f"M({t}[u][v] for u, v in zip({ex[0]}, {ex[1]}))")
+        elif args[0][2]:
+            expr = gather(ex[0], op, "cols", ex[1])
         else:
-            left, l1 = emit(term[1])
-            right, l2 = emit(term[2])
-            level = max(l1, l2)
-            if l1 < level:
-                key = (term[0], term[1])
-                if key not in rows:
-                    rows[key] = bind(f"{t}[{left}]", l1)
-                expr = f"{rows[key]}[{right}]"
-            else:
-                expr = f"{t}[{left}][{hoist(right, l2, level)}]"
-        if uses[term] > 1 and not expr.isidentifier():
-            expr = bind(expr, level)
-        done[term] = expr, level
-        return expr, level
+            expr = gather(ex[1], op, "rows", ex[0])
+        if uses[term] > 1:
+            expr = hoist(expr, level)
+        done[term] = expr, level, row
+        return expr, level, row
 
-    left = hoist(*emit(lhs), depth)
-    right = hoist(*emit(rhs), depth)
+    sides = []
+    for term in (lhs, rhs):
+        expr, level, row = emit(term)
+        if last and not row:
+            expr = f"M(({expr},)) * n"
+        sides.append(hoist(expr, level, len(outer)))
+    witness = [f"v{k}, " for k in range(len(outer))]
+    if last:
+        witness.append("_first_difference(l, r), ")
     lines = ["def check(a):", "    n = a.size"]
     lines += [f"    {t} = a.{kind}({op!r})" for (kind, op), t in tables.items()]
+    lines.append("    M, G, _ = row_kernel(n)")
+    lines += [f"    {p} = _row_table(a, {op!r}, {form!r})"
+              for (op, form), p in padded.items()]
+    lines.append("    R = M(range(n))")
     for k, block in enumerate(blocks):
         if k:
             lines.append(f"{'    ' * k}for v{k - 1} in range(n):")
         lines += ["    " * (k + 1) + stmt for stmt in block]
-    pad = "    " * (depth + 1)
-    witness = "".join(f"v{k}, " for k in range(depth))
-    lines += [f"{pad}if {left} != {right}:", f"{pad}    return ({witness})",
+    indent = "    " * (len(outer) + 1)
+    lines += [f"{indent}l = {sides[0]}", f"{indent}r = {sides[1]}",
+              f"{indent}if l != r:", f"{indent}    return ({''.join(witness)})",
               "    return None"]
     return "\n".join(lines) + "\n"
 
@@ -331,7 +419,8 @@ def first_violation(a: FiniteAlgebra, lhs, rhs) -> Optional[tuple[int, ...]]:
     """
     check = _COMPILED.get((lhs, rhs))
     if check is None:
-        scope: dict = {}
+        scope: dict = {"row_kernel": row_kernel, "_row_table": _row_table,
+                       "_first_difference": _first_difference}
         exec(_compile_identity(lhs, rhs), scope)
         check = _COMPILED[(lhs, rhs)] = scope["check"]
     return check(a)
@@ -563,19 +652,28 @@ def order_from_binary(table: Table, via: str) -> OrderMatrix:
 
 
 def is_partial_order(leq: OrderMatrix) -> Optional[tuple[int, ...]]:
-    """None if ``leq`` is a partial order, else a witnessing tuple."""
-    n = len(leq)
-    for x in range(n):
-        if not leq[x][x]:
+    """None if ``leq`` is a partial order, else the first witness: ``(x,)``
+    of reflexivity, ``(x, y)`` of antisymmetry or ``(x, y, z)`` of
+    transitivity, each in lexicographic order.  Up-sets U(y) and down-sets
+    are byte sets, so the z of a transitivity witness for x <= y is the
+    least element of U(y) outside U(x)."""
+    up = [byteset(row) for row in leq]
+    for x, row in enumerate(leq):
+        if not row[x]:
             return (x,)
-    for x in range(n):
-        for y in range(n):
-            if x != y and leq[x][y] and leq[y][x]:
-                return (x, y)
-    for x, y, z in product(range(n), repeat=3):
-        if leq[x][y] and leq[y][z] and not leq[x][z]:
-            return (x, y, z)
+    for x, (u, col) in enumerate(zip(up, zip(*leq))):
+        if u & byteset(col) != 1 << 8 * x:
+            return x, _least(u & byteset(col) ^ 1 << 8 * x)
+    for x, (u, row) in enumerate(zip(up, leq)):
+        for y in compress(range(len(leq)), row):
+            if up[y] & ~u:
+                return x, y, _least(up[y] & ~u)
     return None
+
+
+def _least(s: int) -> int:
+    """The least element of a non-empty byte set."""
+    return (s & -s).bit_length() - 1 >> 3
 
 
 def induced_orders(a: FiniteAlgebra) -> tuple[OrderMatrix, OrderMatrix]:

@@ -21,7 +21,9 @@ reports rather than rejected.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
+from itertools import compress, product
+from operator import or_
 from typing import Optional, Sequence
 
 from .algebra import (
@@ -35,10 +37,12 @@ from .algebra import (
     as_isomorphism,
     atoms,
     builtin,
+    byteset,
     first_violation,
     ibsl_completion,
     is_partial_order,
     order_from_binary,
+    row_kernel,
     validate_bisemilattice,
     validate_boolean_algebra,
     validate_ibsl,
@@ -118,7 +122,7 @@ class GRSpace(Record):
         self.__dict__.update(size=size, star=star, leq=leq, c0=c0, c1=c1,
                              calpha=calpha, points=points)
 
-    @property
+    @cached_property
     def box(self) -> OrderMatrix:
         """Derived order: a [= b iff a*b <= b and b*a = b."""
         return tuple(
@@ -195,17 +199,27 @@ def validate_gr_space(g, subject="GR space") -> ValidationReport:
         w = first_violation(star_alg, lhs, rhs)
         checks.append(Check(name, w is None, w))
 
-    w = is_partial_order(g.leq)
+    leq, star = g.leq, g.star
+    w = is_partial_order(leq)
     checks.append(Check("order-partial", w is None, w))
 
-    w = next(((x, y, z) for x in range(n) for y in range(n) for z in range(n)
-              if g.leq[x][y] and not g.leq[g.star[x][z]][g.star[y][z]]), None)
+    # the verdicts come from whole rows; only a failure is scanned for its
+    # lexicographically first witness
+    w = None if _keeps_order(leq, zip(*star)) else next(
+        ((x, y, z) for x, y, z in product(range(n), repeat=3)
+         if leq[x][y] and not leq[star[x][z]][star[y][z]]), None)
     checks.append(Check("order-right-compatible", w is None, w))
-    w = next(((x, y, z) for x in range(n) for y in range(n) for z in range(n)
-              if g.leq[x][y] and not g.leq[g.star[z][x]][g.star[z][y]]), None)
+    w = None if _keeps_order(leq, star) else next(
+        ((x, y, z) for x, y, z in product(range(n), repeat=3)
+         if leq[x][y] and not leq[star[z][x]][star[z][y]]), None)
     checks.append(Check("order-left-compatible", w is None, w))
-    w = next(((x, y) for x in range(n) for y in range(n)
-              if not g.leq[g.star[x][y]][x]), None)
+    # x*y <= x for every y: row x of star, gathered through column x of leq
+    make, gather, pad = row_kernel(n)
+    ones = make([1] * n)
+    w = None if all(gather(make(row), pad(col)) == ones
+                    for row, col in zip(star, zip(*leq))) else next(
+        ((x, y) for x, y in product(range(n), repeat=2)
+         if not leq[star[x][y]][x]), None)
     checks.append(Check("star-decreasing", w is None, w))
 
     ca, c0, c1 = g.calpha, g.c0, g.c1
@@ -224,23 +238,33 @@ def validate_gr_space(g, subject="GR space") -> ValidationReport:
               if g.star[c0][x] == g.star[c1][x] and x != ca), None)
     checks.append(Check("c0-c1-separation", w is None, w))
 
-    # for a !<= b the down-set of b excludes a, so it separates the pair
-    # exactly when it contains b and is closed downward, which depends on b
-    # alone
-    separates = [_downset_closed(g.leq, b) for b in range(n)]
+    # for a !<= b the down-set D(b) excludes a, so it separates the pair
+    # exactly when it contains b and is a lower set (D(y) lies in D(b) for
+    # each y in it), which depends on b alone
+    down = [byteset(col) for col in zip(*leq)]
+    separates = [leq[b][b] and reduce(or_, compress(down, col), d) == d
+                 for b, (d, col) in enumerate(zip(down, zip(*leq)))]
     w = next(((a, b) for a in range(n) for b in range(n)
               if not g.leq[a][b] and not separates[b]), None)
     checks.append(Check("order-disconnected", w is None, w))
     return ValidationReport(subject, tuple(checks))
 
 
-def _downset_closed(leq: OrderMatrix, b: int) -> bool:
-    """Whether the down-set of b contains b and is a lower set."""
-    down = [y for y in range(len(leq)) if leq[y][b]]
-    inside = set(down)
-    return (b in inside
-            and all(not leq[z][y] or z in inside
-                    for y in down for z in range(len(leq))))
+def _keeps_order(leq: OrderMatrix, maps) -> bool:
+    """Whether each carrier self-map in ``maps`` keeps the order ``leq``:
+    for every x, the up-set U(x) lies in the preimage of U(f x), both byte
+    sets, gathered once per value of f."""
+    make, gather, pad = row_kernel(len(leq))
+    up = [byteset(row) for row in leq]
+    tables = [pad(row) for row in leq]
+    for f in maps:
+        row, preimage = make(f), {}
+        for u, c in zip(up, f):
+            if c not in preimage:
+                preimage[c] = byteset(gather(row, tables[c]))
+            if u & ~preimage[c]:
+                return False
+    return True
 
 
 @lru_cache(maxsize=512)
@@ -291,9 +315,38 @@ def _negations(points: Sequence[RawMap], neg: Sequence[int]) -> list[RawMap]:
     return [tuple(NEG3[phi[b]] for b in neg) for phi in points]
 
 
-def _locate(points: Sequence[RawMap], vectors, what: str) -> list[int]:
-    """Positions of ``vectors`` among the hom-space ``points``; raises
-    NotGRSpace when one of them is not a point."""
+# A value vector phi: X -> 3 is a pair of bitmasks, (alpha-set, 1-set), bit
+# x for coordinate x; the 0-set is the rest.  Alpha absorbs the star, join
+# and meet of the three-element algebra, so each is a few bitwise operations
+# on whole vectors.
+_ALPHA_DIGITS = b"001".ljust(256, b"0")
+_ONE_DIGITS = b"010".ljust(256, b"0")
+
+
+def _masks(vectors) -> list[tuple[int, int]]:
+    """The (alpha-set, 1-set) bitmasks of each value vector: the vector,
+    last coordinate first, translated to the binary digits of each set."""
+    return [(int(v.translate(_ALPHA_DIGITS), 2),
+             int(v.translate(_ONE_DIGITS), 2))
+            for v in (bytes(u)[::-1] for u in vectors)]
+
+
+def _star(a, o, b, q):
+    return a | b, o & ~b
+
+
+def _join(a, o, b, q):
+    return a | b, (o | q) & ~(a | b)
+
+
+def _meet(a, o, b, q):
+    return a | b, o & q
+
+
+def _locate(points: Sequence[tuple[int, int]], vectors,
+            what: str) -> list[int]:
+    """Positions of the masks ``vectors`` among the hom-space ``points``
+    (masks too); raises NotGRSpace when one of them is not a point."""
     index = {vec: k for k, vec in enumerate(points)}
     try:
         return [index[vec] for vec in vectors]
@@ -301,13 +354,30 @@ def _locate(points: Sequence[RawMap], vectors, what: str) -> list[int]:
         raise NotGRSpace(f"hom-space is not closed under {what}") from None
 
 
-def _pointwise(points: Sequence[RawMap], op3, what: str) -> list[list[int]]:
-    """Table of the three-valued binary operation ``op3`` taken pointwise
-    on the hom-space ``points``."""
-    flat = _locate(points, (tuple(op3[u][v] for u, v in zip(p, q))
-                            for p in points for q in points), what)
+def _pointwise(points: Sequence[tuple[int, int]], op,
+               what: str) -> list[list[int]]:
+    """Table of the binary operation ``op`` on masks (one of ``_star``,
+    ``_join``, ``_meet``) on the hom-space ``points``."""
+    flat = _locate(points, (op(a, o, b, q) for a, o in points
+                            for b, q in points), what)
     h = len(points)
     return [flat[k * h:(k + 1) * h] for k in range(h)]
+
+
+def _g5_witness(points, negations) -> Optional[tuple[int, int, int]]:
+    """First (pi, qi, a) with phi /\\ (-phi \\/ psi) != psi /\\ phi at a,
+    for phi = points[pi], -phi = negations[pi] and psi = points[qi] as
+    masks; None if there is none."""
+    for pi, ((pa, p1), (na, n1)) in enumerate(zip(points, negations)):
+        for qi, (qa, q1) in enumerate(points):
+            # the alpha-sets are pa | ja and pa | qa, the 1-sets p1 & j1
+            # and p1 & q1, where (ja, j1) is -phi \\/ psi
+            ja = na | qa
+            j1 = (n1 | q1) & ~ja
+            diff = (ja & ~(pa | qa)) | (p1 & (j1 ^ q1))
+            if diff:
+                return pi, qi, (diff & -diff).bit_length() - 1
+    return None
 
 
 @validated_once
@@ -346,11 +416,7 @@ def validate_gr_involution(g: GRSpaceWithInvolution,
         return ValidationReport(subject, tuple(checks))
 
     homs = gr_homs(base)
-    pairs = enumerate(zip(homs, _negations(homs, neg)))
-    w = next(((pi, qi, a) for pi, (phi, nphi) in pairs
-              for qi, psi in enumerate(homs) for a in range(n)
-              if MEET3[phi[a]][JOIN3[nphi[a]][psi[a]]]
-              != MEET3[psi[a]][phi[a]]), None)
+    w = _g5_witness(_masks(homs), _masks(_negations(homs, neg)))
     checks.append(Check("G5", w is None, w,
                         "" if w is None else "indices into the hom-space"))
 
@@ -455,11 +521,14 @@ def _hom_space(b: FiniteAlgebra) -> GRSpace:
     with the pointwise GR structure of the dualizing object; not yet
     validated as a GR space."""
     homs = bsl_homs_to_three(b)
-    leq = [[all(LEQ3[u][v] for u, v in zip(p, q)) for q in homs]
-           for p in homs]
-    c0, c1, calpha = _locate(homs, [(v,) * b.size for v in range(3)],
-                             "constants")
-    return GRSpace(len(homs), _pointwise(homs, gr_three().star, "star"), leq,
+    points = _masks(homs)
+    # p <= q pointwise (alpha < 0 < 1) unless q is alpha where p is not, or
+    # p is 1 where q is not
+    leq = [[not (qa & ~pa or p1 & ~q1) for qa, q1 in points]
+           for pa, p1 in points]
+    c0, c1, calpha = _locate(
+        points, _masks((v,) * b.size for v in range(3)), "constants")
+    return GRSpace(len(homs), _pointwise(points, _star, "star"), leq,
                    c0=c0, c1=c1, calpha=calpha, points=tuple(homs))
 
 
@@ -485,7 +554,8 @@ def dual_of_ibsl(b: FiniteAlgebra) -> GRSpaceWithInvolution:
         NotIBSL, "input is not an involutive bisemilattice")
     c = ibsl_completion(b)
     base = _hom_space(c)
-    neg = _locate(base.points, _negations(base.points, c.unary("neg")),
+    neg = _locate(_masks(base.points),
+                  _masks(_negations(base.points, c.unary("neg"))),
                   "the involution")
     g = GRSpaceWithInvolution(base, neg)
     validate_gr_involution(g).require(
@@ -493,19 +563,20 @@ def dual_of_ibsl(b: FiniteAlgebra) -> GRSpaceWithInvolution:
     return g
 
 
-def _lattice_ops(g) -> tuple[list[RawMap], dict]:
-    """The hom-space of a GR space into the three-point space, and its
-    pointwise join and meet tables."""
+def _lattice_ops(g) -> tuple[list[RawMap], list[tuple[int, int]], dict]:
+    """The hom-space of a GR space into the three-point space, its points
+    as masks, and its pointwise join and meet tables."""
     homs = gr_homs(g)
-    return homs, {"join": _pointwise(homs, JOIN3, "join"),
-                  "meet": _pointwise(homs, MEET3, "meet")}
+    points = _masks(homs)
+    return homs, points, {"join": _pointwise(points, _join, "join"),
+                          "meet": _pointwise(points, _meet, "meet")}
 
 
 def bsl_of_gr(g: GRSpace) -> FiniteAlgebra:
     """Dual bisemilattice of a plain GR space: GR morphisms into the
     three-point space with pointwise join and meet."""
     validate_gr_space(g).require(NotGRSpace, "input fails GR validation")
-    homs, ops = _lattice_ops(g)
+    homs, _, ops = _lattice_ops(g)
     return FiniteAlgebra(len(homs), ops)
 
 
@@ -516,8 +587,8 @@ def dual_of_gr(g: GRSpaceWithInvolution) -> FiniteAlgebra:
     which G6 makes exist."""
     validate_gr_involution(g).require(
         NotGRSpace, "input fails GR-with-involution validation")
-    homs, ops = _lattice_ops(g)
-    neg = _locate(homs, _negations(homs, g.neg), "the involution")
+    homs, points, ops = _lattice_ops(g)
+    neg = _locate(points, _masks(_negations(homs, g.neg)), "the involution")
     zero = homs.index(zero_morphism(g))
     algebra = FiniteAlgebra(len(homs), ops, {"neg": neg},
                             {"zero": zero, "one": neg[zero]})
@@ -531,7 +602,8 @@ def eps_iso(b: FiniteAlgebra) -> Morphism:
     dual: x -> (phi -> phi(x))."""
     dual = dual_of_ibsl(b)
     double = dual_of_gr(dual)
-    vec = _locate(gr_homs(dual), zip(*dual.points), "evaluation")
+    vec = _locate(_masks(gr_homs(dual)), _masks(zip(*dual.points)),
+                  "evaluation")
     return as_isomorphism(b, double, vec, "ibsl")
 
 
@@ -539,7 +611,8 @@ def delta_iso(g: GRSpaceWithInvolution) -> Morphism:
     """Evaluation isomorphism of a GR space with involution onto its double
     dual."""
     double = dual_of_ibsl(dual_of_gr(g))
-    vec = _locate(double.points, zip(*gr_homs(g)), "evaluation")
+    vec = _locate(_masks(double.points), _masks(zip(*gr_homs(g))),
+                  "evaluation")
     return as_isomorphism(g, double, vec, "igr")
 
 
@@ -550,9 +623,9 @@ def dual_of_ibsl_hom(f: Morphism) -> Morphism:
         raise NotIBSL("expected a hom of involutive bisemilattices")
     dual_target = dual_of_ibsl(f.target)
     dual_source = dual_of_ibsl(f.source)
-    vec = _locate(dual_source.points,
-                  (tuple(point[v] for v in f.map)
-                   for point in dual_target.points), "precomposition")
+    vec = _locate(_masks(dual_source.points),
+                  _masks(map(point.__getitem__, f.map)
+                         for point in dual_target.points), "precomposition")
     return Morphism(dual_target, dual_source, vec, "igr")
 
 

@@ -5,7 +5,7 @@ plain products over all maps, direct table lookups.  Expected values frozen
 into tests were computed with these.
 """
 
-from itertools import permutations, product
+from itertools import count, permutations, product
 
 
 def eval_term(a, term, env):
@@ -221,7 +221,7 @@ NEG3 = (1, 0, 2)
 
 def _hom_neg(g, phi):
     """(-phi)(a) = (phi(-a))' on a GR space with involution."""
-    return tuple(NEG3[phi[g.neg[a]]] for a in range(g.size))
+    return tuple_negations([phi], g.neg)[0]
 
 
 def reference_g5(g, homs):
@@ -254,3 +254,186 @@ def reference_g6(g, homs):
                for psi in homs for a in range(g.size)):
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# Loop forms of the library's whole-row kernels
+# ---------------------------------------------------------------------------
+# The library checks identities on whole rows, and the order scans, the
+# hom-space tables and G5 on bitsets.  These are the one-step-per-cell loops
+# they replaced, kept as references.
+
+_ACCESSORS = {1: "const", 2: "unary", 3: "binary"}
+
+
+def _compile_loops(lhs, rhs) -> str:
+    """Python source of ``check(a)``, which returns the first assignment
+    violating ``lhs = rhs``, or None.
+
+    Loop k binds the k-th variable in sorted order, so assignments run in
+    ``product`` order and the first witness is the tree walk's.  Each
+    distinct subterm is computed once, in the outermost loop that binds all
+    of its variables (level 0 is before the loops), and a binary table's row
+    is hoisted to the level of its first argument.
+    """
+    uses: dict = {}
+    names: set[str] = set()
+    tables: dict = {}
+
+    def scan(term):
+        # pre-order, lhs first: the tables are looked up in the tree walk's
+        # order, so a missing operation raises the same error
+        if isinstance(term, str):
+            names.add(term)
+            return
+        tables.setdefault((_ACCESSORS[len(term)], term[0]), f"t{len(tables)}")
+        uses[term] = uses.get(term, 0) + 1
+        if uses[term] == 1:
+            for t in term[1:]:
+                scan(t)
+
+    scan(lhs)
+    scan(rhs)
+    var_level = {v: k + 1 for k, v in enumerate(sorted(names))}
+    depth = len(var_level)
+    blocks: list[list[str]] = [[] for _ in range(depth + 1)]
+    done: dict = {}
+    rows: dict = {}
+    fresh = count()
+
+    def bind(expr, level):
+        name = f"s{next(fresh)}"
+        blocks[level].append(f"{name} = {expr}")
+        return name
+
+    def hoist(expr, level, consumer_level):
+        if level < consumer_level and not expr.isidentifier():
+            return bind(expr, level)
+        return expr
+
+    def emit(term):
+        """(expression, level) of ``term``.  A compound subterm used once
+        comes back unbound, for its consumer to inline or hoist."""
+        if isinstance(term, str):
+            return f"v{var_level[term] - 1}", var_level[term]
+        if term in done:
+            return done[term]
+        t = tables[(_ACCESSORS[len(term)], term[0])]
+        if len(term) == 1:
+            expr, level = t, 0
+        elif len(term) == 2:
+            arg, level = emit(term[1])
+            expr = f"{t}[{arg}]"
+        else:
+            left, l1 = emit(term[1])
+            right, l2 = emit(term[2])
+            level = max(l1, l2)
+            if l1 < level:
+                key = (term[0], term[1])
+                if key not in rows:
+                    rows[key] = bind(f"{t}[{left}]", l1)
+                expr = f"{rows[key]}[{right}]"
+            else:
+                expr = f"{t}[{left}][{hoist(right, l2, level)}]"
+        if uses[term] > 1 and not expr.isidentifier():
+            expr = bind(expr, level)
+        done[term] = expr, level
+        return expr, level
+
+    left = hoist(*emit(lhs), depth)
+    right = hoist(*emit(rhs), depth)
+    lines = ["def check(a):", "    n = a.size"]
+    lines += [f"    {t} = a.{kind}({op!r})" for (kind, op), t in tables.items()]
+    for k, block in enumerate(blocks):
+        if k:
+            lines.append(f"{'    ' * k}for v{k - 1} in range(n):")
+        lines += ["    " * (k + 1) + stmt for stmt in block]
+    pad = "    " * (depth + 1)
+    witness = "".join(f"v{k}, " for k in range(depth))
+    lines += [f"{pad}if {left} != {right}:", f"{pad}    return ({witness})",
+              "    return None"]
+    return "\n".join(lines) + "\n"
+
+
+_LOOPS: dict = {}
+
+
+def loop_first_violation(a, lhs, rhs):
+    """First assignment violating ``lhs = rhs``, by nested loops over the
+    op tables, one loop per variable in sorted name order."""
+    check = _LOOPS.get((lhs, rhs))
+    if check is None:
+        scope: dict = {}
+        exec(_compile_loops(lhs, rhs), scope)
+        check = _LOOPS[(lhs, rhs)] = scope["check"]
+    return check(a)
+
+
+def loop_partial_order(leq):
+    """None if ``leq`` is a partial order, else the first witness of
+    reflexivity, antisymmetry or transitivity, by scanning every cell."""
+    n = len(leq)
+    for x in range(n):
+        if not leq[x][x]:
+            return (x,)
+    for x in range(n):
+        for y in range(n):
+            if x != y and leq[x][y] and leq[y][x]:
+                return (x, y)
+    for x, y, z in product(range(n), repeat=3):
+        if leq[x][y] and leq[y][z] and not leq[x][z]:
+            return (x, y, z)
+    return None
+
+
+def loop_gr_order_witnesses(g):
+    """The witnesses of the GR checks order-right-compatible,
+    order-left-compatible and star-decreasing, by scanning every cell."""
+    n, leq, star = g.size, g.leq, g.star
+    return {
+        "order-right-compatible": next(
+            ((x, y, z) for x in range(n) for y in range(n) for z in range(n)
+             if leq[x][y] and not leq[star[x][z]][star[y][z]]), None),
+        "order-left-compatible": next(
+            ((x, y, z) for x in range(n) for y in range(n) for z in range(n)
+             if leq[x][y] and not leq[star[z][x]][star[z][y]]), None),
+        "star-decreasing": next(
+            ((x, y) for x in range(n) for y in range(n)
+             if not leq[star[x][y]][x]), None),
+    }
+
+
+def tuple_locate(points, vectors, what):
+    """Positions of the value vectors ``vectors`` among the tuple
+    ``points``, or NotGRSpace naming ``what``."""
+    from algdual.errors import NotGRSpace
+
+    index = {vec: k for k, vec in enumerate(points)}
+    try:
+        return [index[vec] for vec in vectors]
+    except KeyError:
+        raise NotGRSpace(f"hom-space is not closed under {what}") from None
+
+
+def tuple_pointwise(points, op3, what):
+    """Table of the three-valued binary operation ``op3`` taken pointwise
+    on the tuple ``points``, one coordinate at a time."""
+    flat = tuple_locate(points, (tuple(op3[u][v] for u, v in zip(p, q))
+                                 for p in points for q in points), what)
+    h = len(points)
+    return [flat[k * h:(k + 1) * h] for k in range(h)]
+
+
+def tuple_order(points):
+    """The pointwise order matrix of ``points`` in the meet order
+    alpha < 0 < 1 of the three-element algebra."""
+    from algdual.algebra import builtin, order_from_binary
+
+    leq3 = order_from_binary(builtin("three").binary("meet"), "meet")
+    return [[all(leq3[u][v] for u, v in zip(p, q)) for q in points]
+            for p in points]
+
+
+def tuple_negations(points, neg):
+    """(-phi)(a) = (phi(-a))' for each of the tuple ``points``."""
+    return [tuple(NEG3[phi[b]] for b in neg) for phi in points]

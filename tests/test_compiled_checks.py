@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from algdual import algebra
 from algdual.algebra import FiniteAlgebra, first_violation
 from algdual.duality import STAR_IDENTITIES
-from oracles import naive_first_violation
+from oracles import loop_first_violation, naive_first_violation, term_vars
 
 
 def _identity_groups(module):
@@ -110,3 +110,89 @@ def test_missing_operation_raises_like_tree_walk():
     with pytest.raises(algebra.MissingOperation) as walked:
         naive_first_violation(a, lhs, rhs)
     assert str(compiled.value) == str(walked.value)
+
+
+# Carriers past the byte-row limit of 256 take the tuple-row path.
+LARGE_SIZES = (40, 64, 257, 300)
+
+
+def _chain_algebra(n: int, op: str, cell) -> FiniteAlgebra:
+    """The lawful chain tables of ``random_algebra`` on n elements with the
+    entry ``cell`` of operation ``op`` moved to another value."""
+    tables = {"join": [[max(x, y) for y in range(n)] for x in range(n)],
+              "meet": [[min(x, y) for y in range(n)] for x in range(n)],
+              "star": [[x] * n for x in range(n)]}
+    neg = [n - 1 - x for x in range(n)]
+    if op == "neg":
+        neg[cell[0]] = (neg[cell[0]] + n // 2) % n
+    else:
+        x, y = cell
+        tables[op][x][y] = (tables[op][x][y] + n // 2) % n
+    return FiniteAlgebra(n, tables, {"neg": neg},
+                         {"zero": 0, "one": n - 1, "bottom": 0})
+
+
+def _subterms(term):
+    if not isinstance(term, str):
+        yield term
+        for t in term[1:]:
+            yield from _subterms(t)
+
+
+def _perturbed_op(lhs, rhs) -> str:
+    """The first binary operation of ``lhs = rhs`` in pre-order, or neg."""
+    return next((t[0] for side in (lhs, rhs) for t in _subterms(side)
+                 if len(t) == 3), "neg")
+
+
+def _arity(lhs, rhs) -> int:
+    names: set = set()
+    term_vars(lhs, names)
+    term_vars(rhs, names)
+    return len(names)
+
+
+@pytest.mark.parametrize("n", LARGE_SIZES)
+def test_row_kernel_matches_loops_on_large_carriers(n):
+    # a perturbed cell near the start puts the first witness early; one at
+    # the last row and column puts it late, often in the last assignment of
+    # the outer loops.  A late witness makes the loops scan every earlier
+    # assignment, n**3 of them for three variables, so above 64 elements
+    # only identities of at most two variables get the late cell.
+    algebras: dict = {}
+    outcomes = set()
+    late_outer = 0
+    for name, lhs, rhs in IDENTITIES:
+        op = _perturbed_op(lhs, rhs)
+        arity = _arity(lhs, rhs)
+        cells = [(1, 0)]
+        if n <= 64 or arity <= 2:
+            cells.append((n - 1, n - 1))
+        for cell in cells:
+            key = op, cell
+            if key not in algebras:
+                algebras[key] = _chain_algebra(n, op, cell)
+            a = algebras[key]
+            expected = loop_first_violation(a, lhs, rhs)
+            assert first_violation(a, lhs, rhs) == expected, (name, cell)
+            outcomes.add(expected is None)
+            if expected and arity > 1 and set(expected[:-1]) == {n - 1}:
+                late_outer += 1
+    assert outcomes == {True, False}
+    assert late_outer >= 3
+
+
+def test_row_tables_belong_to_one_algebra():
+    # the padded tables are cached on each algebra; with_ops builds a new
+    # one, so two extensions by different tables of one name never share
+    idempotent = next((lhs, rhs) for name, lhs, rhs in IDENTITIES
+                      if name == "meet-idempotent")
+    base = FiniteAlgebra(2, {"join": ((0, 1), (1, 1))})
+    lawful = base.with_ops(binary={"meet": ((0, 0), (0, 1))})
+    broken = base.with_ops(binary={"meet": ((1, 0), (0, 1))})
+    assert first_violation(lawful, *idempotent) is None
+    assert first_violation(broken, *idempotent) == (0,)
+    assert lawful._row_tables is not broken._row_tables
+    assert "_row_tables" in lawful.__dict__
+    assert "_row_tables" not in lawful.with_ops(
+        unary={"neg": (1, 0)}).__dict__

@@ -1,20 +1,25 @@
 from collections import Counter
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 
+from algdual import duality
 from algdual.algebra import (
     Morphism,
     builtin,
     enumerate_homs,
     find_isomorphism,
+    ibsl_completion,
     induced_orders,
     validate_ibsl,
 )
 from algdual.duality import (
     FiniteSpace,
+    GRSpace,
     GRSpaceWithInvolution,
     ba_of_space,
+    base_of,
     bsl_of_gr,
     delta_iso,
     dual_of_bsl,
@@ -36,7 +41,13 @@ from algdual.duality import (
     wk_space,
 )
 from algdual.errors import NotBoolean, NotGRSpace
-from algdual.generate import random_bsl, random_direct_system, random_ibsl
+from algdual.generate import (
+    _chain_index,
+    random_bsl,
+    random_direct_system,
+    random_ibsl,
+    random_presheaf_system,
+)
 from algdual.systems import (
     DirectSystemMorphism,
     InverseSystemMorphism,
@@ -45,7 +56,16 @@ from algdual.systems import (
     plonka_decompose,
     plonka_sum,
 )
-from oracles import naive_gr_homs, naive_homs, reference_g5, reference_g6
+from oracles import (
+    naive_gr_homs,
+    naive_homs,
+    reference_g5,
+    reference_g6,
+    tuple_locate,
+    tuple_negations,
+    tuple_order,
+    tuple_pointwise,
+)
 
 
 def test_gr_three_is_valid():
@@ -324,16 +344,25 @@ def _involutions(n: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _small_duals():
+    """(algebra, dual) for the duals of at most 7 points of the random BSLs
+    and IBSLs on seeds 0-299."""
+    out = []
+    for s in range(300):
+        bsl, ibsl = random_bsl(Random(s), 2, 2), random_ibsl(Random(s), 2, 2)
+        out += [(b, d) for b, d in ((bsl, dual_of_bsl(bsl)),
+                                    (ibsl, dual_of_ibsl(ibsl)))
+                if d.size <= 7]
+    return out
+
+
 def test_g5_g6_match_the_reference_scans():
     # every involution passing G1-G4 on the small duals of random BSLs and
     # IBSLs; the corpus reaches failing G5 and G6 verdicts
     three = gr_three()
     bases = {}
-    for s in range(300):
-        for base in (dual_of_bsl(random_bsl(Random(s), 2, 2)),
-                     dual_of_ibsl(random_ibsl(Random(s), 2, 2)).base):
-            if base.size <= 7:
-                bases.setdefault(base)
+    for _, dual in _small_duals():
+        bases.setdefault(base_of(dual))
     tally = Counter()
     for base in bases:
         homs = naive_gr_homs(base, three)
@@ -350,3 +379,94 @@ def test_g5_g6_match_the_reference_scans():
                          g6_fails=not g6.holds)
     assert len(bases) == 104
     assert tally == {"objects": 117, "g5_fails": 53, "g6_fails": 3}
+
+
+def _assert_masks_match_tuples(b, dual):
+    """The star, order, involution, join and meet tables and the G5
+    verdict of the dual of ``b`` and of its double dual, against the
+    coordinate-at-a-time forms."""
+    points = dual.points
+    three = builtin("three")
+    assert dual.star == tuple(map(tuple, tuple_pointwise(
+        points, gr_three().star, "star")))
+    assert dual.leq == tuple(map(tuple, tuple_order(points)))
+    homs = gr_homs(dual)
+    if isinstance(dual, GRSpaceWithInvolution):
+        neg = ibsl_completion(b).unary("neg")
+        assert dual.neg == tuple(tuple_locate(
+            points, tuple_negations(points, neg), "the involution"))
+        double = dual_of_gr(dual)
+        assert double.unary("neg") == tuple(tuple_locate(
+            homs, tuple_negations(homs, dual.neg), "the involution"))
+        assert (validate_gr_involution(dual).check("G5").witness
+                == reference_g5(dual, homs))
+    else:
+        double = bsl_of_gr(dual)
+    for op in ("join", "meet"):
+        assert double.binary(op) == tuple(map(tuple, tuple_pointwise(
+            homs, three.binary(op), op)))
+
+
+def test_mask_tables_match_tuples_on_small_duals():
+    duals = _small_duals()
+    assert {type(d).__name__ for _, d in duals} == {
+        "GRSpace", "GRSpaceWithInvolution"}
+    for b, dual in duals:
+        _assert_masks_match_tuples(b, dual)
+
+
+def test_mask_tables_match_tuples_on_the_k16_ladder_instance():
+    b = plonka_sum(random_presheaf_system(Random(3), _chain_index(16), 4))
+    dual = dual_of_ibsl(b)
+    assert (b.size, dual.size, len(gr_homs(dual))) == (128, 74, 128)
+    _assert_masks_match_tuples(b, dual)
+
+
+def test_g5_masks_match_the_loop_on_random_vectors():
+    # vectors that are no hom-space break G5 at several points at once, so
+    # the witness point must be the lowest differing one
+    rng = Random(97)
+    witnesses = set()
+    for _ in range(200):
+        m = rng.randint(1, 9)
+        neg = rng.choice(_involutions(m))
+        vectors = sorted({tuple(rng.randrange(3) for _ in range(m))
+                          for _ in range(rng.randint(1, 6))})
+        w = reference_g5(SimpleNamespace(size=m, neg=neg), vectors)
+        assert duality._g5_witness(
+            duality._masks(vectors),
+            duality._masks(tuple_negations(vectors, neg))) == w
+        witnesses.add(w is None or w[2])
+    assert {True, 0, 1, 2} <= witnesses
+
+
+def test_pointwise_masks_reject_a_set_not_closed_under_join():
+    vectors = [(0, 1), (1, 0), (1, 1), (0, 2)]  # (1, 0) + (0, 2) is absent
+    join = builtin("three").binary("join")
+    with pytest.raises(NotGRSpace) as tupled:
+        tuple_pointwise(vectors, join, "join")
+    with pytest.raises(NotGRSpace) as masked:
+        duality._pointwise(duality._masks(vectors), duality._join, "join")
+    assert str(masked.value) == str(tupled.value) == (
+        "hom-space is not closed under join")
+
+
+def test_box_is_built_once_and_shared(monkeypatch):
+    built = []
+    box = GRSpace.box.func
+    monkeypatch.setattr(GRSpace.box, "func",
+                        lambda g: built.append(g) or box(g))
+    # a relabelled wk space, which no other object equals, so no earlier
+    # verdict is reused
+    w, perm = wk_space(), (1, 2, 0)
+    inv = [perm.index(x) for x in range(3)]
+    base = GRSpace(3, [[perm[w.star[inv[a]][inv[c]]] for c in range(3)]
+                       for a in range(3)],
+                   [[w.leq[inv[a]][inv[c]] for c in range(3)]
+                    for a in range(3)],
+                   perm[w.c0], perm[w.c1], perm[w.calpha])
+    g = GRSpaceWithInvolution(base, [perm[w.neg[inv[a]]] for a in range(3)])
+    assert validate_gr_involution(g).ok
+    assert len(built) == 1 and built[0] is base
+    assert g.box is g.base.box
+    assert len(built) == 1

@@ -16,6 +16,7 @@ from algdual.algebra import (
     builtin,
     enumerate_homs,
     find_isomorphism,
+    is_partial_order,
     permute_algebra,
 )
 from algdual.duality import (
@@ -42,6 +43,8 @@ from algdual.lattices import FinitePoset, find_poset_isomorphism
 
 from oracles import (
     KIND_OPS,
+    loop_gr_order_witnesses,
+    loop_partial_order,
     naive_gr_homs,
     naive_homs,
     naive_igr_homs,
@@ -352,6 +355,40 @@ def test_order_disconnected_witness_matches_old_form():
         witnesses.add(w is None)
         assert validate_gr_space(g).check("order-disconnected").witness == w
     assert witnesses == {True, False}
+
+
+def test_gr_order_scans_match_the_loops():
+    # the order checks decide on byte sets and rows
+    rng = Random(83)
+    spaces = [g.base for g in _igr_pool(rng)] + [gr_three()]
+    spaces += [_gr_perturbed(g, rng) for g in spaces for _ in range(4)]
+    verdicts = set()
+    for g in spaces:
+        report = validate_gr_space(g)
+        expected = loop_gr_order_witnesses(g)
+        expected["order-partial"] = loop_partial_order(g.leq)
+        for name, w in expected.items():
+            assert report.check(name).witness == w, name
+            verdicts.add((name, w is None))
+    # each check both holds and fails somewhere
+    assert len(verdicts) == 2 * len(expected)
+
+
+def test_partial_order_bitsets_match_the_loops():
+    rng = Random(89)
+    kinds = set()
+    for _ in range(300):
+        p = random_poset(rng, 7)
+        leq = [list(r) for r in p.leq]
+        for _ in range(rng.randint(0, 2) if p.size else 0):
+            x, y = rng.randrange(p.size), rng.randrange(p.size)
+            leq[x][y] = not leq[x][y]
+        w = loop_partial_order(leq)
+        assert is_partial_order(leq) == w
+        kinds.add(0 if w is None else len(w))
+    # a pass and each kind of witness: reflexivity, antisymmetry,
+    # transitivity
+    assert kinds == {0, 1, 2, 3}
 
 
 def test_search_needs_no_recursion_depth():
