@@ -23,7 +23,7 @@ the term-tree evaluation as references.
 
 Homomorphism enumeration is a backtracking search over the value vector
 ``(f(0), ..., f(n-1))`` that propagates the values the equations force and
-fails a branch at its first conflict (see :func:`_search_homs`); it yields
+fails a branch at its first conflict (see :mod:`algdual.search`); it yields
 morphisms sorted lexicographically by value vector.  Dual-space
 constructions downstream rely on that ordering.
 """
@@ -49,6 +49,8 @@ from .errors import (
 )
 
 Table = tuple[tuple[int, ...], ...]
+# a carrier map as its value vector (f(0), ..., f(n-1))
+RawMap = tuple[int, ...]
 
 
 class Record:
@@ -1020,162 +1022,15 @@ def validate_for_kind(obj, kind: str) -> ValidationReport:
 
 
 # ---------------------------------------------------------------------------
-# Homomorphism search
+# Homomorphism search (the engine is in algdual.search, loaded on first call)
 # ---------------------------------------------------------------------------
-
-def _search_homs(source, target, kind: str, *, injective=False,
-                 candidates=None, limit=None,
-                 reflect=False) -> list[tuple[int, ...]]:
-    """Value vectors of all kind-homs source -> target, in lexicographic
-    order (by position in ``candidates[x]`` when given), at most ``limit``.
-
-    Kinds are the algebra kinds, ``gr`` and ``igr`` (for ``igr`` only maps
-    that pull the target's zero-morphism back to the source's, a
-    restriction of each element's values), and ``poset``: maps that
-    preserve and reflect the order, which with ``injective`` and equal sizes
-    are the order isomorphisms.  With ``reflect`` the maps of an ordered
-    kind must also reflect the order.
-
-    The search branches on f(0), f(1), ... in turn and propagates forced
-    values.  Every equation is indexed under the elements it reads: a
-    binary-table cell ``f(ta[x][y]) = tb[f x][f y]`` under x and y (row x and
-    column y of the table), a unary entry ``f(ua[x]) = ub[f x]`` under x, an
-    order pair under both ends.  Constants are assigned before the first
-    branch.  Assigned elements are processed in turn: each equation of the
-    element whose arguments are all assigned is checked, and its result, if
-    not yet assigned, is forced: f(x*y) once f(x) and f(y) are set, f(x')
-    once f(x) is set.  A forced value must lie in the element's candidates
-    and, when ``injective``, be unused.  A conflict fails the branch at
-    once, and a trail of assigned elements undoes the branch on backtrack.
-    Elements already forced are skipped by the branching.
-
-    A forced value is the only value the element can take in any
-    completion, and a conflict means the branch has no completion, so
-    propagation prunes exactly branches that yield no hom.  The vectors
-    found, and their lexicographic order, are therefore those of plain
-    backtracking over every position.  The loop keeps its own stack, so
-    large carriers do not meet Python's recursion limit.
-    """
-    n, m = source.size, target.size
-    binary, unary, constants, order, kind_reflects = _signature(
-        source, target, kind)
-    domains = [None] * n if candidates is None else [list(c) for c in candidates]
-    if kind == "igr":
-        # the zero-morphism condition z_tgt(f x) = z_src(x) is a per-element
-        # restriction of the values
-        from .duality import zero_morphism
-
-        z_src, z_tgt = zero_morphism(source), zero_morphism(target)
-        if z_src is None or z_tgt is None:
-            return []
-        domains = [[v for v in (range(m) if d is None else d)
-                    if z_tgt[v] == z_src[x]] for x, d in enumerate(domains)]
-    allowed = [None if d is None else set(d) for d in domains]
-    # order pairs: x <= y must give f x <= f y, and with reflect the converse
-    related = operator.eq if reflect or kind_reflects else operator.le
-
-    # the cells reading e are row e of each table and row e of its
-    # transpose; a table commutative on both sides needs no transpose
-    unops = [(ua, ub) for _, ua, ub in unary]
-    sides = []
-    for _, ta, tb in binary:
-        sides.append((ta, tb))
-        transposed = (tuple(zip(*ta)), tuple(zip(*tb)))
-        if transposed != (ta, tb):
-            sides.append(transposed)
-
-    f = [-1] * n
-    used = [False] * m
-    trail: list[int] = []
-
-    def values(k: int):
-        return range(m) if domains[k] is None else domains[k]
-
-    def assign(z: int, t: int) -> bool:
-        if allowed[z] is not None and t not in allowed[z]:
-            return False
-        if injective:
-            if used[t]:
-                return False
-            used[t] = True
-        f[z] = t
-        trail.append(z)
-        return True
-
-    def propagate(head: int) -> bool:
-        """Check and force the equations of trail[head:], and of every
-        element they force in turn."""
-        while head < len(trail):
-            e = trail[head]
-            head += 1
-            v = f[e]
-            for ua, ub in unops:
-                z, t = ua[e], ub[v]
-                if f[z] != t and (f[z] >= 0 or not assign(z, t)):
-                    return False
-            for ta, tb in sides:
-                ra, rb = ta[e], tb[v]
-                for y in trail:
-                    z, t = ra[y], rb[f[y]]
-                    if f[z] != t and (f[z] >= 0 or not assign(z, t)):
-                        return False
-            if order is not None:
-                la, lb = order
-                for x in trail:
-                    w = f[x]
-                    if not (related(la[x][e], lb[w][v])
-                            and related(la[e][x], lb[v][w])):
-                        return False
-        return True
-
-    def undo(mark: int) -> None:
-        while len(trail) > mark:
-            z = trail.pop()
-            used[f[z]] = False
-            f[z] = -1
-
-    def free_from(k: int) -> int:
-        while k < n and f[k] >= 0:
-            k += 1
-        return k
-
-    results: list[tuple[int, ...]] = []
-    for _, ca, cb in constants:
-        if f[ca] != cb and (f[ca] >= 0 or not assign(ca, cb)):
-            return results
-    if not propagate(0):
-        return results
-    k = free_from(0)
-    if k == n:
-        results.append(tuple(f))
-        return results
-    # one frame per branching element: (element, its remaining values,
-    # trail length before its assignment)
-    stack = [(k, iter(values(k)), len(trail))]
-    while stack:
-        k, remaining, mark = stack[-1]
-        undo(mark)
-        for v in remaining:
-            if assign(k, v) and propagate(mark):
-                break
-            undo(mark)
-        else:
-            stack.pop()
-            continue
-        nxt = free_from(k + 1)
-        if nxt < n:
-            stack.append((nxt, iter(values(nxt)), len(trail)))
-            continue
-        results.append(tuple(f))
-        if limit is not None and len(results) >= limit:
-            break
-    return results
-
 
 def enumerate_homs(source, target, kind: str, *, validate=True) -> list[Morphism]:
     """All kind-preserving maps source -> target, sorted lexicographically by
     value vector.  The ordering is deterministic and downstream dual-object
     constructions depend on it."""
+    from .search import _search_homs
+
     if validate:
         for obj in (source, target):
             report = validate_for_kind(obj, kind)
@@ -1185,55 +1040,11 @@ def enumerate_homs(source, target, kind: str, *, validate=True) -> list[Morphism
             for vec in _search_homs(source, target, kind)]
 
 
-def _joint_iso_colors(a, b, kind: str, rounds: int = 2):
-    """Isomorphism-invariant element colors for both endpoints at once.
-
-    The refinement starts from constant/fixed-point seeds and folds in the
-    multiset of colored operation rows, using one shared canonical numbering,
-    so any isomorphism a -> b must map an element to one of equal color.
-    """
-    binary, unary, constants, order, _ = _signature(a, b, kind)
-    sizes = (a.size, b.size)
-
-    def canon(values_a, values_b):
-        table: dict = {}
-        out = []
-        for values in (values_a, values_b):
-            out.append([table.setdefault(v, len(table)) for v in values])
-        return out
-
-    # side s of each (name, source part, target part) triple is part 1 + s
-    colors = canon(
-        *[[tuple(x == c[1 + s] for c in constants) for x in range(sizes[s])]
-          for s in (0, 1)])
-    for _ in range(rounds):
-        sigs = []
-        for s in (0, 1):
-            color = colors[s]
-            side = []
-            for x in range(sizes[s]):
-                sig = [color[x]]
-                for u in unary:
-                    sig.append(color[u[1 + s][x]])
-                for op in binary:
-                    t = op[1 + s]
-                    sig.append(tuple(sorted(
-                        (color[y], color[t[x][y]], color[t[y][x]])
-                        for y in range(sizes[s]))))
-                if order is not None:
-                    leq = order[s]
-                    sig.append(tuple(sorted(
-                        (color[y], leq[x][y], leq[y][x])
-                        for y in range(sizes[s]))))
-                side.append(tuple(sig))
-            sigs.append(side)
-        colors = canon(*sigs)
-    return colors
-
-
 def find_isomorphism(source, target, kind: str, *, validate=True) -> Optional[Morphism]:
     """First (in lexicographic order) bijective kind-hom whose inverse is
     also a kind-hom, or None."""
+    from .search import _joint_iso_colors, _search_homs
+
     if validate:
         for obj in (source, target):
             validate_for_kind(obj, kind).require(

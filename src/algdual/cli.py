@@ -17,19 +17,31 @@ Exit codes
 ----------
     0  valid / pass / found
     1  validation failure, kind mismatch, or absent isomorphism
-    2  unreadable, malformed or unprocessably large input (message on stderr)
+    2  unreadable, malformed or unprocessably large input, an output file
+       that cannot be written, or stdout closed early (message on stderr)
 
 Output on stdout is byte-identical for identical inputs, flags and seeds;
 timing goes to stderr.  Set ``ALGCTL_COLOR=1`` to colorize text reports.
 
-Every run is a fresh process, so each command imports the modules it needs
-when it runs: ``check`` of an algebra document loads only the algebra,
-document and error modules.
+Every run is a fresh process that, without a bytecode cache, compiles each
+module it imports, so each command imports the modules it needs when it
+runs.  ``check`` and ``hasse`` of an algebra document load only the
+algebra, document and error modules; ``hom`` and ``iso`` add the search
+engine (``algdual.search``); ``dual`` and ``roundtrip`` add the module of
+their kind's duality (``duality`` and ``search``, or ``lattices``), and
+only a system step (``plonka``, an IBSL or BSL ``roundtrip``, documents of
+systems) loads ``algdual.systems``.
+
+The ``algctl`` script and ``python -m algdual.cli`` run :func:`entry`, not
+:func:`main`: it flushes stdout, then freezes the garbage collector, so the
+collection at interpreter exit skips the objects alive by then (every
+compiled module and every result) instead of walking them all.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 import time
@@ -123,8 +135,11 @@ def _emit_report(report: ValidationReport, payload, fmt: str, out) -> None:
 
 def _write_output(text: str, path) -> None:
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DocumentError(f"cannot write {path!r}: {exc}")
     else:
         sys.stdout.write(text)
 
@@ -371,5 +386,23 @@ def main(argv=None) -> int:
         return 2
 
 
+def entry() -> int:
+    """The ``algctl`` program: :func:`main`, then a flush of stdout while a
+    closed pipe can still be reported, then ``gc.freeze()`` so that the
+    collection at interpreter exit skips every object alive by then."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so that the flush at
+        # exit cannot fail again (the SIGPIPE note in the ``signal`` docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout closed before the output was written",
+              file=sys.stderr)
+        code = 2
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(entry())

@@ -24,16 +24,16 @@ from __future__ import annotations
 from functools import cached_property, lru_cache, reduce
 from itertools import compress, product
 from operator import or_
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .algebra import (
     Check,
     FiniteAlgebra,
     Morphism,
     OrderMatrix,
+    RawMap,
     Record,
     ValidationReport,
-    _search_homs,
     as_isomorphism,
     atoms,
     builtin,
@@ -54,14 +54,15 @@ from .errors import (
     NotGRSpace,
     NotIBSL,
 )
-from .systems import (
-    DirectSystem,
-    DirectSystemMorphism,
-    InverseSystem,
-    InverseSystemMorphism,
-    RawMap,
-    plonka_decompose,
-)
+from .search import _search_homs
+
+if TYPE_CHECKING:
+    from .systems import (
+        DirectSystem,
+        DirectSystemMorphism,
+        InverseSystem,
+        InverseSystemMorphism,
+    )
 
 _THREE = builtin("three")
 JOIN3 = _THREE.binary("join")
@@ -480,6 +481,8 @@ def stone_double_dual_iso(b: FiniteAlgebra) -> Morphism:
 def lift_functor_dir_to_inv(s: DirectSystem) -> InverseSystem:
     """Apply Stone duality fiberwise: same index, terms are the atom spaces,
     bondings the dualized (reversed) transitions."""
+    from .systems import InverseSystem
+
     terms = {i: stone_dual(s.fiber(i)) for i in range(s.index.size)}
     bondings = {pair: stone_dual_hom(s.transition(*pair))
                 for pair in s.index.comparable_pairs()}
@@ -490,6 +493,7 @@ def lift_functor_inv_to_dir(s: InverseSystem) -> DirectSystem:
     """Apply the power-set functor fiberwise: same index, fibers are the
     power-set algebras, transitions the preimage homs of the bondings."""
     from .lattices import preimage_transitions
+    from .systems import DirectSystem
 
     fibers = {i: ba_of_space(s.term(i)) for i in range(s.index.size)}
     return DirectSystem(s.index, fibers, preimage_transitions(s), "ba")
@@ -498,6 +502,8 @@ def lift_functor_inv_to_dir(s: InverseSystem) -> DirectSystem:
 def lift_system_morphism_dir_to_inv(m: DirectSystemMorphism) -> InverseSystemMorphism:
     """Contravariant action on morphisms: (phi, f_i) becomes (phi, dual f_i)
     from the lift of the target system to the lift of the source."""
+    from .systems import InverseSystemMorphism
+
     src = lift_functor_dir_to_inv(m.target)
     tgt = lift_functor_dir_to_inv(m.source)
     comps = {i: stone_dual_hom(m.components[i])
@@ -632,4 +638,6 @@ def dual_of_ibsl_hom(f: Morphism) -> Morphism:
 def ibsl_to_inverse_system(b: FiniteAlgebra) -> InverseSystem:
     """Decompose into Boolean fibers, then dualize fiberwise into a
     semilattice inverse system of finite Stone spaces."""
+    from .systems import plonka_decompose
+
     return lift_functor_dir_to_inv(plonka_decompose(b))

@@ -21,21 +21,33 @@ raises on decompositions that fall outside either restriction.
 from __future__ import annotations
 
 from functools import reduce
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .algebra import (
     FiniteAlgebra,
     Morphism,
     OrderMatrix,
+    RawMap,
     Record,
-    _search_homs,
     as_isomorphism,
     is_partial_order,
     order_from_binary,
     validate_distributive_lattice,
 )
 from .errors import IsomorphismFailure, NotDistributive, UnboundedTransition
-from .systems import DirectSystem, InverseSystem, RawMap, plonka_decompose_bsl
+
+if TYPE_CHECKING:
+    from .systems import DirectSystem, InverseSystem
+
+
+def __getattr__(name: str):
+    # plonka_decompose_bsl lives in systems, which loads on first lookup
+    if name != "plonka_decompose_bsl":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .systems import plonka_decompose_bsl
+
+    globals()[name] = plonka_decompose_bsl
+    return plonka_decompose_bsl
 
 
 class DistributiveLattice(Record):
@@ -203,6 +215,8 @@ def poset_double_dual_iso(p: FinitePoset) -> RawMap:
 
 def find_poset_isomorphism(p: FinitePoset, q: FinitePoset) -> Optional[RawMap]:
     """First order isomorphism in lexicographic order, or None."""
+    from .search import _search_homs
+
     if p.size != q.size:
         return None
     found = _search_homs(p, q, "poset", injective=True, limit=1)
@@ -216,6 +230,8 @@ def find_poset_isomorphism(p: FinitePoset, q: FinitePoset) -> Optional[RawMap]:
 def lift_system_dl_to_posets(s: DirectSystem) -> InverseSystem:
     """Apply Birkhoff duality fiberwise to a direct system of distributive
     lattices (bound-preserving transitions only)."""
+    from .systems import InverseSystem
+
     terms = {i: priestley_dual(s.fiber(i)) for i in range(s.index.size)}
     bondings = {pair: priestley_dual_hom(s.transition(*pair))
                 for pair in s.index.comparable_pairs()}
@@ -243,6 +259,8 @@ def preimage_transitions(s: InverseSystem) -> dict[tuple[int, int], RawMap]:
 def lift_system_posets_to_dl(s: InverseSystem) -> DirectSystem:
     """Rebuild the down-set lattices fiberwise from an inverse system of
     finite posets, transitions by preimage of bondings."""
+    from .systems import DirectSystem
+
     fibers = {i: dl_of_poset(s.term(i)) for i in range(s.index.size)}
     return DirectSystem(s.index, fibers, preimage_transitions(s), "dl")
 
@@ -250,6 +268,8 @@ def lift_system_posets_to_dl(s: InverseSystem) -> DirectSystem:
 def bsl_to_inverse_system(b: FiniteAlgebra) -> InverseSystem:
     """Decompose into distributive-lattice fibers, then dualize fiberwise
     into a semilattice inverse system of finite posets."""
+    from .systems import plonka_decompose_bsl
+
     return lift_system_dl_to_posets(plonka_decompose_bsl(b))
 
 

@@ -24,6 +24,7 @@ from .algebra import (
     FiniteAlgebra,
     JoinSemilattice,
     Morphism,
+    RawMap,
     Record,
     ValidationReport,
     enumerate_homs,
@@ -44,8 +45,6 @@ from .errors import (
     NotBisemilattice,
     NotIBSL,
 )
-
-RawMap = tuple[int, ...]
 
 
 def _compose_raw(outer: Sequence[int], inner: Sequence[int]) -> RawMap:

@@ -1,13 +1,22 @@
 import argparse
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+from random import Random
 
 import pytest
 
-from algdual.algebra import FiniteAlgebra, builtin
+from algdual.algebra import FiniteAlgebra, builtin, permute_algebra
 from algdual.cli import main
 from algdual.documents import dumps_document, loads_document, check_document
 from algdual.duality import wk_space
-from algdual.systems import plonka_decompose
+from algdual.generate import random_direct_system, random_permutation
+from algdual.systems import plonka_decompose, plonka_sum
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -246,6 +255,24 @@ def test_output_to_file(capsys, wk_file, tmp_path):
     assert code == 0
     assert out == ""
     assert out_path.read_text(encoding="utf-8").startswith("digraph")
+
+
+@pytest.mark.parametrize("argv", [
+    ["dual", "{wk}"],
+    ["plonka", "decompose", "{wk}"],
+    ["hasse", "{wk}", "--order", "meet"],
+    ["gen", "--size", "8"],
+], ids=lambda argv: argv[0])
+def test_unwritable_output_exits_2_with_one_line(capsys, wk_file, tmp_path,
+                                                 argv):
+    target = tmp_path / "no-such-folder" / "out.json"
+    argv = [arg.format(wk=wk_file) for arg in argv] + ["-o", str(target)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {str(target)!r}: ")
+    assert err.count("\n") == 1
+    assert not target.parent.exists()
 
 
 def test_dual_of_system_documents(capsys, wk_file, tmp_path):
@@ -526,3 +553,63 @@ def test_hom_and_iso_never_end_in_a_traceback(capsys, tmp_path):
     for name in ("poset", "space", "direct-system", "inverse-system"):
         assert {outcomes[name, kind, cmd] for kind in kinds
                 for cmd in ("hom", "iso")} == {1}
+
+
+def _algctl(*argv) -> subprocess.Popen:
+    """``python -m algdual.cli ARGV`` with buffered stdout: under
+    PYTHONUNBUFFERED the text layer writes straight to the file and drops
+    the rest of a short write to a closed pipe without an error."""
+    env = {key: value for key, value in os.environ.items()
+           if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    return subprocess.Popen([sys.executable, "-m", "algdual.cli", *argv],
+                            env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+
+
+def test_closed_stdout_exits_2_with_one_line(tmp_path):
+    # the dual of a 7-point space is 400 kB of text, more than a pipe
+    # holds, so the writer is still writing when the reader goes away
+    path = tmp_path / "space.json"
+    path.write_text('{"kind": "space", "size": 7}', encoding="utf-8")
+    proc = _algctl("dual", str(path))
+    assert proc.stdout.readline() == b'{\n'
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert err == "error: stdout closed before the output was written\n"
+
+
+def _ladder_ibsl48() -> str:
+    """The n=48 IBSL of the benchmark's dual ladder."""
+    rng = Random(1)
+    total = plonka_sum(random_direct_system(rng, "ba", 4, 4))
+    algebra = permute_algebra(total, random_permutation(rng, total.size))
+    assert algebra.size == 48
+    return dumps_document(algebra, "ibsl")
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["plonka", "decompose", "{ibsl48}"], 0),
+    (["check", "{broken}"], 1),
+    (["check", "{bad}"], 2),
+], ids=("large-output", "axiom-failure", "parse-error"))
+def test_module_entry_matches_main(capsys, tmp_path, broken_ibsl_file, argv,
+                                   expected):
+    paths = {"ibsl48": tmp_path / "ibsl48.json", "bad": tmp_path / "bad.json"}
+    paths["ibsl48"].write_text(_ladder_ibsl48(), encoding="utf-8")
+    paths["bad"].write_text('{"kind": "ibsl",', encoding="utf-8")
+    argv = [arg.format(broken=broken_ibsl_file, **paths) for arg in argv]
+    code, out, _ = run(capsys, *argv)
+    proc = _algctl(*argv)
+    piped, _ = proc.communicate(timeout=60)
+    assert code == proc.returncode == expected
+    assert piped == out.encode()
+    if expected == 0:
+        assert len(piped) > 1 << 15
+
+
+def test_installed_algctl_runs_the_entry_function():
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.search(r'^algctl = "algdual\.cli:entry"$', text, re.M)

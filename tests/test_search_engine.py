@@ -8,11 +8,10 @@ from random import Random
 
 import pytest
 
-from algdual import algebra
+from algdual import search
 from algdual.algebra import (
     FiniteAlgebra,
     Morphism,
-    _search_homs,
     builtin,
     enumerate_homs,
     find_isomorphism,
@@ -40,6 +39,7 @@ from algdual.generate import (
     random_poset,
 )
 from algdual.lattices import FinitePoset, find_poset_isomorphism
+from algdual.search import _search_homs
 
 from oracles import (
     KIND_OPS,
@@ -175,13 +175,13 @@ def test_find_isomorphism_stops_at_first_hom_for_algebra_kinds(monkeypatch):
     that is an isomorphism, and for GR spaces the search itself also
     reflects the order."""
     limits = []
-    search = algebra._search_homs
+    original = search._search_homs
 
     def spy(*args, **kwargs):
         limits.append(kwargs.get("limit"))
-        return search(*args, **kwargs)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(algebra, "_search_homs", spy)
+    monkeypatch.setattr(search, "_search_homs", spy)
     two = builtin("two")
     assert find_isomorphism(two, two, "ibsl", validate=False).map == (0, 1)
     assert find_isomorphism(wk_space(), wk_space(), "gr",

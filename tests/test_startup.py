@@ -3,9 +3,11 @@
 Every ``algctl`` run is a fresh interpreter, so what it imports is paid on
 every command.  These tests run commands in new interpreters and check which
 modules got loaded: commands on algebra documents, and every error the
-parser reports itself, need only the algebra, document and error modules.
-They also pin down the package's lazy exports and the behaviour of the
-immutable value classes (``Record`` subclasses).
+parser reports itself, need only the algebra, document and error modules;
+only commands that run a system step load ``algdual.systems``, and only
+commands that search for homs load ``algdual.search``.  They also pin down
+the package's lazy exports and the behaviour of the immutable value classes
+(``Record`` subclasses).
 """
 
 import json
@@ -28,6 +30,8 @@ from algdual.algebra import (
     builtin,
 )
 from algdual.documents import Document, dumps_document, loads_document
+from algdual.duality import FiniteSpace, dual_of_bsl, dual_of_ibsl
+from algdual.lattices import FinitePoset
 from algdual.generate import (
     random_boolean_algebra,
     random_distributive_lattice,
@@ -38,7 +42,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 # modules that commands on algebra documents must not load
 HEAVY = {"dataclasses", "algdual.duality", "algdual.systems",
-         "algdual.lattices", "algdual.generate", "algdual.hasse"}
+         "algdual.lattices", "algdual.generate", "algdual.hasse",
+         "algdual.search"}
 
 
 def _loaded_after(code: str) -> tuple[object, set]:
@@ -79,6 +84,10 @@ def algebra_files(tmp_path_factory):
         "ba": random_boolean_algebra(rng, 2, min_atoms=2),
         "dl": random_distributive_lattice(rng, 3),
         "sl": random_join_semilattice(rng, 4).algebra,
+        "gr": dual_of_bsl(builtin("three")),
+        "igr": dual_of_ibsl(builtin("wk")),
+        "poset": FinitePoset(2, ((True, True), (False, True))),
+        "space": FiniteSpace(2),
     }
     folder = tmp_path_factory.mktemp("algebras")
     paths = {}
@@ -86,6 +95,10 @@ def algebra_files(tmp_path_factory):
         paths[kind] = str(folder / f"{kind}.json")
         Path(paths[kind]).write_text(dumps_document(obj, kind),
                                      encoding="utf-8")
+    paths["direct-system"] = str(folder / "direct-system.json")
+    Path(paths["direct-system"]).write_text(
+        dumps_document(systems.plonka_decompose(builtin("wk"))),
+        encoding="utf-8")
     return paths
 
 
@@ -108,15 +121,69 @@ def test_search_and_hasse_on_algebras_load_no_heavy_module(
     argv = [arg.format(**algebra_files) for arg in argv]
     code, modules = _loaded_after(_main(argv))
     assert code == expected
-    allowed = {"algdual.hasse"} if argv[0] == "hasse" else set()
+    allowed = {"hasse": {"algdual.hasse"}}.get(argv[0], {"algdual.search"})
     assert not modules & (HEAVY - allowed)
+    assert allowed <= modules
+
+
+@pytest.mark.parametrize("argv", [
+    *[["check", "{%s}" % kind]
+      for kind in ("gr", "igr", "ba", "dl", "poset", "space")],
+    *[["dual", "{%s}" % kind]
+      for kind in ("ibsl", "bsl", "gr", "igr", "ba", "dl", "poset", "space")],
+    ["hom", "{igr}", "{igr}", "--kind", "igr", "--count"],
+    ["iso", "{igr}", "{igr}", "--kind", "igr"],
+])
+def test_commands_without_a_system_step_load_no_systems(algebra_files, argv):
+    argv = [arg.format(**algebra_files) for arg in argv]
+    code, modules = _loaded_after(_main(argv))
+    assert code == 0
+    assert "algdual.systems" not in modules
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "{poset}"],
+    ["check", "{direct-system}"],
+    ["plonka", "decompose", "{ibsl}"],
+    ["plonka", "decompose", "{bsl}"],
+    ["plonka", "sum", "{direct-system}"],
+    ["hasse", "{poset}", "--order", "box"],
+    ["dual", "{dl}"],
+    ["dual", "{poset}"],
+])
+def test_commands_that_never_search_load_no_search_engine(algebra_files,
+                                                          argv):
+    argv = [arg.format(**algebra_files) for arg in argv]
+    code, modules = _loaded_after(_main(argv))
+    assert code == 0
+    assert "algdual.search" not in modules
+
+
+@pytest.mark.parametrize("command", ["hom", "iso"])
+def test_hom_and_iso_call_the_algebra_bindings(algebra_files, command):
+    # the benchmark's tracer wraps algdual.algebra.enumerate_homs and
+    # find_isomorphism; the commands must reach the search through them
+    name = {"hom": "enumerate_homs", "iso": "find_isomorphism"}[command]
+    wk = algebra_files["ibsl"]
+    code = ("import algdual.algebra as algebra\n"
+            "calls = []\n"
+            f"original = algebra.{name}\n"
+            "def spy(*args, **kwargs):\n"
+            "    calls.append(args[2])\n"
+            "    return original(*args, **kwargs)\n"
+            f"algebra.{name} = spy\n"
+            f"{_main([command, wk, wk, '--kind', 'ibsl'])}\n"
+            "result = [result, calls]")
+    result, modules = _loaded_after(code)
+    assert result == [0, ["ibsl"]]
+    assert "algdual.search" in modules
 
 
 # what the involutive-bisemilattice pipeline needs: no lattice, generator
 # or DOT module
 IBSL_PIPELINE = {"algdual", "algdual.algebra", "algdual.cli",
                  "algdual.documents", "algdual.duality", "algdual.errors",
-                 "algdual.systems"}
+                 "algdual.search", "algdual.systems"}
 
 
 @pytest.mark.parametrize("argv", [["dual"], ["plonka", "decompose"],
