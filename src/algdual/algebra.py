@@ -89,12 +89,13 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+def _freeze_row(row) -> tuple[int, ...]:
+    # a bytes row (see row_kernel) holds ints already
+    return tuple(row) if type(row) is bytes else tuple(map(int, row))
+
+
 def _freeze_binary(table) -> Table:
-    return tuple(tuple(map(int, row)) for row in table)
-
-
-def _freeze_unary(table) -> tuple[int, ...]:
-    return tuple(map(int, table))
+    return tuple(map(_freeze_row, table))
 
 
 _NO_OPS: Mapping = MappingProxyType({})
@@ -118,7 +119,7 @@ class FiniteAlgebra(Record):
         if size < 1:
             raise ValueError("carrier must be non-empty")
         binary_ops = {k: _freeze_binary(t) for k, t in binary_ops.items()}
-        unary_ops = {k: _freeze_unary(t) for k, t in unary_ops.items()}
+        unary_ops = {k: _freeze_row(t) for k, t in unary_ops.items()}
         constants = {k: int(v) for k, v in constants.items()}
         if names is not None:
             names = tuple(names)
@@ -215,21 +216,28 @@ class FiniteAlgebra(Record):
 
 
 def permute_algebra(a: FiniteAlgebra, perm: Sequence[int]) -> FiniteAlgebra:
-    """Relabel the carrier along ``perm`` (old label -> new label)."""
+    """Relabel the carrier along ``perm`` (old label -> new label).
+
+    Row x of a new table is row ``inv[x]`` of the old one with its columns
+    gathered through ``inv`` and its values through ``perm``: two whole-row
+    gathers (see :func:`row_kernel`).  ``tests/oracles.py`` keeps the
+    cell-by-cell form."""
+    make, gather, pad = row_kernel(a.size)
     inv = [0] * a.size
     for old, new in enumerate(perm):
         inv[new] = old
-    bin_ops = {
-        name: [[perm[t[inv[x]][inv[y]]] for y in range(a.size)]
-               for x in range(a.size)]
-        for name, t in a.binary_ops.items()
-    }
-    un_ops = {name: [perm[t[inv[x]]] for x in range(a.size)]
-              for name, t in a.unary_ops.items()}
+    cols, values = make(inv), pad(perm)
+
+    def relabel(row):
+        return gather(gather(cols, pad(row)), values)
+
+    bin_ops = {name: [relabel(t[old]) for old in inv]
+               for name, t in a.binary_ops.items()}
+    un_ops = {name: relabel(t) for name, t in a.unary_ops.items()}
     consts = {name: perm[c] for name, c in a.constants.items()}
     names = None
     if a.names is not None:
-        names = tuple(a.names[inv[x]] for x in range(a.size))
+        names = tuple(a.names[old] for old in inv)
     return FiniteAlgebra(a.size, bin_ops, un_ops, consts, names)
 
 
@@ -248,20 +256,21 @@ def byteset(row: Sequence[int]) -> int:
 
 
 def _gather(row, table) -> tuple[int, ...]:
-    # rows are longer than 256 here, so itemgetter returns a tuple
-    return operator.itemgetter(*row)(table)
+    # itemgetter returns a bare item, not a tuple, for a one-entry row
+    if len(row) > 1:
+        return operator.itemgetter(*row)(table)
+    return (table[row[0]],)
 
 
 def row_kernel(n: int):
     """``(make, gather, pad)`` for carriers of ``n`` elements: ``make``
     builds a row from ints below n, ``gather(row, table)`` is the row of
     ``table[v]`` for each entry v of ``row``, and ``pad`` puts a table of
-    ints below n into the shape ``gather`` reads.  Up to 256 elements rows
-    are bytes, gather is ``bytes.translate`` and a table is padded to 256
-    bytes; above, rows and tables are tuples."""
+    at most n ints below n into the shape ``gather`` reads.  Up to 256
+    elements rows are bytes, gather is ``bytes.translate`` and a table is
+    padded to 256 bytes; above, rows and tables are tuples."""
     if n <= 256:
-        fill = bytes(256 - n)
-        return bytes, bytes.translate, lambda t: bytes(t) + fill
+        return bytes, bytes.translate, lambda t: bytes(t).ljust(256, b"\0")
     return tuple, _gather, tuple
 
 

@@ -123,14 +123,35 @@ def _report_json(report: ValidationReport) -> dict:
     }
 
 
-def _emit_report(report: ValidationReport, payload, fmt: str, out) -> None:
+def _emit_report(report: ValidationReport, payload, fmt: str) -> None:
     if fmt == "json":
         import json
 
-        out.write(json.dumps(_report_json(report), ensure_ascii=False,
-                             indent=2, sort_keys=True) + "\n")
+        _stdout(json.dumps(_report_json(report), ensure_ascii=False,
+                           indent=2, sort_keys=True) + "\n")
     else:
-        out.write("\n".join(_report_lines(report, payload)) + "\n")
+        _stdout("\n".join(_report_lines(report, payload)) + "\n")
+
+
+def _stdout(text: str) -> None:
+    """Write ``text`` to stdout in full, in one call.  The bytes go through
+    the binary layer until it has taken them all: with PYTHONUNBUFFERED set
+    the text layer writes straight to the file and drops whatever a short
+    write leaves over, as when the reader closes a pipe midway, while here
+    the next write raises BrokenPipeError.  A file that takes no bytes at
+    all is reported the same way."""
+    out = sys.stdout
+    buffer = getattr(out, "buffer", None)
+    if buffer is None:  # a text-only stream, such as io.StringIO
+        out.write(text)
+        return
+    out.flush()
+    data = memoryview(text.encode(out.encoding, out.errors))
+    while data:
+        written = buffer.write(data)
+        if not written:
+            raise BrokenPipeError("stdout took no bytes")
+        data = data[written:]
 
 
 def _write_output(text: str, path) -> None:
@@ -141,7 +162,7 @@ def _write_output(text: str, path) -> None:
         except OSError as exc:
             raise DocumentError(f"cannot write {path!r}: {exc}")
     else:
-        sys.stdout.write(text)
+        _stdout(text)
 
 
 def _checked_payload(path: str):
@@ -167,7 +188,7 @@ def cmd_check(args) -> int:
     t0 = time.perf_counter()
     report = check_document(doc)
     elapsed = time.perf_counter() - t0
-    _emit_report(report, doc.payload, args.format, sys.stdout)
+    _emit_report(report, doc.payload, args.format)
     print(f"# elapsed {elapsed:.4f}s", file=sys.stderr)
     return 0 if report.ok else 1
 
@@ -205,12 +226,11 @@ def cmd_hom(args) -> int:
         data = {"count": len(homs)}
         if args.list:
             data["homs"] = [list(h.map) for h in homs]
-        sys.stdout.write(json.dumps(data, sort_keys=True) + "\n")
+        _stdout(json.dumps(data, sort_keys=True) + "\n")
     elif args.list:
-        for h in homs:
-            sys.stdout.write(" ".join(str(v) for v in h.map) + "\n")
+        _stdout("".join(" ".join(map(str, h.map)) + "\n" for h in homs))
     else:
-        sys.stdout.write(f"{len(homs)}\n")
+        _stdout(f"{len(homs)}\n")
     return 0
 
 
@@ -221,7 +241,7 @@ def cmd_iso(args) -> int:
     if iso is None:
         print("no isomorphism", file=sys.stderr)
         return 1
-    sys.stdout.write(" ".join(str(v) for v in iso.map) + "\n")
+    _stdout(" ".join(map(str, iso.map)) + "\n")
     return 0
 
 
@@ -240,7 +260,7 @@ def cmd_roundtrip(args) -> int:
             checks.append(Check(name, False, None, str(exc)))
     elapsed = time.perf_counter() - t0
     report = ValidationReport(f"roundtrip of {kind}", tuple(checks))
-    _emit_report(report, obj, args.format, sys.stdout)
+    _emit_report(report, obj, args.format)
     print(f"# elapsed {elapsed:.4f}s", file=sys.stderr)
     return 0 if report.ok else 1
 

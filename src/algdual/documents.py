@@ -31,6 +31,7 @@ from .algebra import (
     JoinSemilattice,
     Record,
     ValidationReport,
+    as_isomorphism,
     find_isomorphism,
     is_partial_order,
     order_from_binary,
@@ -325,9 +326,48 @@ def document_data(obj, kind: Optional[str] = None) -> dict:
 
 def dumps_document(obj, kind: Optional[str] = None) -> str:
     """Canonical UTF-8 JSON text: sorted keys, two-space indent, trailing
-    newline.  Equal objects serialize byte-identically."""
-    return json.dumps(document_data(obj, kind), ensure_ascii=False,
-                      indent=2, sort_keys=True) + "\n"
+    newline.  Equal objects serialize byte-identically.
+
+    The text is that of ``json.dumps(data, ensure_ascii=False, indent=2,
+    sort_keys=True)``, written by :func:`_json`, which joins each list of
+    ints in one step; ``json.dumps`` with an indent always runs its
+    pure-Python encoder."""
+    return _json(document_data(obj, kind), "") + "\n"
+
+
+def _json(value, indent: str) -> str:
+    """``value`` as ``json.dumps(value, ensure_ascii=False, indent=2,
+    sort_keys=True)`` writes it at ``indent``.  Takes str, int, bool, None,
+    lists and tuples, and dicts with str keys, each of exactly that type;
+    anything else, floats included, raises TypeError."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return str(value)
+    if value is None or value is True or value is False:
+        return _LITERALS[value]
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        if set(map(type, value)) == {int}:
+            body = sep.join(map(str, value))
+        else:
+            body = sep.join([_json(v, inner) for v in value])
+        return f"[\n{inner}{body}\n{indent}]"
+    if kind is dict and all(type(key) is str for key in value):
+        if not value:
+            return "{}"
+        body = sep.join([f"{_quote(key)}: {_json(v, inner)}"
+                         for key, v in sorted(value.items())])
+        return f"{{\n{inner}{body}\n{indent}}}"
+    raise TypeError(f"cannot write a {kind.__name__} to a document")
+
+
+_quote = json.encoder.encode_basestring
+_LITERALS = {None: "null", True: "true", False: "false"}
 
 
 def _check_poset(payload: tuple) -> ValidationReport:
@@ -408,11 +448,22 @@ def _lifted_dual(system):
 
 def _plonka_roundtrip(b: FiniteAlgebra, kind: str) -> None:
     """Check that ``b`` is isomorphic to the Plonka sum of its
-    decomposition."""
+    decomposition.
+
+    The decomposition names the isomorphism: the sum puts the elements of
+    ``b`` fiber by fiber (:func:`algdual.systems.plonka_layout`).  That map
+    is checked with :func:`as_isomorphism`; as ``b`` is valid, so is a sum
+    isomorphic to it, and the sum is not validated again.  Only if the
+    check fails does :func:`find_isomorphism` search, so the verdict and
+    the message are those of the search."""
     system = resolve(KIND_TABLE[kind]["plonka"][1])(b)
-    if find_isomorphism(resolve(("systems", "plonka_sum"))(system), b,
-                        kind) is None:
-        raise IsomorphismFailure("sum of decomposition not isomorphic")
+    total = resolve(("systems", "plonka_sum"))(system)
+    layout = resolve(("systems", "plonka_layout"))(b, kind)
+    try:
+        as_isomorphism(total, b, layout, kind)
+    except AlgebraError:
+        if find_isomorphism(total, b, kind) is None:
+            raise IsomorphismFailure("sum of decomposition not isomorphic")
 
 
 def _plonka_sum(system) -> Document:

@@ -9,14 +9,16 @@ spaces or posets, anything with a ``size``) and reverse the arrows.
 
 The Plonka sum lays its carrier out canonically: fibers concatenated in
 index order, elements in fiber order, so equal inputs produce identical
-tables.  The decomposition splits a bisemilattice into
-distributive-lattice fibers along ``a * b = a . (a + b)``, and an involutive
-bisemilattice into the same fibers, there Boolean algebras indexed by
-their local units ``a + a'``.
+tables, and :func:`plonka_layout` names the bijection from the sum of a
+decomposition onto the decomposed algebra.  The decomposition splits a
+bisemilattice into distributive-lattice fibers along
+``a * b = a . (a + b)``, and an involutive bisemilattice into the same
+fibers, there Boolean algebras indexed by their local units ``a + a'``.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Mapping, Optional, Sequence
 
 from .algebra import (
@@ -30,6 +32,7 @@ from .algebra import (
     enumerate_homs,
     ibsl_completion,
     morphism_violations,
+    row_kernel,
     validate_bisemilattice,
     validate_ibsl,
     validate_for_kind,
@@ -296,38 +299,53 @@ def plonka_sum(system: DirectSystem) -> FiniteAlgebra:
 
     Over Boolean fibers the sum is an involutive bisemilattice; over
     distributive-lattice fibers it is a bisemilattice.
+
+    Tables are built by whole rows.  For a pair of fibers (i1, i2) with
+    join j, the segment of the row of element a of fiber i1 under fiber i2
+    is one gather of the transition i2 -> j through row ``t(a)`` of fiber
+    j's table, shifted to j's offset, where t is the transition i1 -> j
+    (see :func:`algdual.algebra.row_kernel`).  ``tests/oracles.py`` keeps
+    the cell-by-cell form.
     """
     idx = system.index
     offs = system.offsets()
     total = system.total_size()
-    pairs = [(i, a) for i in range(idx.size)
-             for a in range(system.fibers[i].size)]
+    make, gather, pad = row_kernel(total)
+    concat = (b"".join if make is bytes
+              else lambda rows: tuple(chain.from_iterable(rows)))
+    fibers = [system.fibers[i] for i in range(idx.size)]
+    # per fiber pair (i1, i2): transition i1 -> j, transition i2 -> j as a
+    # row, and j, for j = i1 + i2
+    blocks = []
+    for i1 in range(idx.size):
+        pair_blocks = []
+        for i2 in range(idx.size):
+            j = idx.join(i1, i2)
+            pair_blocks.append((system.transitions[(i1, j)],
+                                make(system.transitions[(i2, j)]), j))
+        blocks.append(pair_blocks)
 
     names = None
-    if all(system.fibers[i].names for i in range(idx.size)):
+    if all(f.names for f in fibers):
         idx_names = idx.algebra.names or tuple(str(i) for i in range(idx.size))
-        names = tuple(f"{system.fibers[i].names[a]}@{idx_names[i]}"
-                      for (i, a) in pairs)
+        names = tuple(f"{x}@{idx_names[i]}"
+                      for i, f in enumerate(fibers) for x in f.names)
 
-    op_names = system.fibers[0].binary_ops.keys()
     binary = {}
-    for name in op_names:
+    for name in fibers[0].binary_ops:
+        shifted = [[pad([offs[j] + v for v in row]) for row in f.binary(name)]
+                   for j, f in enumerate(fibers)]
         table = []
-        for (i1, a1) in pairs:
-            row = []
-            for (i2, a2) in pairs:
-                j = idx.join(i1, i2)
-                b1 = system.transitions[(i1, j)][a1]
-                b2 = system.transitions[(i2, j)][a2]
-                row.append(offs[j] + system.fibers[j].binary(name)[b1][b2])
-            table.append(row)
+        for i1, f in enumerate(fibers):
+            for a in range(f.size):
+                table.append(concat([gather(t2, shifted[j][t1[a]])
+                                     for t1, t2, j in blocks[i1]]))
         binary[name] = table
-    unary = {}
-    for name in system.fibers[0].unary_ops.keys():
-        unary[name] = [offs[i] + system.fibers[i].unary(name)[a]
-                       for (i, a) in pairs]
+    unary = {name: [offs[i] + v for i, f in enumerate(fibers)
+                    for v in f.unary(name)]
+             for name in fibers[0].unary_ops}
     constants = {name: offs[idx.bottom] + c
-                 for name, c in system.fibers[idx.bottom].constants.items()}
+                 for name, c in fibers[idx.bottom].constants.items()}
     return FiniteAlgebra(total, binary, unary, constants, names)
 
 
@@ -471,6 +489,18 @@ def plonka_decompose(b: FiniteAlgebra) -> DirectSystem:
     units = sorted((join[ms[0]][neg[ms[0]]], ms) for ms in _fiber_classes(star))
     names = tuple(c.element_name(e) for e, _ in units)
     return _split(c, star, [ms for _, ms in units], names, "ba")
+
+
+def plonka_layout(b: FiniteAlgebra, kind: str) -> list[int]:
+    """The elements of ``b`` in the order in which the Plonka sum of its
+    decomposition lays them out: fiber by fiber, and in each fiber in
+    increasing order.  As a map from the sum's carrier onto ``b`` it is the
+    canonical bijection.  ``kind`` is ``"ibsl"`` (fibers ordered by local
+    unit, as :func:`plonka_decompose` orders them) or ``"bsl"`` (by least
+    member, as :func:`plonka_decompose_bsl` does)."""
+    if kind == "ibsl":
+        return sorted(range(b.size), key=local_units(b).__getitem__)
+    return [x for ms in _fiber_classes(star_table(b)) for x in ms]
 
 
 # ---------------------------------------------------------------------------

@@ -437,3 +437,57 @@ def tuple_order(points):
 def tuple_negations(points, neg):
     """(-phi)(a) = (phi(-a))' for each of the tuple ``points``."""
     return [tuple(NEG3[phi[b]] for b in neg) for phi in points]
+
+
+def loop_plonka_sum(system):
+    """``systems.plonka_sum`` one table cell at a time: push both arguments
+    into the join fiber along the transitions, apply the fiber's operation
+    there and add the fiber's offset."""
+    from algdual.algebra import FiniteAlgebra
+
+    idx = system.index
+    offs = system.offsets()
+    pairs = [(i, a) for i in range(idx.size)
+             for a in range(system.fibers[i].size)]
+    names = None
+    if all(system.fibers[i].names for i in range(idx.size)):
+        idx_names = idx.algebra.names or tuple(str(i) for i in range(idx.size))
+        names = tuple(f"{system.fibers[i].names[a]}@{idx_names[i]}"
+                      for (i, a) in pairs)
+    binary = {}
+    for name in system.fibers[0].binary_ops:
+        table = []
+        for (i1, a1) in pairs:
+            row = []
+            for (i2, a2) in pairs:
+                j = idx.join(i1, i2)
+                b1 = system.transitions[(i1, j)][a1]
+                b2 = system.transitions[(i2, j)][a2]
+                row.append(offs[j] + system.fibers[j].binary(name)[b1][b2])
+            table.append(row)
+        binary[name] = table
+    unary = {name: [offs[i] + system.fibers[i].unary(name)[a]
+                    for (i, a) in pairs]
+             for name in system.fibers[0].unary_ops}
+    constants = {name: offs[idx.bottom] + c
+                 for name, c in system.fibers[idx.bottom].constants.items()}
+    return FiniteAlgebra(len(pairs), binary, unary, constants, names)
+
+
+def loop_permute_algebra(a, perm):
+    """``algebra.permute_algebra`` one table cell at a time."""
+    from algdual.algebra import FiniteAlgebra
+
+    inv = [0] * a.size
+    for old, new in enumerate(perm):
+        inv[new] = old
+    binary = {name: [[perm[t[inv[x]][inv[y]]] for y in range(a.size)]
+                     for x in range(a.size)]
+              for name, t in a.binary_ops.items()}
+    unary = {name: [perm[t[inv[x]]] for x in range(a.size)]
+             for name, t in a.unary_ops.items()}
+    constants = {name: perm[c] for name, c in a.constants.items()}
+    names = None
+    if a.names is not None:
+        names = tuple(a.names[inv[x]] for x in range(a.size))
+    return FiniteAlgebra(a.size, binary, unary, constants, names)

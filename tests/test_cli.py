@@ -555,12 +555,12 @@ def test_hom_and_iso_never_end_in_a_traceback(capsys, tmp_path):
                 for cmd in ("hom", "iso")} == {1}
 
 
-def _algctl(*argv) -> subprocess.Popen:
-    """``python -m algdual.cli ARGV`` with buffered stdout: under
-    PYTHONUNBUFFERED the text layer writes straight to the file and drops
-    the rest of a short write to a closed pipe without an error."""
+def _algctl(*argv, unbuffered=False) -> subprocess.Popen:
+    """``python -m algdual.cli ARGV``, with PYTHONUNBUFFERED set or not."""
     env = {key: value for key, value in os.environ.items()
            if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     env["PYTHONPATH"] = str(ROOT / "src")
     return subprocess.Popen([sys.executable, "-m", "algdual.cli", *argv],
                             env=env, stdout=subprocess.PIPE,
@@ -569,16 +569,19 @@ def _algctl(*argv) -> subprocess.Popen:
 
 def test_closed_stdout_exits_2_with_one_line(tmp_path):
     # the dual of a 7-point space is 400 kB of text, more than a pipe
-    # holds, so the writer is still writing when the reader goes away
+    # holds, so the writer is still writing when the reader goes away.
+    # Unbuffered, the text layer would drop the rest of the short write
+    # that the closed pipe leaves, and the program would exit 0.
     path = tmp_path / "space.json"
     path.write_text('{"kind": "space", "size": 7}', encoding="utf-8")
-    proc = _algctl("dual", str(path))
-    assert proc.stdout.readline() == b'{\n'
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    proc.stderr.close()
-    assert proc.wait(timeout=60) == 2
-    assert err == "error: stdout closed before the output was written\n"
+    for unbuffered in (False, True):
+        proc = _algctl("dual", str(path), unbuffered=unbuffered)
+        assert proc.stdout.readline() == b'{\n'
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 2, unbuffered
+        assert err == "error: stdout closed before the output was written\n"
 
 
 def _ladder_ibsl48() -> str:

@@ -147,6 +147,7 @@ def test_commands_without_a_system_step_load_no_systems(algebra_files, argv):
     ["plonka", "decompose", "{ibsl}"],
     ["plonka", "decompose", "{bsl}"],
     ["plonka", "sum", "{direct-system}"],
+    ["roundtrip", "{bsl}"],
     ["hasse", "{poset}", "--order", "box"],
     ["dual", "{dl}"],
     ["dual", "{poset}"],

@@ -184,9 +184,10 @@ def test_the_memo_keeps_no_object_alive():
 # object is validated once
 PIPELINE_CHECKS = {
     # the input (10), the index semilattice (4), four Boolean fibers (14
-    # each), the relabelled Plonka sum (10), the dual (its base's 3 star
-    # laws) and the double dual (10)
-    "roundtrip": 93,
+    # each), the dual (its base's 3 star laws) and the double dual (10); the
+    # Plonka sum is not validated, as the checked bijection onto the valid
+    # input shows it valid
+    "roundtrip": 83,
     # the input (10) and the dual's base (3)
     "dual": 13,
 }
