@@ -849,21 +849,30 @@ _KIND_CLASSES = {**dict.fromkeys(ALGEBRA_KINDS, ("FiniteAlgebra",)),
 
 
 def _signature(source, target, kind: str):
-    """What a kind-hom source -> target must preserve, as ``(binary, unary,
-    constants, order, reflect)``: ``(name, source part, target part)``
-    triples for the binary tables, unary maps and constants, the (source,
-    target) order matrices or None, and whether the order must also be
-    reflected.  Raises KindMismatch when a side lacks required structure."""
+    """What a kind-hom f: source -> target must satisfy, for the check
+    (:func:`morphism_violations`) and the search alike, as ``(binary,
+    unary, constants, labels, order, reflect)``.  The first four list
+    ``(name, source part, target part)`` triples: the tables, maps and
+    constants f preserves, and the labels it keeps, ``target part[f x] ==
+    source part[x]``, an O(n) restriction of each element's values.
+    ``igr`` maps keep the zero-morphism (others dualize to maps that do not
+    preserve zero); a side without one has labels no value matches.
+    ``order`` is the (source, target) order matrices or None, and
+    ``reflect`` is set for ``poset``.  Raises KindMismatch when a side
+    lacks required structure."""
     if kind == "poset":
-        return [], [], [], (source.leq, target.leq), True
+        return [], [], [], [], (source.leq, target.leq), True
     if kind in SPACE_KINDS:
-        if kind == "igr" and not (hasattr(source, "neg")
-                                  and hasattr(target, "neg")):
+        igr = kind == "igr"
+        if igr and not (hasattr(source, "neg") and hasattr(target, "neg")):
             raise KindMismatch("kind 'igr' needs an involution on both sides")
+        zero = resolve(("duality", "zero_morphism"))
         return ([("star", source.star, target.star)],
-                [("neg", source.neg, target.neg)] if kind == "igr" else [],
+                [("neg", source.neg, target.neg)] if igr else [],
                 [(nm, getattr(source, nm), getattr(target, nm))
                  for nm in ("c0", "c1", "calpha")],
+                [("zero-morphism", zero(source) or (-1,) * source.size,
+                  zero(target) or (-2,) * target.size)] if igr else [],
                 (source.leq, target.leq), False)
     if kind not in ALGEBRA_KINDS:
         raise KindMismatch(f"unknown morphism kind {kind!r}")
@@ -884,7 +893,12 @@ def _signature(source, target, kind: str):
     return ([(nm, source.binary(nm), target.binary(nm)) for nm in binary],
             [(nm, source.unary(nm), target.unary(nm)) for nm in unary],
             [(nm, source.const(nm), target.const(nm)) for nm in constants],
-            None, False)
+            [], None, False)
+
+
+def _related_pairs(leq) -> int:
+    """The number of related pairs (x, y), x <= y, of an order matrix."""
+    return sum(map(sum, leq))
 
 
 def _first_cell(f: Sequence[int], ta: Table, tb: Table):
@@ -897,55 +911,45 @@ def _first_cell(f: Sequence[int], ta: Table, tb: Table):
     return None
 
 
-def morphism_violations(source, target, mapping: Sequence[int], kind: str,
-                        stop_early: bool = False) -> list[tuple[str, tuple[int, ...]]]:
-    """All (equation, witness) pairs violated by ``mapping``, at most one
-    per equation: constants, the ``igr`` zero-morphism, unary maps, binary
-    tables, then the order.
+def _first_pair(f: Sequence[int], la, lb, related=operator.le):
+    """The first (x, y) with ``not related(la[x][y], lb[f x][f y])``, or
+    None: where f fails to preserve (``le``) or to reflect (``eq``) it."""
+    for x, row in enumerate(la):
+        image = lb[f[x]]
+        for y, v in enumerate(row):
+            if not related(v, image[f[y]]):
+                return x, y
+    return None
 
-    Works for algebra kinds (sl/bsl/dl/ibsl/ba) and ordered-space kinds
-    (gr/igr); the latter additionally require order preservation.
-    """
+
+def morphism_violations(source, target, mapping: Sequence[int],
+                        kind: str) -> Optional[tuple[str, tuple[int, ...]]]:
+    """The first condition of :func:`_signature` that ``mapping`` violates,
+    as ``(name, witness)``, or None: constants, labels, unary maps, binary
+    tables, then the order, each with its first witness."""
     f = mapping
-    n = source.size
-    binary, unary, constants, order, reflect = _signature(source, target,
-                                                          kind)
-    out = []
-
-    def found(name, witness) -> bool:
-        out.append((name, witness))
-        return stop_early
-
+    binary, unary, constants, labels, order, reflect = _signature(
+        source, target, kind)
     for name, ca, cb in constants:
-        if f[ca] != cb and found(name, (ca,)):
-            return out
-    if kind == "igr":
-        # involutive dual-space morphisms must pull the target's neutral
-        # evaluation morphism back to the source's, or they dualize to maps
-        # that do not preserve the algebras' zero
-        from .duality import zero_morphism
-
-        z_src, z_tgt = zero_morphism(source), zero_morphism(target)
-        if (z_src is None or z_tgt is None
-                or tuple(z_tgt[f[x]] for x in range(n)) != z_src):
-            if found("zero-morphism", ()):
-                return out
+        if f[ca] != cb:
+            return name, (ca,)
+    for name, la, lb in labels:
+        for x, v in enumerate(f):
+            if lb[v] != la[x]:
+                return name, (x,)
     for name, ua, ub in unary:
-        w = next(((x,) for x in range(n) if f[ua[x]] != ub[f[x]]), None)
-        if w is not None and found(name, w):
-            return out
+        for x, v in enumerate(f):
+            if f[ua[x]] != ub[v]:
+                return name, (x,)
     for name, ta, tb in binary:
         w = _first_cell(f, ta, tb)
-        if w is not None and found(name, w):
-            return out
-    if order is not None:
-        la, lb = order
-        related = operator.eq if reflect else operator.le
-        w = next(((x, y) for x in range(n) for y in range(n)
-                  if not related(la[x][y], lb[f[x]][f[y]])), None)
         if w is not None:
-            found("order", w)
-    return out
+            return name, w
+    if order is not None:
+        w = _first_pair(f, *order, operator.eq if reflect else operator.le)
+        if w is not None:
+            return "order", w
+    return None
 
 
 class Morphism(Record):
@@ -962,11 +966,10 @@ class Morphism(Record):
             raise InvalidMorphism("map length does not match source carrier")
         if any(v < 0 or v >= target.size for v in map):
             raise InvalidMorphism("map has out-of-range values")
-        bad = morphism_violations(source, target, map, kind, stop_early=True)
-        if bad:
-            name, witness = bad[0]
+        bad = morphism_violations(source, target, map, kind)
+        if bad is not None:
             raise InvalidMorphism(
-                f"map does not preserve {name!r} at {witness}")
+                f"map does not preserve {bad[0]!r} at {bad[1]}")
         self.__dict__.update(source=source, target=target, map=map,
                              kind=kind)
 
@@ -1002,20 +1005,18 @@ class Morphism(Record):
 
 def as_isomorphism(source, target, map: Sequence[int], kind: str) -> Morphism:
     """``map`` as an isomorphism source -> target, by the rule of
-    :func:`find_isomorphism`: a bijective kind-hom that, for the ordered
-    kinds ``gr``, ``igr`` and ``poset``, also reflects the order (a
-    ``poset`` hom reflects it already).  The rule is exact: the inverse of a
-    bijective algebra hom is a hom, and a bijection that preserves star, the
-    constants, the involution and the zero-morphism has an inverse that
-    preserves them too.  Raises IsomorphismFailure otherwise."""
+    :func:`find_isomorphism`: a bijective kind-hom whose inverse is one.
+    The inverse of a bijective hom preserves the tables, constants,
+    involution and zero-morphism; it preserves the order exactly when both
+    orders have equally many related pairs, as f maps the related pairs
+    injectively into the related pairs.  Raises IsomorphismFailure
+    otherwise."""
     try:
         m = Morphism(source, target, map, kind)
     except InvalidMorphism as exc:
         raise IsomorphismFailure(f"map is not a {kind!r} morphism: {exc}")
-    f = m.map
-    if not m.is_bijective or kind in SPACE_KINDS and any(
-            source.leq[x][y] != target.leq[f[x]][f[y]]
-            for x in range(source.size) for y in range(source.size)):
+    if not m.is_bijective or kind in SPACE_KINDS and (
+            _related_pairs(source.leq) != _related_pairs(target.leq)):
         raise IsomorphismFailure(f"map is not a {kind!r} isomorphism")
     return m
 
@@ -1050,8 +1051,12 @@ def enumerate_homs(source, target, kind: str, *, validate=True) -> list[Morphism
 
 
 def find_isomorphism(source, target, kind: str, *, validate=True) -> Optional[Morphism]:
-    """First (in lexicographic order) bijective kind-hom whose inverse is
-    also a kind-hom, or None."""
+    """First (in lexicographic order) isomorphism source -> target by the
+    rule of :func:`as_isomorphism`, or None; ``poset`` is a kind too.  An
+    element may go only to target elements of its colour
+    (:func:`algdual.search._joint_iso_colors`), as every isomorphism does.
+    Equal colour multisets give ordered sides equally many related pairs,
+    so the bijective homs found reflect the order."""
     from .search import _joint_iso_colors, _search_homs
 
     if validate:
@@ -1065,8 +1070,6 @@ def find_isomorphism(source, target, kind: str, *, validate=True) -> Optional[Mo
         return None
     candidates = [[v for v in range(target.size) if cb[v] == ca[x]]
                   for x in range(source.size)]
-    # A bijective hom whose inverse is a hom: for algebras every bijective
-    # hom, for spaces one that also reflects the order.
     found = _search_homs(source, target, kind, injective=True,
-                         candidates=candidates, limit=1, reflect=True)
+                         candidates=candidates, limit=1)
     return Morphism(source, target, found[0], kind) if found else None

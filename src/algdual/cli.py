@@ -57,6 +57,7 @@ from .algebra import (
 )
 from .documents import (
     KINDS,
+    _json,
     check_document,
     dumps_document,
     kind_entry,
@@ -125,10 +126,7 @@ def _report_json(report: ValidationReport) -> dict:
 
 def _emit_report(report: ValidationReport, payload, fmt: str) -> None:
     if fmt == "json":
-        import json
-
-        _stdout(json.dumps(_report_json(report), ensure_ascii=False,
-                           indent=2, sort_keys=True) + "\n")
+        _stdout(_json(_report_json(report), "") + "\n")
     else:
         _stdout("\n".join(_report_lines(report, payload)) + "\n")
 

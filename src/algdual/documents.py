@@ -31,10 +31,11 @@ from .algebra import (
     JoinSemilattice,
     Record,
     ValidationReport,
-    as_isomorphism,
     find_isomorphism,
+    ibsl_completion,
     is_partial_order,
     order_from_binary,
+    permute_algebra,
     resolve,
 )
 from .errors import AlgebraError, DocumentError, IsomorphismFailure
@@ -451,19 +452,22 @@ def _plonka_roundtrip(b: FiniteAlgebra, kind: str) -> None:
     decomposition.
 
     The decomposition names the isomorphism: the sum puts the elements of
-    ``b`` fiber by fiber (:func:`algdual.systems.plonka_layout`).  That map
-    is checked with :func:`as_isomorphism`; as ``b`` is valid, so is a sum
-    isomorphic to it, and the sum is not validated again.  Only if the
-    check fails does :func:`find_isomorphism` search, so the verdict and
-    the message are those of the search."""
+    ``b`` fiber by fiber (:func:`algdual.systems.plonka_layout`).  If the
+    layout is a bijection along which the sum has every table of ``b`` (of
+    its completion for ``ibsl``), the sum is ``b`` renamed, so it is valid.
+    Otherwise :func:`find_isomorphism` validates the sum and searches, so
+    the verdict and the message are those of the search."""
     system = resolve(KIND_TABLE[kind]["plonka"][1])(b)
     total = resolve(("systems", "plonka_sum"))(system)
     layout = resolve(("systems", "plonka_layout"))(b, kind)
-    try:
-        as_isomorphism(total, b, layout, kind)
-    except AlgebraError:
-        if find_isomorphism(total, b, kind) is None:
-            raise IsomorphismFailure("sum of decomposition not isomorphic")
+    if total.size == b.size and sorted(layout) == list(range(b.size)):
+        moved = permute_algebra(total, layout)
+        expected = ibsl_completion(b) if kind == "ibsl" else b
+        if all(getattr(moved, ops) == getattr(expected, ops)
+               for ops in ("binary_ops", "unary_ops", "constants")):
+            return
+    if find_isomorphism(total, b, kind) is None:
+        raise IsomorphismFailure("sum of decomposition not isomorphic")
 
 
 def _plonka_sum(system) -> Document:

@@ -30,6 +30,7 @@ from .algebra import (
     RawMap,
     Record,
     as_isomorphism,
+    find_isomorphism,
     is_partial_order,
     order_from_binary,
     validate_distributive_lattice,
@@ -214,13 +215,10 @@ def poset_double_dual_iso(p: FinitePoset) -> RawMap:
 
 
 def find_poset_isomorphism(p: FinitePoset, q: FinitePoset) -> Optional[RawMap]:
-    """First order isomorphism in lexicographic order, or None."""
-    from .search import _search_homs
-
-    if p.size != q.size:
-        return None
-    found = _search_homs(p, q, "poset", injective=True, limit=1)
-    return found[0] if found else None
+    """First order isomorphism in lexicographic order, or None: the
+    ``poset`` kind of :func:`find_isomorphism`, with its colouring."""
+    iso = find_isomorphism(p, q, "poset", validate=False)
+    return None if iso is None else iso.map
 
 
 # ---------------------------------------------------------------------------

@@ -12,21 +12,19 @@ from __future__ import annotations
 
 import operator
 
-from .algebra import _signature
+from .algebra import _related_pairs, _signature
 
 
 def _search_homs(source, target, kind: str, *, injective=False,
-                 candidates=None, limit=None,
-                 reflect=False) -> list[tuple[int, ...]]:
+                 candidates=None, limit=None) -> list[tuple[int, ...]]:
     """Value vectors of all kind-homs source -> target, in lexicographic
     order (by position in ``candidates[x]`` when given), at most ``limit``.
 
-    Kinds are the algebra kinds, ``gr`` and ``igr`` (for ``igr`` only maps
-    that pull the target's zero-morphism back to the source's, a
-    restriction of each element's values), and ``poset``: maps that
-    preserve and reflect the order, which with ``injective`` and equal sizes
-    are the order isomorphisms.  With ``reflect`` the maps of an ordered
-    kind must also reflect the order.
+    A kind-hom is what :func:`algdual.algebra._signature` states; its
+    labels restrict the values before the search.  Order pairs are checked
+    both ways for ``poset`` and for bijections between orders with equally
+    many related pairs, which reflect the order if they preserve it (see
+    :func:`algdual.algebra.as_isomorphism`).
 
     The search branches on f(0), f(1), ... in turn and propagates forced
     values.  Every equation is indexed under the elements it reads: a
@@ -49,22 +47,17 @@ def _search_homs(source, target, kind: str, *, injective=False,
     large carriers do not meet Python's recursion limit.
     """
     n, m = source.size, target.size
-    binary, unary, constants, order, kind_reflects = _signature(
+    binary, unary, constants, labels, order, reflect = _signature(
         source, target, kind)
     domains = [None] * n if candidates is None else [list(c) for c in candidates]
-    if kind == "igr":
-        # the zero-morphism condition z_tgt(f x) = z_src(x) is a per-element
-        # restriction of the values
-        from .duality import zero_morphism
-
-        z_src, z_tgt = zero_morphism(source), zero_morphism(target)
-        if z_src is None or z_tgt is None:
-            return []
+    for _, la, lb in labels:
         domains = [[v for v in (range(m) if d is None else d)
-                    if z_tgt[v] == z_src[x]] for x, d in enumerate(domains)]
+                    if lb[v] == la[x]] for x, d in enumerate(domains)]
     allowed = [None if d is None else set(d) for d in domains]
+    if order is not None and injective and n == m and not reflect:
+        reflect = _related_pairs(order[0]) == _related_pairs(order[1])
     # order pairs: x <= y must give f x <= f y, and with reflect the converse
-    related = operator.eq if reflect or kind_reflects else operator.le
+    related = operator.eq if reflect else operator.le
 
     # the cells reading e are row e of each table and row e of its
     # transpose; a table commutative on both sides needs no transpose
@@ -164,14 +157,18 @@ def _search_homs(source, target, kind: str, *, injective=False,
     return results
 
 
-def _joint_iso_colors(a, b, kind: str, rounds: int = 2):
-    """Isomorphism-invariant element colors for both endpoints at once.
+def _joint_iso_colors(a, b, kind: str):
+    """Isomorphism-invariant element colours of both endpoints, in one
+    canonical numbering, so an isomorphism a -> b keeps each colour.
 
-    The refinement starts from constant/fixed-point seeds and folds in the
-    multiset of colored operation rows, using one shared canonical numbering,
-    so any isomorphism a -> b must map an element to one of equal color.
+    Colours start from the constants and are refined (McKay and Piperno,
+    "Practical graph isomorphism, II", 2014): a round colours x by its
+    colour, its unary images' colours, per binary table the sorted entries
+    (colours of y, x*y, y*x; x*y = x, x*y = y, y*x = x) over y, and the
+    sorted (colour of y, x <= y, y <= x).  A round only splits classes, so
+    refinement stops at the first round that splits none.
     """
-    binary, unary, constants, order, _ = _signature(a, b, kind)
+    binary, unary, constants, _, order, _ = _signature(a, b, kind)
     sizes = (a.size, b.size)
 
     def canon(values_a, values_b):
@@ -179,13 +176,13 @@ def _joint_iso_colors(a, b, kind: str, rounds: int = 2):
         out = []
         for values in (values_a, values_b):
             out.append([table.setdefault(v, len(table)) for v in values])
-        return out
+        return out, len(table)
 
     # side s of each (name, source part, target part) triple is part 1 + s
-    colors = canon(
+    colors, classes = canon(
         *[[tuple(x == c[1 + s] for c in constants) for x in range(sizes[s])]
           for s in (0, 1)])
-    for _ in range(rounds):
+    while True:
         sigs = []
         for s in (0, 1):
             color = colors[s]
@@ -197,7 +194,8 @@ def _joint_iso_colors(a, b, kind: str, rounds: int = 2):
                 for op in binary:
                     t = op[1 + s]
                     sig.append(tuple(sorted(
-                        (color[y], color[t[x][y]], color[t[y][x]])
+                        (color[y], color[t[x][y]], color[t[y][x]],
+                         t[x][y] == x, t[x][y] == y, t[y][x] == x)
                         for y in range(sizes[s]))))
                 if order is not None:
                     leq = order[s]
@@ -206,5 +204,7 @@ def _joint_iso_colors(a, b, kind: str, rounds: int = 2):
                         for y in range(sizes[s]))))
                 side.append(tuple(sig))
             sigs.append(side)
-        colors = canon(*sigs)
-    return colors
+        colors, refined = canon(*sigs)
+        if refined == classes:
+            return colors
+        classes = refined

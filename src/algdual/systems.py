@@ -29,6 +29,7 @@ from .algebra import (
     RawMap,
     Record,
     ValidationReport,
+    _first_pair,
     enumerate_homs,
     ibsl_completion,
     morphism_violations,
@@ -161,30 +162,20 @@ def check_system(index_algebra: FiniteAlgebra, bottom: int,
                         (bad_id, bad_id) if bad_id is not None else None))
 
     if kind is not None:
-        hom_witness = None
-        for (i, j) in pairs:
-            src, tgt = endpoints(i, j)
-            bad = morphism_violations(src, tgt, tuple(arrows[(i, j)]), kind,
-                                      stop_early=True)
-            if bad:
-                hom_witness = (i, j)
-                break
+        hom_witness = next(
+            ((i, j) for (i, j) in pairs
+             if morphism_violations(*endpoints(i, j), tuple(arrows[(i, j)]),
+                                    kind) is not None), None)
         checks.append(Check("arrows-are-homs", hom_witness is None, hom_witness))
     else:
         mono_witness = None
         for (i, j) in pairs:
             src, tgt = endpoints(i, j)
             if hasattr(src, "leq") and hasattr(tgt, "leq"):
-                vec = arrows[(i, j)]
-                for x in range(src.size):
-                    for y in range(src.size):
-                        if src.leq[x][y] and not tgt.leq[vec[x]][vec[y]]:
-                            mono_witness = (i, j, x, y)
-                            break
-                    if mono_witness:
-                        break
-            if mono_witness:
-                break
+                w = _first_pair(arrows[(i, j)], src.leq, tgt.leq)
+                if w is not None:
+                    mono_witness = (i, j, *w)
+                    break
         checks.append(Check("arrows-monotone", mono_witness is None, mono_witness))
 
     join = index_algebra.binary("join")

@@ -8,7 +8,12 @@ from random import Random
 import pytest
 
 from algdual import documents, systems
-from algdual.algebra import permute_algebra
+from algdual.algebra import (
+    FiniteAlgebra,
+    builtin,
+    permute_algebra,
+    validate_ibsl,
+)
 from algdual.cli import main
 from algdual.documents import dumps_document
 from algdual.generate import (
@@ -134,3 +139,23 @@ def test_non_isomorphic_sum_still_fails(capsys, tmp_path, monkeypatch,
         "name": "plonka-roundtrip", "holds": False, "witness": None,
         "note": "sum of decomposition not isomorphic"}
     assert searches == ["ibsl"]
+
+
+def test_sum_with_a_wrong_meet_fails(capsys, monkeypatch):
+    """An ``ibsl`` hom preserves join, neg and zero only, so a sum whose
+    meet table is wrong must fail on its tables, not pass as isomorphic."""
+    plonka_sum = systems.plonka_sum
+
+    def corrupted(system):
+        total = plonka_sum(system)
+        meet = [list(row) for row in total.binary("meet")]
+        meet[0][1] = (meet[0][1] + 1) % total.size
+        return FiniteAlgebra(total.size, {**total.binary_ops, "meet": meet},
+                             total.unary_ops, total.constants, total.names)
+
+    monkeypatch.setattr(systems, "plonka_sum", corrupted)
+    assert not validate_ibsl(corrupted(
+        systems.plonka_decompose(builtin("wk")))).ok
+    code, checks = _roundtrip(capsys, "builtin:wk")
+    assert code == 1
+    assert not checks["plonka-roundtrip"]["holds"]

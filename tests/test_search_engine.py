@@ -4,6 +4,7 @@ on seeded lawful tables and on perturbed ones, where forced values run
 into conflicts."""
 
 import sys
+import time
 from random import Random
 
 import pytest
@@ -12,6 +13,7 @@ from algdual import search
 from algdual.algebra import (
     FiniteAlgebra,
     Morphism,
+    as_isomorphism,
     builtin,
     enumerate_homs,
     find_isomorphism,
@@ -29,7 +31,9 @@ from algdual.duality import (
     wk_space,
     zero_morphism,
 )
+from algdual.errors import IsomorphismFailure
 from algdual.generate import (
+    _chain_index,
     random_boolean_algebra,
     random_bsl,
     random_distributive_lattice,
@@ -37,9 +41,11 @@ from algdual.generate import (
     random_join_semilattice,
     random_permutation,
     random_poset,
+    random_presheaf_system,
 )
 from algdual.lattices import FinitePoset, find_poset_isomorphism
 from algdual.search import _search_homs
+from algdual.systems import plonka_sum
 
 from oracles import (
     KIND_OPS,
@@ -200,6 +206,22 @@ def test_find_isomorphism_of_spaces_reflects_the_order():
     assert validate_gr_space(weaker).ok
     assert Morphism(weaker, g, range(g.size), "gr").is_bijective
     assert find_isomorphism(weaker, g, "gr") is None
+    with pytest.raises(IsomorphismFailure):
+        as_isomorphism(weaker, g, range(g.size), "gr")
+    assert as_isomorphism(g, g, range(g.size), "gr").map == \
+        tuple(range(g.size))
+
+
+def test_find_isomorphism_on_the_k48_chain_ladder():
+    """The Plonka sum over a 48-element chain index (n=292) against a
+    relabelling: colours refined to a fixed point separate the chain
+    levels, so the validated search ends in seconds."""
+    total = plonka_sum(random_presheaf_system(Random(3), _chain_index(48), 4))
+    moved = permute_algebra(total, random_permutation(Random(5), total.size))
+    start = time.perf_counter()
+    iso = find_isomorphism(total, moved, "ibsl")
+    assert time.perf_counter() - start < 60
+    assert iso is not None and iso.is_bijective
 
 
 def test_injective_candidates_search_matches_filtered_naive():
