@@ -546,17 +546,16 @@ _VERDICTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def validated_once(validate):
-    """Memoize ``validate(obj, subject=...)`` weakly per object: validating
-    an object again, or an equal one (objects are immutable and compare by
-    their fields), costs one hash, and the memo dies with its objects."""
-    (default_subject,) = validate.__defaults__
+    """Memoize ``validate(obj)`` weakly per object: validating an object
+    again, or an equal one (objects are immutable and compare by their
+    fields), returns the stored report, and the memo dies with its objects."""
 
     @functools.wraps(validate)
-    def memoized(obj, subject=default_subject) -> ValidationReport:
-        verdicts = _VERDICTS.setdefault(obj, {})
-        if memoized not in verdicts:
-            verdicts[memoized] = validate(obj).checks
-        return ValidationReport(subject, verdicts[memoized])
+    def memoized(obj) -> ValidationReport:
+        reports = _VERDICTS.setdefault(obj, {})
+        if memoized not in reports:
+            reports[memoized] = validate(obj)
+        return reports[memoized]
 
     return memoized
 
@@ -574,11 +573,11 @@ def _require(a: FiniteAlgebra, binary=(), unary=(), constants=()):
 
 
 @validated_once
-def validate_bisemilattice(a: FiniteAlgebra, subject="bisemilattice") -> ValidationReport:
+def validate_bisemilattice(a: FiniteAlgebra) -> ValidationReport:
     """Check that join and meet are both semilattice operations distributing
     over each other."""
     _require(a, binary=("join", "meet"))
-    return ValidationReport(subject, tuple(_identity_checks(a, BISEMILATTICE_IDENTITIES)))
+    return ValidationReport("bisemilattice", tuple(_identity_checks(a, BISEMILATTICE_IDENTITIES)))
 
 
 def ibsl_completion(a: FiniteAlgebra) -> FiniteAlgebra:
@@ -603,7 +602,7 @@ def ibsl_completion(a: FiniteAlgebra) -> FiniteAlgebra:
 
 
 @validated_once
-def validate_ibsl(a: FiniteAlgebra, subject="involutive bisemilattice") -> ValidationReport:
+def validate_ibsl(a: FiniteAlgebra) -> ValidationReport:
     """Check the involutive-bisemilattice axioms I1-I8 plus two derived laws.
 
     Requires join, neg and zero; meet and one are synthesized when absent and
@@ -612,33 +611,33 @@ def validate_ibsl(a: FiniteAlgebra, subject="involutive bisemilattice") -> Valid
     _require(a, binary=("join",), unary=("neg",), constants=("zero",))
     b = ibsl_completion(a)
     checks = _identity_checks(b, IBSL_IDENTITIES + IBSL_DERIVED)
-    return ValidationReport(subject, tuple(checks))
+    return ValidationReport("involutive bisemilattice", tuple(checks))
 
 
 @validated_once
-def validate_boolean_algebra(a: FiniteAlgebra, subject="boolean algebra") -> ValidationReport:
+def validate_boolean_algebra(a: FiniteAlgebra) -> ValidationReport:
     """Bounded distributive lattice plus complement laws."""
     _require(a, binary=("join", "meet"), unary=("neg",), constants=("zero", "one"))
     identities = BISEMILATTICE_IDENTITIES + LATTICE_ABSORPTION + BOOLEAN_COMPLEMENT
-    return ValidationReport(subject, tuple(_identity_checks(a, identities)))
+    return ValidationReport("boolean algebra", tuple(_identity_checks(a, identities)))
 
 
 @validated_once
-def validate_distributive_lattice(a: FiniteAlgebra, subject="distributive lattice") -> ValidationReport:
+def validate_distributive_lattice(a: FiniteAlgebra) -> ValidationReport:
     _require(a, binary=("join", "meet"))
     identities = BISEMILATTICE_IDENTITIES + LATTICE_ABSORPTION
-    return ValidationReport(subject, tuple(_identity_checks(a, identities)))
+    return ValidationReport("distributive lattice", tuple(_identity_checks(a, identities)))
 
 
 @validated_once
-def validate_semilattice(a: FiniteAlgebra, subject="join semilattice") -> ValidationReport:
+def validate_semilattice(a: FiniteAlgebra) -> ValidationReport:
     """Single-operation semilattice; the bottom law is checked when a bottom
     constant is declared."""
     _require(a, binary=("join",))
     checks = _identity_checks(a, BISEMILATTICE_IDENTITIES[:3])
     if "bottom" in a.constants:
         checks.extend(_identity_checks(a, SEMILATTICE_BOTTOM))
-    return ValidationReport(subject, tuple(checks))
+    return ValidationReport("join semilattice", tuple(checks))
 
 
 # ---------------------------------------------------------------------------
@@ -755,6 +754,34 @@ def builtin(name: str) -> FiniteAlgebra:
 # Join semilattices (index sets of systems)
 # ---------------------------------------------------------------------------
 
+def _first_not_above(join: Table, b: int) -> Optional[int]:
+    """The first x with b + x != x in the join table, or None."""
+    return next((x for x in range(len(join)) if join[b][x] != x), None)
+
+
+def least_element(join: Table) -> Optional[int]:
+    """The first element of the join table below every element, or None."""
+    return next((b for b in range(len(join))
+                 if _first_not_above(join, b) is None), None)
+
+
+def comparable_pairs(join: Table) -> list[tuple[int, int]]:
+    """All pairs (i, j) with i + j = j, in lexicographic order."""
+    n = len(join)
+    return [(i, j) for i in range(n) for j in range(n) if join[i][j] == j]
+
+
+def index_checks(algebra: FiniteAlgebra,
+                 bottom: int) -> tuple[ValidationReport, Check]:
+    """The report of :func:`validate_semilattice` on an index, and its
+    ``index-bottom`` check, whose witness (bottom, x) names the first x
+    not above ``bottom``."""
+    report = validate_semilattice(algebra)
+    x = _first_not_above(algebra.binary("join"), bottom)
+    return report, Check("index-bottom", x is None,
+                         None if x is None else (bottom, x))
+
+
 class JoinSemilattice(Record):
     """A validated join semilattice with least element, used as an index set."""
 
@@ -762,10 +789,9 @@ class JoinSemilattice(Record):
     bottom: int
 
     def __init__(self, algebra: FiniteAlgebra, bottom: int):
-        validate_semilattice(algebra).require(
-            NotSemilattice, "join is not a semilattice operation")
-        join = algebra.binary("join")
-        if any(join[bottom][x] != x for x in range(algebra.size)):
+        report, least = index_checks(algebra, bottom)
+        report.require(NotSemilattice, "join is not a semilattice operation")
+        if not least.holds:
             raise MissingBottom(f"element {bottom} is not a least element")
         if algebra.constants.get("bottom", bottom) != bottom:
             raise ValueError("declared bottom constant disagrees")
@@ -776,11 +802,9 @@ class JoinSemilattice(Record):
                    names=None) -> "JoinSemilattice":
         join = _freeze_binary(table)
         if bottom is None:
-            n = len(join)
-            bottoms = [b for b in range(n) if all(join[b][x] == x for x in range(n))]
-            if not bottoms:
+            bottom = least_element(join)
+            if bottom is None:
                 raise MissingBottom("semilattice has no least element")
-            bottom = bottoms[0]
         alg = FiniteAlgebra(len(join), {"join": join},
                             constants={"bottom": bottom}, names=names)
         return cls(alg, bottom)
@@ -800,10 +824,7 @@ class JoinSemilattice(Record):
         return order_from_binary(self.algebra.binary("join"), "join")
 
     def comparable_pairs(self) -> list[tuple[int, int]]:
-        """All pairs (i, j) with i <= j, including the diagonal, in
-        lexicographic order."""
-        return [(i, j) for i in range(self.size) for j in range(self.size)
-                if self.leq(i, j)]
+        return comparable_pairs(self.algebra.binary("join"))
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,7 @@ from .documents import (
     load_document,
     realize_document,
 )
-from .errors import AlgebraError, DocumentError
+from .errors import AlgebraError, DocumentError, TooLarge
 
 _IDENTITY_VARS = ("x", "y", "z")
 
@@ -389,7 +389,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DocumentError as exc:
+    except (DocumentError, TooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AlgebraError as exc:

@@ -34,9 +34,11 @@ from .algebra import (
     find_isomorphism,
     ibsl_completion,
     is_partial_order,
+    least_element,
     order_from_binary,
     permute_algebra,
     resolve,
+    validate_for_kind,
 )
 from .errors import AlgebraError, DocumentError, IsomorphismFailure
 
@@ -195,10 +197,8 @@ def _parse_system(data: dict) -> SystemParts:
         raise _fail("index semilattice needs a 'join' op")
     bottom = index_algebra.constants.get("bottom")
     if bottom is None:
-        join = index_algebra.binary("join")
-        bottom = next(
-            (b for b in range(index_algebra.size)
-             if all(join[b][x] == x for x in range(index_algebra.size))), 0)
+        # without a least element, index-bottom fails at element 0
+        bottom = least_element(index_algebra.binary("join")) or 0
 
     variant = "direct" if data["kind"] == "direct-system" else "inverse"
     obj_key = "fibers" if variant == "direct" else "terms"
@@ -233,10 +233,8 @@ def _parse_system(data: dict) -> SystemParts:
 
                 objects[i] = FiniteSpace(size)
             elif inner == "poset":
-                size = _expect_int(doc, "size")
-                leq = _parse_matrix01(doc, "leq", size)
-                w = is_partial_order(leq)
-                if w is not None:
+                size, leq = _parse_poset(doc)
+                if is_partial_order(leq) is not None:
                     raise _fail(f"term {key!r} order is not a partial order")
                 from .lattices import FinitePoset
 
@@ -382,8 +380,7 @@ def _check_system(parts: SystemParts) -> ValidationReport:
 
     return check_system(parts.index_algebra, parts.bottom, parts.objects,
                         parts.arrows, parts.fiber_kind,
-                        inverse=(parts.variant == "inverse"),
-                        subject=f"{parts.variant}-system")
+                        inverse=(parts.variant == "inverse"))
 
 
 def _realize_system(parts: SystemParts):
@@ -455,8 +452,8 @@ def _plonka_roundtrip(b: FiniteAlgebra, kind: str) -> None:
     ``b`` fiber by fiber (:func:`algdual.systems.plonka_layout`).  If the
     layout is a bijection along which the sum has every table of ``b`` (of
     its completion for ``ibsl``), the sum is ``b`` renamed, so it is valid.
-    Otherwise :func:`find_isomorphism` validates the sum and searches, so
-    the verdict and the message are those of the search."""
+    Otherwise the sum is validated, and an invalid one fails with its
+    failing checks; a valid one is searched for an isomorphism."""
     system = resolve(KIND_TABLE[kind]["plonka"][1])(b)
     total = resolve(("systems", "plonka_sum"))(system)
     layout = resolve(("systems", "plonka_layout"))(b, kind)
@@ -466,6 +463,9 @@ def _plonka_roundtrip(b: FiniteAlgebra, kind: str) -> None:
         if all(getattr(moved, ops) == getattr(expected, ops)
                for ops in ("binary_ops", "unary_ops", "constants")):
             return
+    report = validate_for_kind(total, kind)
+    report.require(IsomorphismFailure, f"sum of decomposition is not a valid "
+                   f"{kind!r}: {[c.name for c in report.failures()]}")
     if find_isomorphism(total, b, kind) is None:
         raise IsomorphismFailure("sum of decomposition not isomorphic")
 

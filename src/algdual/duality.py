@@ -53,6 +53,7 @@ from .errors import (
     NotBoolean,
     NotGRSpace,
     NotIBSL,
+    TooLarge,
 )
 from .search import _search_homs
 
@@ -186,7 +187,7 @@ STAR_IDENTITIES = (
 
 
 @validated_once
-def validate_gr_space(g, subject="GR space") -> ValidationReport:
+def validate_gr_space(g) -> ValidationReport:
     """Left normal band + partial order + compatibility + constants (1)-(4).
 
     The finite stand-in for total order disconnectedness is recorded as the
@@ -248,7 +249,7 @@ def validate_gr_space(g, subject="GR space") -> ValidationReport:
     w = next(((a, b) for a in range(n) for b in range(n)
               if not g.leq[a][b] and not separates[b]), None)
     checks.append(Check("order-disconnected", w is None, w))
-    return ValidationReport(subject, tuple(checks))
+    return ValidationReport("GR space", tuple(checks))
 
 
 def _keeps_order(leq: OrderMatrix, maps) -> bool:
@@ -382,8 +383,7 @@ def _g5_witness(points, negations) -> Optional[tuple[int, int, int]]:
 
 
 @validated_once
-def validate_gr_involution(g: GRSpaceWithInvolution,
-                           subject="GR space with involution") -> ValidationReport:
+def validate_gr_involution(g: GRSpaceWithInvolution) -> ValidationReport:
     """G1-G6 on top of the base GR checks.
 
     G5 and G6 quantify over the enumerated hom-space into the three-point
@@ -396,7 +396,7 @@ def validate_gr_involution(g: GRSpaceWithInvolution,
     if not isinstance(g, GRSpaceWithInvolution):
         raise NotGRSpace("object carries no involution")
     base = g.base
-    checks = list(validate_gr_space(base, subject).checks)
+    checks = list(validate_gr_space(base).checks)
     n = g.size
     neg, star, leq, box = g.neg, g.star, g.leq, g.box
 
@@ -414,7 +414,7 @@ def validate_gr_involution(g: GRSpaceWithInvolution,
     if not all(c.holds for c in checks):
         checks.append(Check("G5", False, None, "not evaluated: base invalid"))
         checks.append(Check("G6", False, None, "not evaluated: base invalid"))
-        return ValidationReport(subject, tuple(checks))
+        return ValidationReport("GR space with involution", tuple(checks))
 
     homs = gr_homs(base)
     w = _g5_witness(_masks(homs), _masks(_negations(homs, neg)))
@@ -426,7 +426,7 @@ def validate_gr_involution(g: GRSpaceWithInvolution,
     found = zero is not None and _negations([zero], neg)[0] in set(homs)
     checks.append(Check("G6", found, None,
                         "" if found else "no neutral pair phi0, phi1"))
-    return ValidationReport(subject, tuple(checks))
+    return ValidationReport("GR space with involution", tuple(checks))
 
 
 # ---------------------------------------------------------------------------
@@ -453,10 +453,19 @@ def stone_dual_hom(h: Morphism) -> RawMap:
     return priestley_dual_hom(h)
 
 
+# at 10 points the two 1024 x 1024 tables take about 1.5 s to build
+MAX_POWER_SET_POINTS = 10
+
+
 def ba_of_space(x: FiniteSpace) -> FiniteAlgebra:
     """Power-set algebra of a finite space, carrier ordered as subset
     bitmasks: the down-set lattice of the discrete order with complement
-    and bounds."""
+    and bounds.  Spaces of more than :data:`MAX_POWER_SET_POINTS` points
+    raise :class:`TooLarge` before any table is built."""
+    if x.size > MAX_POWER_SET_POINTS:
+        raise TooLarge(f"the power-set algebra of a {x.size}-point space has "
+                       f"2^{x.size} elements, more than the limit of "
+                       f"2^{MAX_POWER_SET_POINTS}")
     from .lattices import dl_of_poset
 
     full = (1 << x.size) - 1
@@ -479,24 +488,19 @@ def stone_double_dual_iso(b: FiniteAlgebra) -> Morphism:
 # ---------------------------------------------------------------------------
 
 def lift_functor_dir_to_inv(s: DirectSystem) -> InverseSystem:
-    """Apply Stone duality fiberwise: same index, terms are the atom spaces,
-    bondings the dualized (reversed) transitions."""
-    from .systems import InverseSystem
+    """Stone duality applied fiberwise: terms are the atom spaces, bondings
+    the dualized (reversed) transitions."""
+    from .lattices import lift_to_inverse
 
-    terms = {i: stone_dual(s.fiber(i)) for i in range(s.index.size)}
-    bondings = {pair: stone_dual_hom(s.transition(*pair))
-                for pair in s.index.comparable_pairs()}
-    return InverseSystem(s.index, terms, bondings)
+    return lift_to_inverse(s, stone_dual)
 
 
 def lift_functor_inv_to_dir(s: InverseSystem) -> DirectSystem:
-    """Apply the power-set functor fiberwise: same index, fibers are the
-    power-set algebras, transitions the preimage homs of the bondings."""
-    from .lattices import preimage_transitions
-    from .systems import DirectSystem
+    """The power-set functor applied fiberwise: fibers are the power-set
+    algebras, transitions the preimage homs of the bondings."""
+    from .lattices import lift_to_direct
 
-    fibers = {i: ba_of_space(s.term(i)) for i in range(s.index.size)}
-    return DirectSystem(s.index, fibers, preimage_transitions(s), "ba")
+    return lift_to_direct(s, ba_of_space, "ba")
 
 
 def lift_system_morphism_dir_to_inv(m: DirectSystemMorphism) -> InverseSystemMorphism:

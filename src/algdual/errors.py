@@ -96,6 +96,10 @@ class IsomorphismFailure(AlgebraError):
     """
 
 
+class TooLarge(AlgebraError):
+    """A result over a fixed size bound, refused before it is built."""
+
+
 class UnknownBuiltin(AlgebraError):
     pass
 

@@ -225,42 +225,47 @@ def find_poset_isomorphism(p: FinitePoset, q: FinitePoset) -> Optional[RawMap]:
 # Systems of distributive lattices and posets
 # ---------------------------------------------------------------------------
 
-def lift_system_dl_to_posets(s: DirectSystem) -> InverseSystem:
-    """Apply Birkhoff duality fiberwise to a direct system of distributive
-    lattices (bound-preserving transitions only)."""
+def lift_to_inverse(s: DirectSystem, dual) -> InverseSystem:
+    """A duality applied termwise to a direct system: the same index, the
+    terms ``dual`` of the fibers, and the bondings the Birkhoff duals of
+    the transitions (bound-preserving transitions only)."""
     from .systems import InverseSystem
 
-    terms = {i: priestley_dual(s.fiber(i)) for i in range(s.index.size)}
+    terms = {i: dual(s.fiber(i)) for i in range(s.index.size)}
     bondings = {pair: priestley_dual_hom(s.transition(*pair))
                 for pair in s.index.comparable_pairs()}
     return InverseSystem(s.index, terms, bondings)
 
 
-def preimage_transitions(s: InverseSystem) -> dict[tuple[int, int], RawMap]:
-    """Transitions of the fiberwise down-set lattices of an inverse system:
-    a down-set of term i goes to its preimage under the bonding
-    term(j) -> term(i)."""
+def lift_to_direct(s: InverseSystem, algebra_of, kind: str) -> DirectSystem:
+    """The way back: the fibers ``algebra_of`` the terms, down-set algebras
+    of kind ``kind``, and as transitions the preimages under the bondings."""
+    from .systems import DirectSystem
+
+    # fibers first, so a term that ``algebra_of`` refuses as too large is
+    # refused before the masks below enumerate its subsets
+    fibers = {i: algebra_of(s.term(i)) for i in range(s.index.size)}
     transitions = {}
     for (i, j) in s.index.comparable_pairs():
         vec = s.bonding(i, j)
-        masks_i = downset_masks(s.term(i))
         rank_j = {m: p for p, m in enumerate(downset_masks(s.term(j)))}
-        table = []
-        for mask in masks_i:
-            img = sum(1 << x for x in range(s.term(j).size)
-                      if (mask >> vec[x]) & 1)
-            table.append(rank_j[img])
-        transitions[(i, j)] = tuple(table)
-    return transitions
+        transitions[(i, j)] = tuple(
+            rank_j[sum(1 << x for x in range(s.term(j).size)
+                       if (mask >> vec[x]) & 1)]
+            for mask in downset_masks(s.term(i)))
+    return DirectSystem(s.index, fibers, transitions, kind)
+
+
+def lift_system_dl_to_posets(s: DirectSystem) -> InverseSystem:
+    """Birkhoff duality applied fiberwise to a direct system of
+    distributive lattices."""
+    return lift_to_inverse(s, priestley_dual)
 
 
 def lift_system_posets_to_dl(s: InverseSystem) -> DirectSystem:
-    """Rebuild the down-set lattices fiberwise from an inverse system of
-    finite posets, transitions by preimage of bondings."""
-    from .systems import DirectSystem
-
-    fibers = {i: dl_of_poset(s.term(i)) for i in range(s.index.size)}
-    return DirectSystem(s.index, fibers, preimage_transitions(s), "dl")
+    """The down-set lattices rebuilt fiberwise from an inverse system of
+    finite posets."""
+    return lift_to_direct(s, dl_of_poset, "dl")
 
 
 def bsl_to_inverse_system(b: FiniteAlgebra) -> InverseSystem:

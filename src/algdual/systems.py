@@ -18,6 +18,7 @@ fibers, there Boolean algebras indexed by their local units ``a + a'``.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import chain
 from typing import Mapping, Optional, Sequence
 
@@ -30,14 +31,16 @@ from .algebra import (
     Record,
     ValidationReport,
     _first_pair,
+    comparable_pairs,
     enumerate_homs,
     ibsl_completion,
+    index_checks,
+    least_element,
     morphism_violations,
     row_kernel,
     validate_bisemilattice,
     validate_ibsl,
     validate_for_kind,
-    validate_semilattice,
 )
 from .errors import (
     DomainMismatch,
@@ -55,39 +58,16 @@ def _compose_raw(outer: Sequence[int], inner: Sequence[int]) -> RawMap:
     return tuple(outer[v] for v in inner)
 
 
-def _identity_raw(n: int) -> RawMap:
-    return tuple(range(n))
-
-
 # ---------------------------------------------------------------------------
 # Coherence checking, shared by both system variants
 # ---------------------------------------------------------------------------
 
-def _check_index(index_algebra: FiniteAlgebra, bottom: int) -> list[Check]:
-    checks = list(validate_semilattice(index_algebra).checks)
-    join = index_algebra.binary_ops.get("join")
-    if join is not None:
-        ok = all(join[bottom][x] == x for x in range(index_algebra.size))
-        witness = None
-        if not ok:
-            witness = next((bottom, x) for x in range(index_algebra.size)
-                           if join[bottom][x] != x)
-        checks.append(Check("index-bottom", ok, witness))
-    return checks
-
-
-def _comparable_pairs(index_algebra: FiniteAlgebra):
-    join = index_algebra.binary("join")
-    n = index_algebra.size
-    return [(i, j) for i in range(n) for j in range(n) if join[i][j] == j]
-
-
 def check_system(index_algebra: FiniteAlgebra, bottom: int,
                  objects: Mapping[int, object],
                  arrows: Mapping[tuple[int, int], Sequence[int]],
-                 kind: Optional[str], *, inverse: bool,
-                 subject: str) -> ValidationReport:
-    """Full coherence report for a system given raw tables.
+                 kind: Optional[str], *, inverse: bool) -> ValidationReport:
+    """Full coherence report for a system given raw tables, with subject
+    ``direct-system`` or ``inverse-system``.
 
     ``arrows`` maps comparable index pairs (i, j), i <= j, to value vectors;
     in a direct system the vector describes object(i) -> object(j), in an
@@ -95,7 +75,9 @@ def check_system(index_algebra: FiniteAlgebra, bottom: int,
     for direct systems; inverse-system terms need only sizes (plus
     monotonicity when they carry an order).
     """
-    checks = _check_index(index_algebra, bottom)
+    subject = "inverse-system" if inverse else "direct-system"
+    laws, least = index_checks(index_algebra, bottom)
+    checks = [*laws.checks, least]
     semilattice_ok = all(c.holds for c in checks)
 
     n = index_algebra.size
@@ -113,13 +95,12 @@ def check_system(index_algebra: FiniteAlgebra, bottom: int,
                 f"fiber-{i}-valid-{kind}", not bad,
                 bad[0].witness if bad else None,
                 bad[0].name if bad else ""))
-        signature = (frozenset(objects[0].binary_ops),
-                     frozenset(objects[0].unary_ops),
-                     frozenset(objects[0].constants))
+        def signature(a):
+            return tuple(map(frozenset, (a.binary_ops, a.unary_ops,
+                                         a.constants)))
+
         odd = next((i for i in range(n)
-                    if (frozenset(objects[i].binary_ops),
-                        frozenset(objects[i].unary_ops),
-                        frozenset(objects[i].constants)) != signature), None)
+                    if signature(objects[i]) != signature(objects[0])), None)
         checks.append(Check("fibers-same-signature", odd is None,
                             (odd,) if odd is not None else None))
     empties = [i for i in range(n) if objects[i].size == 0]
@@ -129,7 +110,8 @@ def check_system(index_algebra: FiniteAlgebra, bottom: int,
         checks.append(Check("empty-terms", True, None,
                             f"indices {empties} have empty terms"))
 
-    pairs = _comparable_pairs(index_algebra)
+    join = index_algebra.binary("join")
+    pairs = comparable_pairs(join)
     extra = sorted(set(arrows) - set(pairs))
     checks.append(Check("arrows-only-comparable", not extra,
                         extra[0] if extra else None))
@@ -142,21 +124,18 @@ def check_system(index_algebra: FiniteAlgebra, bottom: int,
     def endpoints(i, j):
         return (objects[j], objects[i]) if inverse else (objects[i], objects[j])
 
-    shaped = True
-    for (i, j) in pairs:
+    def misshapen(i, j):
         src, tgt = endpoints(i, j)
         vec = arrows[(i, j)]
-        if len(vec) != src.size or any(v < 0 or v >= tgt.size for v in vec):
-            checks.append(Check("arrows-well-formed", False, (i, j)))
-            shaped = False
-            break
-    if shaped:
-        checks.append(Check("arrows-well-formed", True))
-    else:
+        return len(vec) != src.size or any(v < 0 or v >= tgt.size for v in vec)
+
+    bad_shape = next((p for p in pairs if misshapen(*p)), None)
+    checks.append(Check("arrows-well-formed", bad_shape is None, bad_shape))
+    if bad_shape is not None:
         return ValidationReport(subject, tuple(checks))
 
     bad_id = next((i for i in range(n)
-                   if tuple(arrows[(i, i)]) != _identity_raw(objects[i].size)),
+                   if tuple(arrows[(i, i)]) != tuple(range(objects[i].size))),
                   None)
     checks.append(Check("identity-arrows", bad_id is None,
                         (bad_id, bad_id) if bad_id is not None else None))
@@ -168,31 +147,24 @@ def check_system(index_algebra: FiniteAlgebra, bottom: int,
                                     kind) is not None), None)
         checks.append(Check("arrows-are-homs", hom_witness is None, hom_witness))
     else:
-        mono_witness = None
-        for (i, j) in pairs:
+        def disorder(i, j):
             src, tgt = endpoints(i, j)
             if hasattr(src, "leq") and hasattr(tgt, "leq"):
                 w = _first_pair(arrows[(i, j)], src.leq, tgt.leq)
-                if w is not None:
-                    mono_witness = (i, j, *w)
-                    break
+                return None if w is None else (i, j, *w)
+
+        mono_witness = next(filter(None, (disorder(*p) for p in pairs)), None)
         checks.append(Check("arrows-monotone", mono_witness is None, mono_witness))
 
-    join = index_algebra.binary("join")
-    triple_witness = None
-    for (i, j) in pairs:
-        for k in range(n):
-            if join[j][k] != k:
-                continue
-            if inverse:
-                composite = _compose_raw(arrows[(i, j)], arrows[(j, k)])
-            else:
-                composite = _compose_raw(arrows[(j, k)], arrows[(i, j)])
-            if composite != tuple(arrows[(i, k)]):
-                triple_witness = (i, j, k)
-                break
-        if triple_witness:
-            break
+    def composite(i, j, k):
+        if inverse:
+            return _compose_raw(arrows[(i, j)], arrows[(j, k)])
+        return _compose_raw(arrows[(j, k)], arrows[(i, j)])
+
+    triple_witness = next(((i, j, k) for (i, j) in pairs for k in range(n)
+                           if join[j][k] == k
+                           and composite(i, j, k) != tuple(arrows[(i, k)])),
+                          None)
     checks.append(Check("arrows-transitive", triple_witness is None,
                         triple_witness))
     return ValidationReport(subject, tuple(checks))
@@ -217,8 +189,7 @@ class DirectSystem(Record):
         fibers = dict(fibers)
         transitions = {k: tuple(v) for k, v in transitions.items()}
         report = check_system(index.algebra, index.bottom, fibers,
-                              transitions, kind, inverse=False,
-                              subject="direct system")
+                              transitions, kind, inverse=False)
         report.require(InvalidSystem, f"invalid direct system: "
                        f"{[c.name for c in report.failures()]}")
         self.__dict__.update(index=index, fibers=fibers,
@@ -267,7 +238,7 @@ class InverseSystem(Record):
         terms = dict(terms)
         bondings = {k: tuple(v) for k, v in bondings.items()}
         report = check_system(index.algebra, index.bottom, terms, bondings,
-                              None, inverse=True, subject="inverse system")
+                              None, inverse=True)
         report.require(InvalidSystem, f"invalid inverse system: "
                        f"{[c.name for c in report.failures()]}")
         self.__dict__.update(index=index, terms=terms, bondings=bondings)
@@ -401,14 +372,12 @@ def _split(c: FiniteAlgebra, star, members: list[list[int]], index_names,
                     f"join and meet are ill-defined on the classes {(e, f)}")
             row.append(found.pop())
         index_join.append(row)
-    k = len(members)
-    bottoms = [e for e in range(k)
-               if all(index_join[e][f] == f for f in range(k))]
-    if not bottoms:
+    bottom = least_element(index_join)
+    if bottom is None:
         raise MissingBottom(
             "fiber index semilattice has no least element; "
             "such sums are out of scope")
-    index = JoinSemilattice.from_table(index_join, bottom=bottoms[0],
+    index = JoinSemilattice.from_table(index_join, bottom=bottom,
                                        names=index_names)
 
     local = [{x: p for p, x in enumerate(ms)} for ms in members]
@@ -498,6 +467,23 @@ def plonka_layout(b: FiniteAlgebra, kind: str) -> list[int]:
 # System morphisms
 # ---------------------------------------------------------------------------
 
+def _square_breaks(g: Sequence[int], p: Sequence[int], q: Sequence[int],
+                   f: Sequence[int]) -> Optional[int]:
+    """The first x at which the square ``g . p = q . f`` does not commute,
+    or None.  Here p and q are the arrows of the two systems, and f and g
+    are the components at their sources and targets."""
+    return next((x for x, (px, fx) in enumerate(zip(p, f))
+                 if g[px] != q[fx]), None)
+
+
+def _require_index_map(phi: Morphism, source: JoinSemilattice,
+                       target: JoinSemilattice) -> None:
+    if phi.source != source.algebra or phi.target != target.algebra:
+        raise InvalidSystemMorphism("index map endpoints do not match")
+    if phi.kind != "sl":
+        raise InvalidSystemMorphism("index map must be a semilattice hom")
+
+
 class DirectSystemMorphism(Record):
     """Pair (index map, per-fiber homs) with commuting squares.
 
@@ -516,11 +502,7 @@ class DirectSystemMorphism(Record):
                  index_map: Morphism, components: Mapping[int, Morphism]):
         components = dict(components)
         phi = index_map
-        if (phi.source != source.index.algebra
-                or phi.target != target.index.algebra):
-            raise InvalidSystemMorphism("index map endpoints do not match")
-        if phi.kind != "sl":
-            raise InvalidSystemMorphism("index map must be a semilattice hom")
+        _require_index_map(phi, source.index, target.index)
         for i in range(source.index.size):
             comp = components.get(i)
             if comp is None:
@@ -530,13 +512,12 @@ class DirectSystemMorphism(Record):
                 raise InvalidSystemMorphism(
                     f"component {i} endpoints do not match")
         for i, j in source.index.comparable_pairs():
-            p = source.transitions[(i, j)]
-            q = target.transitions[(phi(i), phi(j))]
-            fi, fj = components[i].map, components[j].map
-            for x in range(source.fiber(i).size):
-                if fj[p[x]] != q[fi[x]]:
-                    raise InvalidSystemMorphism(
-                        f"square ({i},{j}) does not commute at {x}")
+            x = _square_breaks(components[j].map, source.transitions[(i, j)],
+                               target.transitions[(phi(i), phi(j))],
+                               components[i].map)
+            if x is not None:
+                raise InvalidSystemMorphism(
+                    f"square ({i},{j}) does not commute at {x}")
         self.__dict__.update(source=source, target=target,
                              index_map=index_map, components=components)
 
@@ -560,11 +541,7 @@ class InverseSystemMorphism(Record):
                  components: Mapping[int, Sequence[int]]):
         components = {k: tuple(v) for k, v in components.items()}
         phi = index_map
-        if (phi.source != target.index.algebra
-                or phi.target != source.index.algebra):
-            raise InvalidSystemMorphism("index map endpoints do not match")
-        if phi.kind != "sl":
-            raise InvalidSystemMorphism("index map must be a semilattice hom")
+        _require_index_map(phi, target.index, source.index)
         for j in range(target.index.size):
             vec = components.get(j)
             if vec is None:
@@ -575,27 +552,22 @@ class InverseSystemMorphism(Record):
                 raise InvalidSystemMorphism(
                     f"component {j} is not a map term({phi(j)}) -> term({j})")
         for j, j2 in target.index.comparable_pairs():
-            p = source.bondings[(phi(j), phi(j2))]
-            q = target.bondings[(j, j2)]
-            fj, fj2 = components[j], components[j2]
-            for x in range(source.term(phi(j2)).size):
-                if fj[p[x]] != q[fj2[x]]:
-                    raise InvalidSystemMorphism(
-                        f"square ({j},{j2}) does not commute at {x}")
+            x = _square_breaks(components[j], source.bondings[(phi(j), phi(j2))],
+                               target.bondings[(j, j2)], components[j2])
+            if x is not None:
+                raise InvalidSystemMorphism(
+                    f"square ({j},{j2}) does not commute at {x}")
         self.__dict__.update(source=source, target=target,
                              index_map=index_map, components=components)
 
 
 def identity_system_morphism(system):
+    phi, n = Morphism.identity(system.index.algebra, "sl"), system.index.size
     if isinstance(system, DirectSystem):
-        return DirectSystemMorphism(
-            system, system, Morphism.identity(system.index.algebra, "sl"),
-            {i: Morphism.identity(system.fiber(i), system.kind)
-             for i in range(system.index.size)})
-    return InverseSystemMorphism(
-        system, system, Morphism.identity(system.index.algebra, "sl"),
-        {i: _identity_raw(system.term(i).size)
-         for i in range(system.index.size)})
+        return DirectSystemMorphism(system, system, phi, {
+            i: Morphism.identity(system.fiber(i), system.kind) for i in range(n)})
+    return InverseSystemMorphism(system, system, phi, {
+        i: tuple(range(system.term(i).size)) for i in range(n)})
 
 
 def compose_system_morphisms(m2, m1):
@@ -627,15 +599,12 @@ def compose_system_morphisms(m2, m1):
 # The equivalence between algebras and systems
 # ---------------------------------------------------------------------------
 
-def _expect_sum(h_end: FiniteAlgebra, system: DirectSystem, side: str) -> FiniteAlgebra:
+def _expect_sum(h_end: FiniteAlgebra, system: DirectSystem, side: str) -> None:
     expected = plonka_sum(system)
-    stripped = FiniteAlgebra(h_end.size, h_end.binary_ops, h_end.unary_ops,
-                             h_end.constants)
-    if FiniteAlgebra(expected.size, expected.binary_ops, expected.unary_ops,
-                     expected.constants) != stripped:
+    if any(getattr(expected, f) != getattr(h_end, f)
+           for f in ("size", "binary_ops", "unary_ops", "constants")):
         raise DomainMismatch(
             f"hom {side} is not the Plonka sum of the given system")
-    return expected
 
 
 def induced_index_map(h: Morphism, da: DirectSystem, db: DirectSystem) -> Morphism:
@@ -697,13 +666,11 @@ def enumerate_system_morphisms(da: DirectSystem,
                                db: DirectSystem) -> list[DirectSystemMorphism]:
     """All system morphisms da -> db, ordered by (index map, components)."""
     out = []
-    fiber_hom_cache: dict[tuple[int, int], list[Morphism]] = {}
 
-    def fiber_homs(i, j):
-        if (i, j) not in fiber_hom_cache:
-            fiber_hom_cache[(i, j)] = enumerate_homs(
-                da.fiber(i), db.fiber(j), da.kind, validate=False)
-        return fiber_hom_cache[(i, j)]
+    @cache
+    def fiber_homs(i, j) -> list[Morphism]:
+        return enumerate_homs(da.fiber(i), db.fiber(j), da.kind,
+                              validate=False)
 
     comparable = da.index.comparable_pairs()
     for phi in enumerate_homs(da.index.algebra, db.index.algebra, "sl",
@@ -711,15 +678,12 @@ def enumerate_system_morphisms(da: DirectSystem,
         chosen: dict[int, Morphism] = {}
 
         def squares_ok(i: int) -> bool:
-            for (x, y) in comparable:
-                if x in chosen and y in chosen and (x == i or y == i):
-                    p = da.transitions[(x, y)]
-                    q = db.transitions[(phi(x), phi(y))]
-                    fx, fy = chosen[x].map, chosen[y].map
-                    if any(fy[p[e]] != q[fx[e]]
-                           for e in range(da.fiber(x).size)):
-                        return False
-            return True
+            return all(
+                _square_breaks(chosen[y].map, da.transitions[(x, y)],
+                               db.transitions[(phi(x), phi(y))],
+                               chosen[x].map) is None
+                for (x, y) in comparable
+                if x in chosen and y in chosen and (x == i or y == i))
 
         def extend(i: int):
             if i == da.index.size:

@@ -104,6 +104,39 @@ def test_check_system_triple_witness(capsys, tmp_path):
     assert "[FAIL] arrows-transitive  witness (0, 1, 2)" in out
 
 
+def _system_with_index(tmp_path, join) -> str:
+    """A direct system of two-element Boolean fibers, an identity
+    transition on every comparable pair, over the index ``join``."""
+    fiber = json.loads(dumps_document(builtin("two"), "ba"))
+    n = len(join)
+    text = json.dumps({
+        "kind": "direct-system",
+        "index": {"kind": "sl", "size": n, "ops": {"join": join}},
+        "fibers": {str(i): fiber for i in range(n)},
+        "transitions": {f"{i}->{j}": [0, 1] for i in range(n)
+                        for j in range(n) if i != j and join[i][j] == j}})
+    path = tmp_path / "sys.json"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("join, lines", [
+    # two minimal elements under a top: no least element
+    ([[0, 2, 2], [2, 1, 2], [2, 2, 2]],
+     ["[PASS] join-commutative", "[FAIL] index-bottom  witness (0, 1)"]),
+    # the right projection: associative, not commutative
+    ([[0, 1], [0, 1]],
+     ["[FAIL] join-commutative  witness (0, 1)", "[PASS] index-bottom"]),
+], ids=("no-least-element", "not-a-semilattice"))
+def test_check_system_index_failures(capsys, tmp_path, join, lines):
+    code, out, _ = run(capsys, "check", _system_with_index(tmp_path, join))
+    assert code == 1
+    assert out == "\n".join([
+        "subject: direct-system", "  [PASS] join-idempotent",
+        f"  {lines[0]}", "  [PASS] join-associative", f"  {lines[1]}",
+        "  [PASS] objects-complete", "result: FAIL"]) + "\n"
+
+
 def test_hom_count_golden(capsys, three_file):
     code, out, _ = run(capsys, "hom", three_file, three_file,
                        "--kind", "bsl", "--count")
@@ -582,6 +615,28 @@ def test_closed_stdout_exits_2_with_one_line(tmp_path):
         proc.stderr.close()
         assert proc.wait(timeout=60) == 2, unbuffered
         assert err == "error: stdout closed before the output was written\n"
+
+
+@pytest.mark.parametrize("document", [
+    {"kind": "space", "size": 40},
+    {"kind": "inverse-system",
+     "index": {"kind": "sl", "size": 1, "ops": {"join": [[0]]}},
+     "terms": {"0": {"kind": "space", "size": 40}}},
+], ids=("space", "inverse-system"))
+def test_dual_of_a_large_space_is_refused(tmp_path, document):
+    # its power-set algebra has 2^40 elements; building it never ends
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    proc = _algctl("dual", str(path))
+    try:
+        out, err = proc.communicate(timeout=20)
+    finally:
+        proc.kill()
+    assert proc.wait() == 2
+    assert out == b""
+    assert err.decode() == (
+        "error: the power-set algebra of a 40-point space has 2^40 "
+        "elements, more than the limit of 2^10\n")
 
 
 def _ladder_ibsl48() -> str:

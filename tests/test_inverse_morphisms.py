@@ -1,12 +1,18 @@
 """Morphisms of inverse systems: identity, composition, and the
 contravariant lift from the direct side."""
 
+import pytest
+
 from algdual.algebra import Morphism, builtin
 from algdual.duality import (
+    FiniteSpace,
     lift_functor_dir_to_inv,
     lift_system_morphism_dir_to_inv,
 )
+from algdual.errors import InvalidSystemMorphism
 from algdual.systems import (
+    InverseSystem,
+    InverseSystemMorphism,
     compose_system_morphisms,
     hom_to_system_morphism,
     identity_system_morphism,
@@ -46,3 +52,13 @@ def test_lift_of_identity_is_identity(wk):
     lifted = lift_system_morphism_dir_to_inv(ident)
     assert lifted == identity_system_morphism(
         lift_functor_dir_to_inv(dw))
+
+
+def test_inverse_system_morphism_rejects_bad_square(chain2):
+    # component 1 swaps the points of term 1, the bondings are identities
+    system = InverseSystem(chain2, {0: FiniteSpace(2), 1: FiniteSpace(2)},
+                           {(0, 0): (0, 1), (1, 1): (0, 1), (0, 1): (0, 1)})
+    phi = Morphism.identity(system.index.algebra, "sl")
+    with pytest.raises(InvalidSystemMorphism,
+                       match=r"^square \(0,1\) does not commute at 0$"):
+        InverseSystemMorphism(system, system, phi, {0: (0, 1), 1: (1, 0)})

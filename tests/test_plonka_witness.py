@@ -158,4 +158,7 @@ def test_sum_with_a_wrong_meet_fails(capsys, monkeypatch):
         systems.plonka_decompose(builtin("wk")))).ok
     code, checks = _roundtrip(capsys, "builtin:wk")
     assert code == 1
-    assert not checks["plonka-roundtrip"]["holds"]
+    assert checks["plonka-roundtrip"] == {
+        "name": "plonka-roundtrip", "holds": False, "witness": None,
+        "note": "sum of decomposition is not a valid 'ibsl': "
+                "['I5', 'I6', 'derived-join-de-morgan']"}

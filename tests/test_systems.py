@@ -151,7 +151,7 @@ def test_invalid_system_non_transitive_transitions():
 def test_check_system_flags_missing_arrow(chain2, two):
     report = check_system(chain2.algebra, 0, {0: two, 1: two},
                           {(0, 0): (0, 1), (1, 1): (0, 1)}, "ba",
-                          inverse=False, subject="direct system")
+                          inverse=False)
     assert not report.ok
     assert report.check("arrows-complete").witness == (0, 1)
 
@@ -224,7 +224,8 @@ def test_system_morphism_validation_rejects_bad_square(chain2):
     phi = Morphism.identity(system.index.algebra, "sl")
     swap = Morphism(b4, b4, (0, 2, 1, 3), "ba")
     comps = {0: Morphism.identity(b4, "ba"), 1: swap}
-    with pytest.raises(InvalidSystemMorphism):
+    with pytest.raises(InvalidSystemMorphism,
+                       match=r"^square \(0,1\) does not commute at 1$"):
         DirectSystemMorphism(system, system, phi, comps)
 
 
