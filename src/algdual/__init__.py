@@ -11,35 +11,39 @@ import importlib
 # public name -> the submodule that defines it
 _EXPORTS = {
     "algebra": (
-        "Check", "FiniteAlgebra", "JoinSemilattice", "Morphism",
-        "ValidationReport", "atoms", "builtin", "enumerate_homs",
-        "find_isomorphism", "ibsl_completion", "induced_orders",
-        "permute_algebra", "validate_bisemilattice",
+        "Check", "FiniteAlgebra", "ValidationReport", "builtin",
+        "ibsl_completion", "validate_bisemilattice",
         "validate_boolean_algebra", "validate_distributive_lattice",
         "validate_ibsl", "validate_semilattice",
     ),
     "duality": (
-        "FiniteSpace", "GRSpace", "GRSpaceWithInvolution", "ba_of_space",
-        "bsl_of_gr", "delta_iso", "dual_of_bsl", "dual_of_gr", "dual_of_ibsl",
-        "dual_of_ibsl_hom", "eps_iso", "gr_homs", "gr_three",
-        "ibsl_to_inverse_system", "lift_functor_dir_to_inv",
-        "lift_functor_inv_to_dir", "stone_double_dual_iso", "stone_dual",
-        "stone_dual_hom", "validate_gr_involution", "validate_gr_space",
-        "wk_space",
+        "GRSpace", "GRSpaceWithInvolution", "bsl_of_gr", "delta_iso",
+        "dual_of_bsl", "dual_of_gr", "dual_of_ibsl", "dual_of_ibsl_hom",
+        "eps_iso", "gr_homs", "gr_three", "ibsl_to_inverse_system",
+        "validate_gr_involution", "validate_gr_space", "wk_space",
     ),
     "lattices": (
-        "DistributiveLattice", "FinitePoset", "bsl_to_inverse_system",
-        "dl_of_poset", "dl_double_dual_iso", "find_poset_isomorphism",
-        "inverse_system_to_bsl", "join_irreducibles", "plonka_decompose_bsl",
-        "poset_double_dual_iso", "priestley_dual", "priestley_dual_hom",
+        "DistributiveLattice", "atoms", "ba_of_space",
+        "bsl_to_inverse_system", "dl_of_poset", "dl_double_dual_iso",
+        "find_poset_isomorphism", "inverse_system_to_bsl",
+        "join_irreducibles", "lift_functor_dir_to_inv",
+        "lift_functor_inv_to_dir", "poset_double_dual_iso", "priestley_dual",
+        "priestley_dual_hom", "stone_double_dual_iso", "stone_dual",
+        "stone_dual_hom",
+    ),
+    "morphisms": ("Morphism",),
+    "orders": ("FinitePoset", "FiniteSpace", "induced_orders"),
+    "search": ("enumerate_homs", "find_isomorphism"),
+    "system_morphisms": (
+        "DirectSystemMorphism", "InverseSystemMorphism",
+        "compose_system_morphisms", "enumerate_system_morphisms",
+        "hom_to_system_morphism", "identity_system_morphism",
+        "induced_index_map", "restrict_to_fibers", "system_morphism_to_hom",
     ),
     "systems": (
-        "DirectSystem", "DirectSystemMorphism", "InverseSystem",
-        "InverseSystemMorphism", "compose_system_morphisms",
-        "enumerate_system_morphisms", "hom_to_system_morphism",
-        "identity_system_morphism", "induced_index_map", "local_units",
-        "plonka_decompose", "plonka_sum", "restrict_to_fibers",
-        "system_morphism_to_hom",
+        "DirectSystem", "InverseSystem", "JoinSemilattice", "local_units",
+        "permute_algebra", "plonka_decompose", "plonka_decompose_bsl",
+        "plonka_sum",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()

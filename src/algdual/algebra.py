@@ -1,5 +1,5 @@
-"""Finite algebras as explicit operation tables, axiom validators, and
-brute-force homomorphism machinery.
+"""Finite algebras as explicit operation tables, and their axiom
+validators.
 
 Carriers are always ``{0, ..., size-1}``; display names are metadata only.
 Operation tables are row-major (row = first argument).  All objects are
@@ -21,11 +21,11 @@ assignments are visited in lexicographic order and every witness is the
 first one.  ``tests/oracles.py`` keeps the one-loop-per-variable form and
 the term-tree evaluation as references.
 
-Homomorphism enumeration is a backtracking search over the value vector
-``(f(0), ..., f(n-1))`` that propagates the values the equations force and
-fails a branch at its first conflict (see :mod:`algdual.search`); it yields
-morphisms sorted lexicographically by value vector.  Dual-space
-constructions downstream rely on that ordering.
+Every command loads this module, so it holds only what checking an algebra
+document runs.  Morphisms (:mod:`algdual.morphisms`), the hom search
+(:mod:`algdual.search`), orders (:mod:`algdual.orders`) and index
+semilattices (:mod:`algdual.systems`) live with the commands that use them;
+their public names resolve from here too, on first use.
 """
 
 from __future__ import annotations
@@ -34,19 +34,10 @@ import functools
 import importlib
 import operator
 import weakref
-from itertools import compress
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
-from .errors import (
-    InvalidMorphism,
-    IsomorphismFailure,
-    KindMismatch,
-    MissingBottom,
-    MissingOperation,
-    NotSemilattice,
-    UnknownBuiltin,
-)
+from .errors import MissingOperation, UnknownBuiltin
 
 Table = tuple[tuple[int, ...], ...]
 # a carrier map as its value vector (f(0), ..., f(n-1))
@@ -215,45 +206,12 @@ class FiniteAlgebra(Record):
         return out
 
 
-def permute_algebra(a: FiniteAlgebra, perm: Sequence[int]) -> FiniteAlgebra:
-    """Relabel the carrier along ``perm`` (old label -> new label).
-
-    Row x of a new table is row ``inv[x]`` of the old one with its columns
-    gathered through ``inv`` and its values through ``perm``: two whole-row
-    gathers (see :func:`row_kernel`).  ``tests/oracles.py`` keeps the
-    cell-by-cell form."""
-    make, gather, pad = row_kernel(a.size)
-    inv = [0] * a.size
-    for old, new in enumerate(perm):
-        inv[new] = old
-    cols, values = make(inv), pad(perm)
-
-    def relabel(row):
-        return gather(gather(cols, pad(row)), values)
-
-    bin_ops = {name: [relabel(t[old]) for old in inv]
-               for name, t in a.binary_ops.items()}
-    un_ops = {name: relabel(t) for name, t in a.unary_ops.items()}
-    consts = {name: perm[c] for name, c in a.constants.items()}
-    names = None
-    if a.names is not None:
-        names = tuple(a.names[old] for old in inv)
-    return FiniteAlgebra(a.size, bin_ops, un_ops, consts, names)
-
-
 # ---------------------------------------------------------------------------
 # Whole-row kernels
 # ---------------------------------------------------------------------------
 # Scans over a carrier do one C-level operation per row instead of one
-# Python step per cell: a row of ints is gathered through a table at once,
-# and a set of elements is an int, so unions, intersections and subset tests
-# are single operations.
-
-def byteset(row: Sequence[int]) -> int:
-    """The set of positions y where ``row[y]`` is 1 or True, as the int
-    with byte y equal to ``row[y]``."""
-    return int.from_bytes(bytes(row), "little")
-
+# Python step per cell: a row of ints is gathered through a table at once.
+# (Sets of elements are ints, ``orders.byteset``.)
 
 def _gather(row, table) -> tuple[int, ...]:
     # itemgetter returns a bare item, not a tuple, for a one-entry row
@@ -641,79 +599,6 @@ def validate_semilattice(a: FiniteAlgebra) -> ValidationReport:
 
 
 # ---------------------------------------------------------------------------
-# Orders
-# ---------------------------------------------------------------------------
-
-OrderMatrix = tuple[tuple[bool, ...], ...]
-
-
-def order_from_binary(table: Table, via: str) -> OrderMatrix:
-    """Relation matrix of an operation-induced order.
-
-    ``via='join'`` gives x <= y iff x + y = y; ``via='meet'`` gives
-    x <= y iff x . y = x.
-    """
-    n = len(table)
-    if via == "join":
-        return tuple(tuple(table[x][y] == y for y in range(n)) for x in range(n))
-    if via == "meet":
-        return tuple(tuple(table[x][y] == x for y in range(n)) for x in range(n))
-    raise ValueError(via)
-
-
-def is_partial_order(leq: OrderMatrix) -> Optional[tuple[int, ...]]:
-    """None if ``leq`` is a partial order, else the first witness: ``(x,)``
-    of reflexivity, ``(x, y)`` of antisymmetry or ``(x, y, z)`` of
-    transitivity, each in lexicographic order.  Up-sets U(y) and down-sets
-    are byte sets, so the z of a transitivity witness for x <= y is the
-    least element of U(y) outside U(x)."""
-    up = [byteset(row) for row in leq]
-    for x, row in enumerate(leq):
-        if not row[x]:
-            return (x,)
-    for x, (u, col) in enumerate(zip(up, zip(*leq))):
-        if u & byteset(col) != 1 << 8 * x:
-            return x, _least(u & byteset(col) ^ 1 << 8 * x)
-    for x, (u, row) in enumerate(zip(up, leq)):
-        for y in compress(range(len(leq)), row):
-            if up[y] & ~u:
-                return x, y, _least(up[y] & ~u)
-    return None
-
-
-def _least(s: int) -> int:
-    """The least element of a non-empty byte set."""
-    return (s & -s).bit_length() - 1 >> 3
-
-
-def induced_orders(a: FiniteAlgebra) -> tuple[OrderMatrix, OrderMatrix]:
-    """The two partial orders of a bisemilattice: (join order, meet order).
-
-    The join order has x <= y iff x + y = y; the meet order has x <= y iff
-    x . y = x.  Requires a valid bisemilattice.
-    """
-    from .errors import NotBisemilattice
-
-    validate_bisemilattice(a).require(NotBisemilattice, "not a bisemilattice")
-    return (order_from_binary(a.binary("join"), "join"),
-            order_from_binary(a.binary("meet"), "meet"))
-
-
-def atoms(a: FiniteAlgebra) -> list[int]:
-    """Atoms of a lattice-ordered algebra: minimal elements above zero."""
-    meet = a.binary("meet")
-    zero = a.const("zero")
-    leq = order_from_binary(meet, "meet")
-    out = []
-    for x in range(a.size):
-        if x == zero:
-            continue
-        if all(y in (zero, x) for y in range(a.size) if leq[y][x]):
-            out.append(x)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Built-in algebras
 # ---------------------------------------------------------------------------
 
@@ -751,84 +636,7 @@ def builtin(name: str) -> FiniteAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# Join semilattices (index sets of systems)
-# ---------------------------------------------------------------------------
-
-def _first_not_above(join: Table, b: int) -> Optional[int]:
-    """The first x with b + x != x in the join table, or None."""
-    return next((x for x in range(len(join)) if join[b][x] != x), None)
-
-
-def least_element(join: Table) -> Optional[int]:
-    """The first element of the join table below every element, or None."""
-    return next((b for b in range(len(join))
-                 if _first_not_above(join, b) is None), None)
-
-
-def comparable_pairs(join: Table) -> list[tuple[int, int]]:
-    """All pairs (i, j) with i + j = j, in lexicographic order."""
-    n = len(join)
-    return [(i, j) for i in range(n) for j in range(n) if join[i][j] == j]
-
-
-def index_checks(algebra: FiniteAlgebra,
-                 bottom: int) -> tuple[ValidationReport, Check]:
-    """The report of :func:`validate_semilattice` on an index, and its
-    ``index-bottom`` check, whose witness (bottom, x) names the first x
-    not above ``bottom``."""
-    report = validate_semilattice(algebra)
-    x = _first_not_above(algebra.binary("join"), bottom)
-    return report, Check("index-bottom", x is None,
-                         None if x is None else (bottom, x))
-
-
-class JoinSemilattice(Record):
-    """A validated join semilattice with least element, used as an index set."""
-
-    algebra: FiniteAlgebra
-    bottom: int
-
-    def __init__(self, algebra: FiniteAlgebra, bottom: int):
-        report, least = index_checks(algebra, bottom)
-        report.require(NotSemilattice, "join is not a semilattice operation")
-        if not least.holds:
-            raise MissingBottom(f"element {bottom} is not a least element")
-        if algebra.constants.get("bottom", bottom) != bottom:
-            raise ValueError("declared bottom constant disagrees")
-        self.__dict__.update(algebra=algebra, bottom=bottom)
-
-    @classmethod
-    def from_table(cls, table, bottom: Optional[int] = None,
-                   names=None) -> "JoinSemilattice":
-        join = _freeze_binary(table)
-        if bottom is None:
-            bottom = least_element(join)
-            if bottom is None:
-                raise MissingBottom("semilattice has no least element")
-        alg = FiniteAlgebra(len(join), {"join": join},
-                            constants={"bottom": bottom}, names=names)
-        return cls(alg, bottom)
-
-    @property
-    def size(self) -> int:
-        return self.algebra.size
-
-    def join(self, i: int, j: int) -> int:
-        return self.algebra.binary("join")[i][j]
-
-    def leq(self, i: int, j: int) -> bool:
-        return self.join(i, j) == j
-
-    @property
-    def order(self) -> OrderMatrix:
-        return order_from_binary(self.algebra.binary("join"), "join")
-
-    def comparable_pairs(self) -> list[tuple[int, int]]:
-        return comparable_pairs(self.algebra.binary("join"))
-
-
-# ---------------------------------------------------------------------------
-# Morphisms and kind dispatch
+# Kinds, and the names defined in the modules that use them
 # ---------------------------------------------------------------------------
 
 def resolve(ref):
@@ -845,7 +653,7 @@ def resolve(ref):
 # endpoints declare them).  An involutive bisemilattice's meet and unit are
 # derived from join, neg and zero, so preserving those preserves them too;
 # index semilattices of systems always declare a bottom.  Ordered spaces
-# preserve their GR structure instead (see ``_signature``).
+# preserve their GR structure instead (see ``morphisms._signature``).
 MORPHISM_KINDS = {
     "ibsl": (("algebra", "validate_ibsl"), ("join",), ("neg",), ("zero",),
              ()),
@@ -862,235 +670,30 @@ MORPHISM_KINDS = {
 }
 SPACE_KINDS = ("gr", "igr")
 ALGEBRA_KINDS = tuple(k for k in MORPHISM_KINDS if k not in SPACE_KINDS)
-# the classes, by name, of the objects each kind's validator reads; a GR
-# space with involution is also a GR space
-_KIND_CLASSES = {**dict.fromkeys(ALGEBRA_KINDS, ("FiniteAlgebra",)),
-                 "gr": ("GRSpace", "GRSpaceWithInvolution"),
-                 "igr": ("GRSpaceWithInvolution",)}
+
+def forwarder(namespace: dict, moved: dict):
+    """A module ``__getattr__`` (PEP 562) for the names that ``moved`` lists
+    by the module that defines them: each resolves on first use and is then
+    kept in ``namespace``, the module's globals."""
+    home = {name: module for module, names in moved.items() for name in names}
+
+    def __getattr__(name: str):
+        if name not in home:
+            raise AttributeError(
+                f"module {namespace['__name__']!r} has no attribute {name!r}")
+        value = namespace[name] = resolve((home[name], name))
+        return value
+
+    return __getattr__
 
 
-def _signature(source, target, kind: str):
-    """What a kind-hom f: source -> target must satisfy, for the check
-    (:func:`morphism_violations`) and the search alike, as ``(binary,
-    unary, constants, labels, order, reflect)``.  The first four list
-    ``(name, source part, target part)`` triples: the tables, maps and
-    constants f preserves, and the labels it keeps, ``target part[f x] ==
-    source part[x]``, an O(n) restriction of each element's values.
-    ``igr`` maps keep the zero-morphism (others dualize to maps that do not
-    preserve zero); a side without one has labels no value matches.
-    ``order`` is the (source, target) order matrices or None, and
-    ``reflect`` is set for ``poset``.  Raises KindMismatch when a side
-    lacks required structure."""
-    if kind == "poset":
-        return [], [], [], [], (source.leq, target.leq), True
-    if kind in SPACE_KINDS:
-        igr = kind == "igr"
-        if igr and not (hasattr(source, "neg") and hasattr(target, "neg")):
-            raise KindMismatch("kind 'igr' needs an involution on both sides")
-        zero = resolve(("duality", "zero_morphism"))
-        return ([("star", source.star, target.star)],
-                [("neg", source.neg, target.neg)] if igr else [],
-                [(nm, getattr(source, nm), getattr(target, nm))
-                 for nm in ("c0", "c1", "calpha")],
-                [("zero-morphism", zero(source) or (-1,) * source.size,
-                  zero(target) or (-2,) * target.size)] if igr else [],
-                (source.leq, target.leq), False)
-    if kind not in ALGEBRA_KINDS:
-        raise KindMismatch(f"unknown morphism kind {kind!r}")
-    _, binary, unary, constants, optional = MORPHISM_KINDS[kind]
-    constants = list(constants)
-    for names in (binary, unary, constants):
-        for name in names:
-            if not (source.has(name) and target.has(name)):
-                raise KindMismatch(
-                    f"kind {kind!r} needs operation {name!r} on both sides")
-    for name in optional:
-        have = (name in source.constants) + (name in target.constants)
-        if have == 1:
-            raise KindMismatch(
-                f"constant {name!r} declared on only one side")
-        if have == 2:
-            constants.append(name)
-    return ([(nm, source.binary(nm), target.binary(nm)) for nm in binary],
-            [(nm, source.unary(nm), target.unary(nm)) for nm in unary],
-            [(nm, source.const(nm), target.const(nm)) for nm in constants],
-            [], None, False)
-
-
-def _related_pairs(leq) -> int:
-    """The number of related pairs (x, y), x <= y, of an order matrix."""
-    return sum(map(sum, leq))
-
-
-def _first_cell(f: Sequence[int], ta: Table, tb: Table):
-    """The first (x, y) with f(ta[x][y]) != tb[f x][f y], or None."""
-    for x, row in enumerate(ta):
-        image = tb[f[x]]
-        for y, v in enumerate(row):
-            if f[v] != image[f[y]]:
-                return x, y
-    return None
-
-
-def _first_pair(f: Sequence[int], la, lb, related=operator.le):
-    """The first (x, y) with ``not related(la[x][y], lb[f x][f y])``, or
-    None: where f fails to preserve (``le``) or to reflect (``eq``) it."""
-    for x, row in enumerate(la):
-        image = lb[f[x]]
-        for y, v in enumerate(row):
-            if not related(v, image[f[y]]):
-                return x, y
-    return None
-
-
-def morphism_violations(source, target, mapping: Sequence[int],
-                        kind: str) -> Optional[tuple[str, tuple[int, ...]]]:
-    """The first condition of :func:`_signature` that ``mapping`` violates,
-    as ``(name, witness)``, or None: constants, labels, unary maps, binary
-    tables, then the order, each with its first witness."""
-    f = mapping
-    binary, unary, constants, labels, order, reflect = _signature(
-        source, target, kind)
-    for name, ca, cb in constants:
-        if f[ca] != cb:
-            return name, (ca,)
-    for name, la, lb in labels:
-        for x, v in enumerate(f):
-            if lb[v] != la[x]:
-                return name, (x,)
-    for name, ua, ub in unary:
-        for x, v in enumerate(f):
-            if f[ua[x]] != ub[v]:
-                return name, (x,)
-    for name, ta, tb in binary:
-        w = _first_cell(f, ta, tb)
-        if w is not None:
-            return name, w
-    if order is not None:
-        w = _first_pair(f, *order, operator.eq if reflect else operator.le)
-        if w is not None:
-            return "order", w
-    return None
-
-
-class Morphism(Record):
-    """A total carrier map validated against its kind's preservation laws."""
-
-    source: object
-    target: object
-    map: tuple[int, ...]
-    kind: str
-
-    def __init__(self, source, target, map: Sequence[int], kind: str):
-        map = tuple(int(v) for v in map)
-        if len(map) != source.size:
-            raise InvalidMorphism("map length does not match source carrier")
-        if any(v < 0 or v >= target.size for v in map):
-            raise InvalidMorphism("map has out-of-range values")
-        bad = morphism_violations(source, target, map, kind)
-        if bad is not None:
-            raise InvalidMorphism(
-                f"map does not preserve {bad[0]!r} at {bad[1]}")
-        self.__dict__.update(source=source, target=target, map=map,
-                             kind=kind)
-
-    def __call__(self, x: int) -> int:
-        return self.map[x]
-
-    @classmethod
-    def identity(cls, obj, kind: str) -> "Morphism":
-        return cls(obj, obj, tuple(range(obj.size)), kind)
-
-    def compose(self, other: "Morphism") -> "Morphism":
-        """self after other."""
-        from .errors import DomainMismatch
-
-        if other.target is not self.source and other.target != self.source:
-            raise DomainMismatch("codomain of inner morphism != domain of outer")
-        return Morphism(other.source, self.target,
-                        tuple(self.map[v] for v in other.map), self.kind)
-
-    @property
-    def is_bijective(self) -> bool:
-        return (self.source.size == self.target.size
-                and len(set(self.map)) == self.source.size)
-
-    def inverse(self) -> "Morphism":
-        if not self.is_bijective:
-            raise InvalidMorphism("not bijective")
-        inv = [0] * self.target.size
-        for x, v in enumerate(self.map):
-            inv[v] = x
-        return Morphism(self.target, self.source, tuple(inv), self.kind)
-
-
-def as_isomorphism(source, target, map: Sequence[int], kind: str) -> Morphism:
-    """``map`` as an isomorphism source -> target, by the rule of
-    :func:`find_isomorphism`: a bijective kind-hom whose inverse is one.
-    The inverse of a bijective hom preserves the tables, constants,
-    involution and zero-morphism; it preserves the order exactly when both
-    orders have equally many related pairs, as f maps the related pairs
-    injectively into the related pairs.  Raises IsomorphismFailure
-    otherwise."""
-    try:
-        m = Morphism(source, target, map, kind)
-    except InvalidMorphism as exc:
-        raise IsomorphismFailure(f"map is not a {kind!r} morphism: {exc}")
-    if not m.is_bijective or kind in SPACE_KINDS and (
-            _related_pairs(source.leq) != _related_pairs(target.leq)):
-        raise IsomorphismFailure(f"map is not a {kind!r} isomorphism")
-    return m
-
-
-def validate_for_kind(obj, kind: str) -> ValidationReport:
-    """Run the validator of a morphism kind, on an object of its class."""
-    if kind not in MORPHISM_KINDS:
-        raise KindMismatch(f"unknown morphism kind {kind!r}")
-    if type(obj).__name__ not in _KIND_CLASSES[kind]:
-        raise KindMismatch(
-            f"kind {kind!r} does not apply to a {type(obj).__name__}")
-    return resolve(MORPHISM_KINDS[kind][0])(obj)
-
-
-# ---------------------------------------------------------------------------
-# Homomorphism search (the engine is in algdual.search, loaded on first call)
-# ---------------------------------------------------------------------------
-
-def enumerate_homs(source, target, kind: str, *, validate=True) -> list[Morphism]:
-    """All kind-preserving maps source -> target, sorted lexicographically by
-    value vector.  The ordering is deterministic and downstream dual-object
-    constructions depend on it."""
-    from .search import _search_homs
-
-    if validate:
-        for obj in (source, target):
-            report = validate_for_kind(obj, kind)
-            report.require(KindMismatch, f"object is not a valid {kind!r}: "
-                           f"{[c.name for c in report.failures()]}")
-    return [Morphism(source, target, vec, kind)
-            for vec in _search_homs(source, target, kind)]
-
-
-def find_isomorphism(source, target, kind: str, *, validate=True) -> Optional[Morphism]:
-    """First (in lexicographic order) isomorphism source -> target by the
-    rule of :func:`as_isomorphism`, or None; ``poset`` is a kind too.  An
-    element may go only to target elements of its colour
-    (:func:`algdual.search._joint_iso_colors`), as every isomorphism does.
-    Equal colour multisets give ordered sides equally many related pairs,
-    so the bijective homs found reflect the order."""
-    from .search import _joint_iso_colors, _search_homs
-
-    if validate:
-        for obj in (source, target):
-            validate_for_kind(obj, kind).require(
-                KindMismatch, f"object is not a valid {kind!r}")
-    if source.size != target.size:
-        return None
-    ca, cb = _joint_iso_colors(source, target, kind)
-    if sorted(ca) != sorted(cb):
-        return None
-    candidates = [[v for v in range(target.size) if cb[v] == ca[x]]
-                  for x in range(source.size)]
-    found = _search_homs(source, target, kind, injective=True,
-                         candidates=candidates, limit=1)
-    return Morphism(source, target, found[0], kind) if found else None
+# Morphisms, orders and index semilattices are defined in the modules of
+# the commands that use them, so every command compiles only the code it
+# runs; their names resolve from here too.
+__getattr__ = forwarder(globals(), {
+    "morphisms": ("Morphism", "as_isomorphism", "morphism_violations"),
+    "search": ("enumerate_homs", "find_isomorphism"),
+    "orders": ("induced_orders", "is_partial_order", "order_from_binary"),
+    "lattices": ("atoms",),
+    "systems": ("JoinSemilattice", "permute_algebra"),
+})

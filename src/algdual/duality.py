@@ -1,11 +1,11 @@
-"""Finite Stone duality, GR spaces with and without involution, the
-dualizing-object functors, and the lifted functors between system categories.
+"""GR spaces with and without involution, their documents, and the
+dualizing-object functors between them and (involutive) bisemilattices.
 
 Everything here is finite, so all topology is discrete: compactness and
-continuity are vacuous, a Stone space is a bare finite set (its dual Boolean
-algebra's atoms), and "compact totally order disconnected" reduces to "the
-order is a partial order" (for a !<= b the down-set of b is a clopen lower
-set separating them; the validator records that witness construction).
+continuity are vacuous, and "compact totally order disconnected" reduces to
+"the order is a partial order" (for a !<= b the down-set of b is a clopen
+lower set separating them; the validator records that witness
+construction).
 
 A GR space is a partially ordered left normal band with constants; the dual
 of a bisemilattice is the space of its homomorphisms into the three-element
@@ -14,9 +14,11 @@ involutive bisemilattice additionally carries the involution
 ``(-phi)(x) = (phi(x'))'``.  Dual carriers are ordered by the canonical
 (lexicographic) hom enumeration, which makes every dual table reproducible.
 
-The one-element Boolean algebra has no atoms, so its Stone dual is the empty
-space; empty terms are admitted in inverse systems and flagged in validation
-reports rather than rejected.
+Finite Stone duality, the Boolean case of Birkhoff duality, and its lift to
+systems are in :mod:`algdual.lattices`; their names resolve from here too.
+The hom search (:mod:`algdual.search`) and morphisms
+(:mod:`algdual.morphisms`) load when a function here first needs them, so
+checking a plain GR space compiles neither.
 """
 
 from __future__ import annotations
@@ -29,65 +31,30 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from .algebra import (
     Check,
     FiniteAlgebra,
-    Morphism,
-    OrderMatrix,
     RawMap,
     Record,
     ValidationReport,
-    as_isomorphism,
-    atoms,
     builtin,
-    byteset,
     first_violation,
+    forwarder,
     ibsl_completion,
-    is_partial_order,
-    order_from_binary,
     row_kernel,
     validate_bisemilattice,
-    validate_boolean_algebra,
     validate_ibsl,
     validated_once,
 )
-from .errors import (
-    NotBisemilattice,
-    NotBoolean,
-    NotGRSpace,
-    NotIBSL,
-    TooLarge,
-)
-from .search import _search_homs
+from .errors import NotBisemilattice, NotGRSpace, NotIBSL
+from .orders import OrderMatrix, byteset, is_partial_order, order_from_binary
 
 if TYPE_CHECKING:
-    from .systems import (
-        DirectSystem,
-        DirectSystemMorphism,
-        InverseSystem,
-        InverseSystemMorphism,
-    )
+    from .morphisms import Morphism
+    from .systems import InverseSystem
 
 _THREE = builtin("three")
 JOIN3 = _THREE.binary("join")
 MEET3 = _THREE.binary("meet")
 NEG3 = (1, 0, 2)
 LEQ3 = order_from_binary(MEET3, "meet")
-
-
-class FiniteSpace(Record):
-    """A finite discrete space; possibly empty (dual of the one-element
-    Boolean algebra).  With its discrete order it is the poset whose
-    Birkhoff dual is its power-set algebra."""
-
-    size: int
-
-    def __init__(self, size: int):
-        if size < 0:
-            raise ValueError("negative size")
-        self.__dict__["size"] = size
-
-    @cached_property
-    def leq(self) -> OrderMatrix:
-        return tuple(tuple(x == y for y in range(self.size))
-                     for x in range(self.size))
 
 
 class GRSpace(Record):
@@ -153,6 +120,41 @@ class GRSpaceWithInvolution(Record):
     calpha = property(lambda self: self.base.calpha)
     box = property(lambda self: self.base.box)
     points = property(lambda self: self.base.points)
+
+
+def parse_gr(data: dict):
+    """The GR space of a ``gr`` document, with its involution when the
+    document has a ``neg`` map."""
+    from .documents import (
+        _expect_int,
+        _fail,
+        _int_list,
+        _int_table,
+        _parse_matrix01,
+    )
+
+    size = _expect_int(data, "size")
+    leq = _parse_matrix01(data, "leq", size)
+    star = _int_table(data.get("star"), "'star'")
+    c0, c1, calpha = (_expect_int(data, key) for key in ("c0", "c1", "calpha"))
+    neg = _int_list(data["neg"], "'neg'") if "neg" in data else None
+    try:
+        base = GRSpace(size, star, leq, c0, c1, calpha)
+        if neg is not None:
+            return GRSpaceWithInvolution(base, neg)
+        return base
+    except (ValueError, TypeError) as exc:
+        raise _fail(str(exc))
+
+
+def gr_data(g, kind: str) -> dict:
+    # a GR space with involution is a "gr" document with a "neg" map
+    data = {"kind": "gr", "size": g.size, "star": [list(r) for r in g.star],
+            "leq": [list(map(int, r)) for r in g.leq],
+            "c0": g.c0, "c1": g.c1, "calpha": g.calpha}
+    if kind == "igr":
+        data["neg"] = list(g.neg)
+    return data
 
 
 def gr_three() -> GRSpace:
@@ -271,6 +273,8 @@ def _keeps_order(leq: OrderMatrix, maps) -> bool:
 
 @lru_cache(maxsize=512)
 def _gr_homs_to_three(base: GRSpace) -> tuple[RawMap, ...]:
+    from .search import _search_homs
+
     return tuple(_search_homs(base, gr_three(), "gr"))
 
 
@@ -278,6 +282,8 @@ def gr_homs(g, target: Optional[GRSpace] = None) -> list[RawMap]:
     """Value vectors of all GR morphisms (star, constants, order; no
     involution) into ``target`` (default: the dualizing three-point space),
     in lexicographic order."""
+    from .search import _search_homs
+
     if target is None:
         return list(_gr_homs_to_three(base_of(g)))
     return _search_homs(base_of(g), target, "gr")
@@ -430,98 +436,14 @@ def validate_gr_involution(g: GRSpaceWithInvolution) -> ValidationReport:
 
 
 # ---------------------------------------------------------------------------
-# Finite Stone duality: the Boolean case of Birkhoff duality
-# ---------------------------------------------------------------------------
-# The atoms of a finite Boolean algebra are its join-irreducibles, and every
-# subset of a discrete space is a down-set, so the maps and algebras below
-# come from the Birkhoff code in ``lattices``, plus complement and bounds.
-# ``lattices`` is imported on use: duals of involutive bisemilattices never
-# need it.
-
-def stone_dual(b: FiniteAlgebra) -> FiniteSpace:
-    """The dual space of a finite Boolean algebra: its atoms."""
-    validate_boolean_algebra(b).require(
-        NotBoolean, "input is not a Boolean algebra")
-    return FiniteSpace(len(atoms(b)))
-
-
-def stone_dual_hom(h: Morphism) -> RawMap:
-    """Dual of a Boolean homomorphism h: B1 -> B2, as the map sending an
-    atom q of B2 to the atom min{x : q <= h(x)} of B1."""
-    from .lattices import priestley_dual_hom
-
-    return priestley_dual_hom(h)
-
-
-# at 10 points the two 1024 x 1024 tables take about 1.5 s to build
-MAX_POWER_SET_POINTS = 10
-
-
-def ba_of_space(x: FiniteSpace) -> FiniteAlgebra:
-    """Power-set algebra of a finite space, carrier ordered as subset
-    bitmasks: the down-set lattice of the discrete order with complement
-    and bounds.  Spaces of more than :data:`MAX_POWER_SET_POINTS` points
-    raise :class:`TooLarge` before any table is built."""
-    if x.size > MAX_POWER_SET_POINTS:
-        raise TooLarge(f"the power-set algebra of a {x.size}-point space has "
-                       f"2^{x.size} elements, more than the limit of "
-                       f"2^{MAX_POWER_SET_POINTS}")
-    from .lattices import dl_of_poset
-
-    full = (1 << x.size) - 1
-    return dl_of_poset(x).with_ops(
-        unary={"neg": [full ^ a for a in range(full + 1)]},
-        constants={"zero": 0, "one": full})
-
-
-def stone_double_dual_iso(b: FiniteAlgebra) -> Morphism:
-    """Canonical isomorphism of a Boolean algebra onto the power set of its
-    atom space: x -> the set of atoms below x."""
-    from .lattices import dl_double_dual_iso
-
-    return as_isomorphism(b, ba_of_space(stone_dual(b)),
-                          dl_double_dual_iso(b).map, "ba")
-
-
-# ---------------------------------------------------------------------------
-# Lifted functors between system categories
-# ---------------------------------------------------------------------------
-
-def lift_functor_dir_to_inv(s: DirectSystem) -> InverseSystem:
-    """Stone duality applied fiberwise: terms are the atom spaces, bondings
-    the dualized (reversed) transitions."""
-    from .lattices import lift_to_inverse
-
-    return lift_to_inverse(s, stone_dual)
-
-
-def lift_functor_inv_to_dir(s: InverseSystem) -> DirectSystem:
-    """The power-set functor applied fiberwise: fibers are the power-set
-    algebras, transitions the preimage homs of the bondings."""
-    from .lattices import lift_to_direct
-
-    return lift_to_direct(s, ba_of_space, "ba")
-
-
-def lift_system_morphism_dir_to_inv(m: DirectSystemMorphism) -> InverseSystemMorphism:
-    """Contravariant action on morphisms: (phi, f_i) becomes (phi, dual f_i)
-    from the lift of the target system to the lift of the source."""
-    from .systems import InverseSystemMorphism
-
-    src = lift_functor_dir_to_inv(m.target)
-    tgt = lift_functor_dir_to_inv(m.source)
-    comps = {i: stone_dual_hom(m.components[i])
-             for i in range(m.source.index.size)}
-    return InverseSystemMorphism(src, tgt, m.index_map, comps)
-
-
-# ---------------------------------------------------------------------------
 # Duals of bisemilattices and involutive bisemilattices
 # ---------------------------------------------------------------------------
 
 def bsl_homs_to_three(b: FiniteAlgebra) -> list[RawMap]:
     """Canonically ordered value vectors of all bisemilattice homs into the
     three-element bisemilattice."""
+    from .search import _search_homs
+
     reduct = b.reduct(binary=("join", "meet"))
     return _search_homs(reduct, _THREE, "bsl")
 
@@ -610,6 +532,8 @@ def dual_of_gr(g: GRSpaceWithInvolution) -> FiniteAlgebra:
 def eps_iso(b: FiniteAlgebra) -> Morphism:
     """Evaluation isomorphism of an involutive bisemilattice onto its double
     dual: x -> (phi -> phi(x))."""
+    from .morphisms import as_isomorphism
+
     dual = dual_of_ibsl(b)
     double = dual_of_gr(dual)
     vec = _locate(_masks(gr_homs(dual)), _masks(zip(*dual.points)),
@@ -620,6 +544,8 @@ def eps_iso(b: FiniteAlgebra) -> Morphism:
 def delta_iso(g: GRSpaceWithInvolution) -> Morphism:
     """Evaluation isomorphism of a GR space with involution onto its double
     dual."""
+    from .morphisms import as_isomorphism
+
     double = dual_of_ibsl(dual_of_gr(g))
     vec = _locate(_masks(double.points), _masks(zip(*gr_homs(g))),
                   "evaluation")
@@ -629,6 +555,8 @@ def delta_iso(g: GRSpaceWithInvolution) -> Morphism:
 def dual_of_ibsl_hom(f: Morphism) -> Morphism:
     """Contravariant dual of an algebra hom: precomposition between the dual
     spaces, preserving star, constants, order and involution."""
+    from .morphisms import Morphism
+
     if f.kind != "ibsl":
         raise NotIBSL("expected a hom of involutive bisemilattices")
     dual_target = dual_of_ibsl(f.target)
@@ -642,6 +570,17 @@ def dual_of_ibsl_hom(f: Morphism) -> Morphism:
 def ibsl_to_inverse_system(b: FiniteAlgebra) -> InverseSystem:
     """Decompose into Boolean fibers, then dualize fiberwise into a
     semilattice inverse system of finite Stone spaces."""
+    from .lattices import lift_functor_dir_to_inv
     from .systems import plonka_decompose
 
     return lift_functor_dir_to_inv(plonka_decompose(b))
+
+
+# Stone duality is in lattices and FiniteSpace in orders; their names
+# resolve from here too
+__getattr__ = forwarder(globals(), {
+    "lattices": ("ba_of_space", "lift_functor_dir_to_inv",
+                 "lift_functor_inv_to_dir", "lift_system_morphism_dir_to_inv",
+                 "stone_double_dual_iso", "stone_dual", "stone_dual_hom"),
+    "orders": ("FiniteSpace",),
+})

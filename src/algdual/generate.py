@@ -21,23 +21,18 @@ from __future__ import annotations
 from random import Random
 from typing import Optional
 
-from .algebra import (
-    FiniteAlgebra,
-    JoinSemilattice,
-    Morphism,
-    atoms,
-    order_from_binary,
-    permute_algebra,
-)
-from .duality import FiniteSpace, ba_of_space
+from .algebra import FiniteAlgebra
 from .lattices import (
-    FinitePoset,
+    atoms,
+    ba_of_space,
     dl_of_poset,
     join_irreducibles,
     lattice_bounds,
     priestley_dual,
 )
-from .systems import DirectSystem
+from .morphisms import Morphism
+from .orders import FinitePoset, FiniteSpace, order_from_binary
+from .systems import DirectSystem, JoinSemilattice, permute_algebra, plonka_sum
 
 
 def random_permutation(rng: Random, n: int) -> list[int]:
@@ -245,8 +240,6 @@ def random_direct_system(rng: Random, kind: str = "ba", max_fibers: int = 3,
 
 def random_ibsl(rng: Random, max_fibers: int = 3, max_atoms: int = 2,
                 relabel: bool = True) -> FiniteAlgebra:
-    from .systems import plonka_sum
-
     total = plonka_sum(random_direct_system(rng, "ba", max_fibers, max_atoms))
     if relabel:
         total = permute_algebra(total, random_permutation(rng, total.size))
@@ -255,8 +248,6 @@ def random_ibsl(rng: Random, max_fibers: int = 3, max_atoms: int = 2,
 
 def random_bsl(rng: Random, max_fibers: int = 3, max_points: int = 2,
                relabel: bool = True) -> FiniteAlgebra:
-    from .systems import plonka_sum
-
     total = plonka_sum(random_direct_system(rng, "dl", max_fibers, max_points))
     if relabel:
         total = permute_algebra(total, random_permutation(rng, total.size))

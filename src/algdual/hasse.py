@@ -6,9 +6,10 @@ listed in a stable order, so outputs diff cleanly.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .algebra import OrderMatrix
+if TYPE_CHECKING:
+    from .orders import OrderMatrix
 
 
 def covering_edges(leq: OrderMatrix) -> list[tuple[int, int]]:

@@ -1,5 +1,5 @@
-"""Finite Priestley duality in its Birkhoff form, and its fiberwise lift
-to bisemilattices, the Plonka sums of distributive lattices.
+"""Finite Priestley duality in its Birkhoff form, its Boolean case, finite
+Stone duality, and their fiberwise lifts to systems and bisemilattices.
 
 Every finite ordered discrete space is a Priestley space, so the finite
 restriction of Priestley duality is Birkhoff's representation: a finite
@@ -8,10 +8,13 @@ poset to its lattice of down-sets.  The one-element lattice has no
 join-irreducibles; its dual is the empty poset, which is admitted as an
 inverse-system term and flagged in validation reports.
 
+A finite Stone space is a discrete poset (:class:`algdual.orders.FiniteSpace`)
+and the atoms of a finite Boolean algebra are its join-irreducibles, so
+Stone duality is the Boolean case of the Birkhoff functions, plus
+complement and bounds.
+
 A bisemilattice splits into distributive-lattice fibers
 (:func:`algdual.systems.plonka_decompose_bsl`, also importable from here).
-A finite Stone space is the discrete poset, so the Boolean case of every
-function here is finite Stone duality (:mod:`algdual.duality`).
 
 Only bound-preserving lattice homs have total Birkhoff duals, and only
 bottomed index semilattices fit the system types here, so dualization
@@ -25,30 +28,33 @@ from typing import TYPE_CHECKING, Optional
 
 from .algebra import (
     FiniteAlgebra,
-    Morphism,
-    OrderMatrix,
     RawMap,
     Record,
-    as_isomorphism,
-    find_isomorphism,
-    is_partial_order,
-    order_from_binary,
+    forwarder,
+    validate_boolean_algebra,
     validate_distributive_lattice,
 )
-from .errors import IsomorphismFailure, NotDistributive, UnboundedTransition
+from .errors import (
+    IsomorphismFailure,
+    NotBoolean,
+    NotDistributive,
+    TooLarge,
+    UnboundedTransition,
+)
+from .orders import FinitePoset, FiniteSpace, order_from_binary
 
 if TYPE_CHECKING:
+    from .morphisms import Morphism
+    from .system_morphisms import DirectSystemMorphism, InverseSystemMorphism
     from .systems import DirectSystem, InverseSystem
 
+# plonka_decompose_bsl lives in systems, which loads on first lookup
+__getattr__ = forwarder(globals(), {"systems": ("plonka_decompose_bsl",)})
 
-def __getattr__(name: str):
-    # plonka_decompose_bsl lives in systems, which loads on first lookup
-    if name != "plonka_decompose_bsl":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from .systems import plonka_decompose_bsl
-
-    globals()[name] = plonka_decompose_bsl
-    return plonka_decompose_bsl
+# At 2^10 elements the two 1024 x 1024 tables of a lattice take about 1.5 s
+# to build; a power-set algebra or down-set lattice with more elements is
+# refused.
+MAX_POWER_SET_POINTS = 10
 
 
 class DistributiveLattice(Record):
@@ -64,25 +70,6 @@ class DistributiveLattice(Record):
     @property
     def size(self) -> int:
         return self.algebra.size
-
-
-class FinitePoset(Record):
-    """A finite partial order; possibly empty (dual of the one-element
-    lattice)."""
-
-    size: int
-    leq: OrderMatrix
-
-    def __init__(self, size: int, leq):
-        leq = tuple(tuple(bool(v) for v in row) for row in leq)
-        if size < 0:
-            raise ValueError("negative size")
-        if len(leq) != size or any(len(r) != size for r in leq):
-            raise ValueError("order matrix does not match size")
-        w = is_partial_order(leq)
-        if w is not None:
-            raise ValueError(f"not a partial order, witness {w}")
-        self.__dict__.update(size=size, leq=leq)
 
 
 def _as_lattice(d) -> DistributiveLattice:
@@ -110,6 +97,20 @@ def join_irreducibles(d: FiniteAlgebra) -> list[int]:
     return out
 
 
+def atoms(a: FiniteAlgebra) -> list[int]:
+    """Atoms of a lattice-ordered algebra: minimal elements above zero."""
+    meet = a.binary("meet")
+    zero = a.const("zero")
+    leq = order_from_binary(meet, "meet")
+    out = []
+    for x in range(a.size):
+        if x == zero:
+            continue
+        if all(y in (zero, x) for y in range(a.size) if leq[y][x]):
+            out.append(x)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Birkhoff duality
 # ---------------------------------------------------------------------------
@@ -124,18 +125,32 @@ def priestley_dual(d) -> FinitePoset:
 
 
 def downset_masks(p: FinitePoset) -> list[int]:
-    """All down-sets of the poset as bitmasks, ascending."""
-    down = [sum(1 << j for j in range(p.size) if p.leq[j][i])
-            for i in range(p.size)]
-    out = []
-    for mask in range(1 << p.size):
-        closure = mask
-        for i in range(p.size):
-            if (mask >> i) & 1:
-                closure |= down[i]
-        if closure == mask:
-            out.append(mask)
-    return out
+    """All down-sets of the poset ``p`` as bitmasks, ascending.
+
+    Each down-set other than the empty one is a smaller down-set plus an
+    element whose strict down-set lies in it, so they are grown from the
+    empty set one such element at a time: the work grows with the number of
+    down-sets found, not with 2^size.  More than 2^MAX_POWER_SET_POINTS of
+    them raise :class:`TooLarge`."""
+    below = [sum(1 << j for j in range(p.size) if p.leq[j][i] and j != i)
+             for i in range(p.size)]
+    found = {0}
+    frontier = [0]
+    while frontier:
+        grown = []
+        for d in frontier:
+            for i, strict in enumerate(below):
+                e = d | 1 << i
+                if e != d and not strict & ~d and e not in found:
+                    if len(found) == 1 << MAX_POWER_SET_POINTS:
+                        raise TooLarge(
+                            f"the down-set lattice of a {p.size}-element "
+                            f"poset has more than 2^{MAX_POWER_SET_POINTS} "
+                            "elements, the limit")
+                    found.add(e)
+                    grown.append(e)
+        frontier = grown
+    return sorted(found)
 
 
 def dl_of_poset(p: FinitePoset) -> FiniteAlgebra:
@@ -182,6 +197,8 @@ def priestley_dual_hom(h: Morphism) -> RawMap:
 def dl_double_dual_iso(d) -> Morphism:
     """Canonical isomorphism of a distributive lattice onto the down-set
     lattice of its join-irreducibles: x -> {q in J : q <= x}."""
+    from .morphisms import as_isomorphism
+
     alg = _as_lattice(d).algebra
     irr = join_irreducibles(alg)
     leq = order_from_binary(alg.binary("meet"), "meet")
@@ -201,6 +218,8 @@ def dl_double_dual_iso(d) -> Morphism:
 def poset_double_dual_iso(p: FinitePoset) -> RawMap:
     """Canonical order isomorphism of a poset onto the join-irreducibles of
     its down-set lattice: x -> the principal down-set of x."""
+    from .morphisms import as_isomorphism
+
     lat = dl_of_poset(p)
     masks = downset_masks(p)
     irr = join_irreducibles(lat)
@@ -216,7 +235,10 @@ def poset_double_dual_iso(p: FinitePoset) -> RawMap:
 
 def find_poset_isomorphism(p: FinitePoset, q: FinitePoset) -> Optional[RawMap]:
     """First order isomorphism in lexicographic order, or None: the
-    ``poset`` kind of :func:`find_isomorphism`, with its colouring."""
+    ``poset`` kind of :func:`algdual.search.find_isomorphism`, with its
+    colouring."""
+    from .algebra import find_isomorphism
+
     iso = find_isomorphism(p, q, "poset", validate=False)
     return None if iso is None else iso.map
 
@@ -282,3 +304,75 @@ def inverse_system_to_bsl(s: InverseSystem) -> FiniteAlgebra:
     from .systems import plonka_sum
 
     return plonka_sum(lift_system_posets_to_dl(s))
+
+
+# ---------------------------------------------------------------------------
+# Finite Stone duality: the Boolean case of Birkhoff duality
+# ---------------------------------------------------------------------------
+# The atoms of a finite Boolean algebra are its join-irreducibles, and every
+# subset of a discrete space is a down-set, so the maps and algebras below
+# come from the Birkhoff functions above, plus complement and bounds.
+
+def stone_dual(b: FiniteAlgebra) -> FiniteSpace:
+    """The dual space of a finite Boolean algebra: its atoms."""
+    validate_boolean_algebra(b).require(
+        NotBoolean, "input is not a Boolean algebra")
+    return FiniteSpace(len(atoms(b)))
+
+
+def stone_dual_hom(h: Morphism) -> RawMap:
+    """Dual of a Boolean homomorphism h: B1 -> B2, as the map sending an
+    atom q of B2 to the atom min{x : q <= h(x)} of B1."""
+    return priestley_dual_hom(h)
+
+
+def ba_of_space(x: FiniteSpace) -> FiniteAlgebra:
+    """Power-set algebra of a finite space, carrier ordered as subset
+    bitmasks: the down-set lattice of the discrete order with complement
+    and bounds.  Spaces of more than :data:`MAX_POWER_SET_POINTS` points
+    raise :class:`TooLarge` before any table is built."""
+    if x.size > MAX_POWER_SET_POINTS:
+        raise TooLarge(f"the power-set algebra of a {x.size}-point space has "
+                       f"2^{x.size} elements, more than the limit of "
+                       f"2^{MAX_POWER_SET_POINTS}")
+    full = (1 << x.size) - 1
+    return dl_of_poset(x).with_ops(
+        unary={"neg": [full ^ a for a in range(full + 1)]},
+        constants={"zero": 0, "one": full})
+
+
+def stone_double_dual_iso(b: FiniteAlgebra) -> Morphism:
+    """Canonical isomorphism of a Boolean algebra onto the power set of its
+    atom space: x -> the set of atoms below x."""
+    from .morphisms import as_isomorphism
+
+    return as_isomorphism(b, ba_of_space(stone_dual(b)),
+                          dl_double_dual_iso(b).map, "ba")
+
+
+# ---------------------------------------------------------------------------
+# Lifted functors between system categories
+# ---------------------------------------------------------------------------
+
+def lift_functor_dir_to_inv(s: DirectSystem) -> InverseSystem:
+    """Stone duality applied fiberwise: terms are the atom spaces, bondings
+    the dualized (reversed) transitions."""
+    return lift_to_inverse(s, stone_dual)
+
+
+def lift_functor_inv_to_dir(s: InverseSystem) -> DirectSystem:
+    """The power-set functor applied fiberwise: fibers are the power-set
+    algebras, transitions the preimage homs of the bondings."""
+    return lift_to_direct(s, ba_of_space, "ba")
+
+
+def lift_system_morphism_dir_to_inv(m: DirectSystemMorphism) -> InverseSystemMorphism:
+    """Contravariant action on morphisms: (phi, f_i) becomes (phi, dual f_i)
+    from the lift of the target system to the lift of the source."""
+    from .system_morphisms import InverseSystemMorphism
+
+    src = lift_functor_dir_to_inv(m.target)
+    tgt = lift_functor_dir_to_inv(m.source)
+    comps = {i: stone_dual_hom(m.components[i])
+             for i in range(m.source.index.size)}
+    return InverseSystemMorphism(src, tgt, m.index_map, comps)

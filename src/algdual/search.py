@@ -1,18 +1,23 @@
-"""The propagating homomorphism search and the isomorphism colouring.
+"""The propagating homomorphism search, the isomorphism colouring, and the
+two searches built on them, :func:`enumerate_homs` and
+:func:`find_isomorphism`.
 
 :func:`_search_homs` is the one search behind every hom enumeration, dual
 space and isomorphism test; :func:`_joint_iso_colors` gives the candidate
-values of an isomorphism search.  ``algdual.duality`` imports this module,
-and ``algdual.algebra`` and ``algdual.lattices`` load it when a function
-that searches is first called, so commands that never search (``check`` of
-an algebra, ``plonka``, ``hasse``, the Birkhoff duals) do not compile it.
+values of an isomorphism search.  The functions that search load this
+module when first called, so commands that never search (``check`` of an
+algebra or a plain GR space, ``plonka``, ``hasse``, the Stone and Birkhoff
+duals) do not compile it.  ``enumerate_homs`` and ``find_isomorphism`` are
+also names of :mod:`algdual.algebra`, which resolves them on first use.
 """
 
 from __future__ import annotations
 
 import operator
+from typing import Optional
 
-from .algebra import _related_pairs, _signature
+from .errors import KindMismatch
+from .morphisms import Morphism, _related_pairs, _signature, validate_for_kind
 
 
 def _search_homs(source, target, kind: str, *, injective=False,
@@ -20,11 +25,11 @@ def _search_homs(source, target, kind: str, *, injective=False,
     """Value vectors of all kind-homs source -> target, in lexicographic
     order (by position in ``candidates[x]`` when given), at most ``limit``.
 
-    A kind-hom is what :func:`algdual.algebra._signature` states; its
+    A kind-hom is what :func:`algdual.morphisms._signature` states; its
     labels restrict the values before the search.  Order pairs are checked
     both ways for ``poset`` and for bijections between orders with equally
     many related pairs, which reflect the order if they preserve it (see
-    :func:`algdual.algebra.as_isomorphism`).
+    :func:`algdual.morphisms.as_isomorphism`).
 
     The search branches on f(0), f(1), ... in turn and propagates forced
     values.  Every equation is indexed under the elements it reads: a
@@ -208,3 +213,39 @@ def _joint_iso_colors(a, b, kind: str):
         if refined == classes:
             return colors
         classes = refined
+
+
+def enumerate_homs(source, target, kind: str, *, validate=True) -> list[Morphism]:
+    """All kind-preserving maps source -> target, sorted lexicographically by
+    value vector.  The ordering is deterministic and downstream dual-object
+    constructions depend on it."""
+    if validate:
+        for obj in (source, target):
+            report = validate_for_kind(obj, kind)
+            report.require(KindMismatch, f"object is not a valid {kind!r}: "
+                           f"{[c.name for c in report.failures()]}")
+    return [Morphism(source, target, vec, kind)
+            for vec in _search_homs(source, target, kind)]
+
+
+def find_isomorphism(source, target, kind: str, *, validate=True) -> Optional[Morphism]:
+    """First (in lexicographic order) isomorphism source -> target by the
+    rule of :func:`algdual.morphisms.as_isomorphism`, or None; ``poset`` is
+    a kind too.  An element may go only to target elements of its colour
+    (:func:`_joint_iso_colors`), as every isomorphism does.  Equal colour
+    multisets give ordered sides equally many related pairs, so the
+    bijective homs found reflect the order."""
+    if validate:
+        for obj in (source, target):
+            validate_for_kind(obj, kind).require(
+                KindMismatch, f"object is not a valid {kind!r}")
+    if source.size != target.size:
+        return None
+    ca, cb = _joint_iso_colors(source, target, kind)
+    if sorted(ca) != sorted(cb):
+        return None
+    candidates = [[v for v in range(target.size) if cb[v] == ca[x]]
+                  for x in range(source.size)]
+    found = _search_homs(source, target, kind, injective=True,
+                         candidates=candidates, limit=1)
+    return Morphism(source, target, found[0], kind) if found else None

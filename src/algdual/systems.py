@@ -18,40 +18,118 @@ fibers, there Boolean algebras indexed by their local units ``a + a'``.
 
 from __future__ import annotations
 
-from functools import cache
 from itertools import chain
 from typing import Mapping, Optional, Sequence
 
 from .algebra import (
+    ALGEBRA_KINDS,
     Check,
     FiniteAlgebra,
-    JoinSemilattice,
-    Morphism,
     RawMap,
     Record,
+    Table,
     ValidationReport,
-    _first_pair,
-    comparable_pairs,
-    enumerate_homs,
+    _freeze_binary,
+    forwarder,
     ibsl_completion,
-    index_checks,
-    least_element,
-    morphism_violations,
     row_kernel,
     validate_bisemilattice,
     validate_ibsl,
-    validate_for_kind,
+    validate_semilattice,
 )
 from .errors import (
-    DomainMismatch,
-    FiberSplit,
     IllDefinedTransition,
     InvalidSystem,
-    InvalidSystemMorphism,
+    IsomorphismFailure,
     MissingBottom,
     NotBisemilattice,
     NotIBSL,
+    NotSemilattice,
 )
+from .morphisms import (
+    Morphism,
+    _first_pair,
+    morphism_violations,
+    validate_for_kind,
+)
+
+
+# ---------------------------------------------------------------------------
+# Join semilattices (index sets of systems)
+# ---------------------------------------------------------------------------
+
+def _first_not_above(join: Table, b: int) -> Optional[int]:
+    """The first x with b + x != x in the join table, or None."""
+    return next((x for x in range(len(join)) if join[b][x] != x), None)
+
+
+def least_element(join: Table) -> Optional[int]:
+    """The first element of the join table below every element, or None."""
+    return next((b for b in range(len(join))
+                 if _first_not_above(join, b) is None), None)
+
+
+def comparable_pairs(join: Table) -> list[tuple[int, int]]:
+    """All pairs (i, j) with i + j = j, in lexicographic order."""
+    n = len(join)
+    return [(i, j) for i in range(n) for j in range(n) if join[i][j] == j]
+
+
+def index_checks(algebra: FiniteAlgebra, bottom: int) -> list[Check]:
+    """The checks of an index semilattice with least element ``bottom``:
+    those of :func:`validate_semilattice`, then ``index-bottom``, whose
+    witness (bottom, x) names the first x not above ``bottom``.  When
+    ``bottom`` is the declared bottom constant, its law ``bottom-neutral``
+    fails exactly when ``index-bottom`` does, so only ``index-bottom``
+    reports that fault."""
+    x = _first_not_above(algebra.binary("join"), bottom)
+    declared = algebra.constants.get("bottom") == bottom
+    laws = [c for c in validate_semilattice(algebra).checks
+            if c.holds or not declared or c.name != "bottom-neutral"]
+    return [*laws, Check("index-bottom", x is None,
+                         None if x is None else (bottom, x))]
+
+
+class JoinSemilattice(Record):
+    """A validated join semilattice with least element, used as an index set."""
+
+    algebra: FiniteAlgebra
+    bottom: int
+
+    def __init__(self, algebra: FiniteAlgebra, bottom: int):
+        *laws, least = index_checks(algebra, bottom)
+        ValidationReport("join semilattice", tuple(laws)).require(
+            NotSemilattice, "join is not a semilattice operation")
+        if not least.holds:
+            raise MissingBottom(f"element {bottom} is not a least element")
+        if algebra.constants.get("bottom", bottom) != bottom:
+            raise ValueError("declared bottom constant disagrees")
+        self.__dict__.update(algebra=algebra, bottom=bottom)
+
+    @classmethod
+    def from_table(cls, table, bottom: Optional[int] = None,
+                   names=None) -> "JoinSemilattice":
+        join = _freeze_binary(table)
+        if bottom is None:
+            bottom = least_element(join)
+            if bottom is None:
+                raise MissingBottom("semilattice has no least element")
+        alg = FiniteAlgebra(len(join), {"join": join},
+                            constants={"bottom": bottom}, names=names)
+        return cls(alg, bottom)
+
+    @property
+    def size(self) -> int:
+        return self.algebra.size
+
+    def join(self, i: int, j: int) -> int:
+        return self.algebra.binary("join")[i][j]
+
+    def leq(self, i: int, j: int) -> bool:
+        return self.join(i, j) == j
+
+    def comparable_pairs(self) -> list[tuple[int, int]]:
+        return comparable_pairs(self.algebra.binary("join"))
 
 
 def _compose_raw(outer: Sequence[int], inner: Sequence[int]) -> RawMap:
@@ -76,8 +154,7 @@ def check_system(index_algebra: FiniteAlgebra, bottom: int,
     monotonicity when they carry an order).
     """
     subject = "inverse-system" if inverse else "direct-system"
-    laws, least = index_checks(index_algebra, bottom)
-    checks = [*laws.checks, least]
+    checks = index_checks(index_algebra, bottom)
     semilattice_ok = all(c.holds for c in checks)
 
     n = index_algebra.size
@@ -251,6 +328,150 @@ class InverseSystem(Record):
 
 
 # ---------------------------------------------------------------------------
+# Documents of systems
+# ---------------------------------------------------------------------------
+
+class SystemParts(Record):
+    """Shape-valid but not yet coherence-checked system data."""
+
+    variant: str  # "direct" | "inverse"
+    index_algebra: FiniteAlgebra
+    bottom: int
+    objects: dict
+    arrows: dict
+    fiber_kind: Optional[str]
+
+    def __init__(self, variant: str, index_algebra: FiniteAlgebra,
+                 bottom: int, objects: dict, arrows: dict,
+                 fiber_kind: Optional[str]):
+        self.__dict__.update(variant=variant, index_algebra=index_algebra,
+                             bottom=bottom, objects=objects, arrows=arrows,
+                             fiber_kind=fiber_kind)
+
+
+def _parse_arrow_key(key: str, size: int) -> tuple[int, int]:
+    from .documents import _fail
+
+    parts = key.split("->")
+    if len(parts) != 2:
+        raise _fail(f"arrow key {key!r} is not of the form 'i->j'")
+    try:
+        i, j = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise _fail(f"arrow key {key!r} is not a pair of integers")
+    if not (0 <= i < size and 0 <= j < size):
+        raise _fail(f"arrow key {key!r} is out of range")
+    return i, j
+
+
+def _parse_term(key: str, doc: dict):
+    """The term of an inverse-system document: a space or a poset."""
+    from .documents import _expect_int, _fail
+    from .orders import FinitePoset, FiniteSpace, is_partial_order, parse_poset
+
+    inner = doc.get("kind")
+    if inner == "space":
+        size = _expect_int(doc, "size")
+        if size < 0:
+            raise _fail(f"term {key!r} size must be non-negative")
+        return FiniteSpace(size)
+    if inner == "poset":
+        size, leq = parse_poset(doc)
+        if is_partial_order(leq) is not None:
+            raise _fail(f"term {key!r} order is not a partial order")
+        return FinitePoset(size, leq)
+    raise _fail(f"term {key!r} has unsupported kind {inner!r}")
+
+
+def parse_system(data: dict) -> SystemParts:
+    """The parts of a ``direct-system`` or ``inverse-system`` document."""
+    from .documents import _fail, _int_list, _parse_algebra
+
+    index_doc = data.get("index")
+    if not isinstance(index_doc, dict):
+        raise _fail("'index' must be a semilattice document")
+    index_algebra = _parse_algebra(index_doc)
+    if "join" not in index_algebra.binary_ops:
+        raise _fail("index semilattice needs a 'join' op")
+    bottom = index_algebra.constants.get("bottom")
+    if bottom is None:
+        # without a least element, index-bottom fails at element 0
+        bottom = least_element(index_algebra.binary("join")) or 0
+
+    variant = "direct" if data["kind"] == "direct-system" else "inverse"
+    obj_key = "fibers" if variant == "direct" else "terms"
+    raw_objects = data.get(obj_key)
+    if not isinstance(raw_objects, dict):
+        raise _fail(f"'{obj_key}' must be an object keyed by index element")
+    objects, fiber_kind = {}, None
+    for key, doc in raw_objects.items():
+        try:
+            i = int(key)
+        except ValueError:
+            raise _fail(f"object key {key!r} is not an integer")
+        if not (0 <= i < index_algebra.size):
+            raise _fail(f"object key {key!r} is out of range")
+        if not isinstance(doc, dict):
+            raise _fail(f"object {key!r} must be a document")
+        inner = doc.get("kind")
+        if variant == "direct":
+            if inner not in ALGEBRA_KINDS:
+                raise _fail(f"fiber {key!r} has unsupported kind {inner!r}")
+            if fiber_kind is None:
+                fiber_kind = inner
+            elif fiber_kind != inner:
+                raise _fail("fibers carry inconsistent kinds")
+            objects[i] = _parse_algebra(doc)
+        else:
+            objects[i] = _parse_term(key, doc)
+
+    arrow_key = "transitions" if variant == "direct" else "bondings"
+    raw_arrows = data.get(arrow_key, {})
+    if not isinstance(raw_arrows, dict):
+        raise _fail(f"'{arrow_key}' must be an object keyed by 'i->j'")
+    arrows = {}
+    for key, vec in raw_arrows.items():
+        i, j = _parse_arrow_key(key, index_algebra.size)
+        arrows[(i, j)] = tuple(_int_list(vec, f"arrow {key!r}"))
+    for i in objects:
+        arrows.setdefault((i, i), tuple(range(objects[i].size)))
+    return SystemParts(variant, index_algebra, bottom, objects, arrows,
+                       fiber_kind)
+
+
+def check_system_parts(parts: SystemParts) -> ValidationReport:
+    return check_system(parts.index_algebra, parts.bottom, parts.objects,
+                        parts.arrows, parts.fiber_kind,
+                        inverse=(parts.variant == "inverse"))
+
+
+def realize_system(parts: SystemParts):
+    index = JoinSemilattice(
+        parts.index_algebra if "bottom" in parts.index_algebra.constants
+        else parts.index_algebra.with_ops(constants={"bottom": parts.bottom}),
+        parts.bottom)
+    if parts.variant == "direct":
+        return DirectSystem(index, parts.objects, parts.arrows,
+                            parts.fiber_kind)
+    return InverseSystem(index, parts.objects, parts.arrows)
+
+
+def system_data(s, kind: str) -> dict:
+    from .writer import algebra_data, document_data
+
+    keys = (("fibers", "transitions") if kind == "direct-system"
+            else ("terms", "bondings"))
+    objects, arrows = (getattr(s, key) for key in keys)
+    # fibers are algebras of the system's kind; terms know their kind
+    fiber_kind = getattr(s, "kind", None)
+    return {"kind": kind, "index": algebra_data(s.index.algebra, "sl"),
+            keys[0]: {str(i): document_data(objects[i], fiber_kind)
+                      for i in range(s.index.size)},
+            keys[1]: {f"{i}->{j}": list(v)
+                      for (i, j), v in sorted(arrows.items()) if i != j}}
+
+
+# ---------------------------------------------------------------------------
 # Plonka sum and decomposition
 # ---------------------------------------------------------------------------
 
@@ -309,6 +530,32 @@ def plonka_sum(system: DirectSystem) -> FiniteAlgebra:
     constants = {name: offs[idx.bottom] + c
                  for name, c in fibers[idx.bottom].constants.items()}
     return FiniteAlgebra(total, binary, unary, constants, names)
+
+
+def permute_algebra(a: FiniteAlgebra, perm: Sequence[int]) -> FiniteAlgebra:
+    """Relabel the carrier along ``perm`` (old label -> new label).
+
+    Row x of a new table is row ``inv[x]`` of the old one with its columns
+    gathered through ``inv`` and its values through ``perm``: two whole-row
+    gathers (see :func:`algdual.algebra.row_kernel`).  ``tests/oracles.py``
+    keeps the cell-by-cell form."""
+    make, gather, pad = row_kernel(a.size)
+    inv = [0] * a.size
+    for old, new in enumerate(perm):
+        inv[new] = old
+    cols, values = make(inv), pad(perm)
+
+    def relabel(row):
+        return gather(gather(cols, pad(row)), values)
+
+    bin_ops = {name: [relabel(t[old]) for old in inv]
+               for name, t in a.binary_ops.items()}
+    un_ops = {name: relabel(t) for name, t in a.unary_ops.items()}
+    consts = {name: perm[c] for name, c in a.constants.items()}
+    names = None
+    if a.names is not None:
+        names = tuple(a.names[old] for old in inv)
+    return FiniteAlgebra(a.size, bin_ops, un_ops, consts, names)
 
 
 def local_units(b: FiniteAlgebra) -> list[int]:
@@ -463,237 +710,38 @@ def plonka_layout(b: FiniteAlgebra, kind: str) -> list[int]:
     return [x for ms in _fiber_classes(star_table(b)) for x in ms]
 
 
-# ---------------------------------------------------------------------------
-# System morphisms
-# ---------------------------------------------------------------------------
+def plonka_roundtrip(b: FiniteAlgebra, kind: str) -> None:
+    """Check that ``b``, of kind ``"ibsl"`` or ``"bsl"``, is isomorphic to
+    the Plonka sum of its decomposition.
 
-def _square_breaks(g: Sequence[int], p: Sequence[int], q: Sequence[int],
-                   f: Sequence[int]) -> Optional[int]:
-    """The first x at which the square ``g . p = q . f`` does not commute,
-    or None.  Here p and q are the arrows of the two systems, and f and g
-    are the components at their sources and targets."""
-    return next((x for x, (px, fx) in enumerate(zip(p, f))
-                 if g[px] != q[fx]), None)
+    The decomposition names the isomorphism: the sum puts the elements of
+    ``b`` fiber by fiber (:func:`plonka_layout`).  If the layout is a
+    bijection along which the sum has every table of ``b`` (of its
+    completion for ``ibsl``), the sum is ``b`` renamed, so it is valid.
+    Otherwise the sum is validated, and an invalid one fails with its
+    failing checks; a valid one is searched for an isomorphism."""
+    decompose = plonka_decompose if kind == "ibsl" else plonka_decompose_bsl
+    total = plonka_sum(decompose(b))
+    layout = plonka_layout(b, kind)
+    if total.size == b.size and sorted(layout) == list(range(b.size)):
+        moved = permute_algebra(total, layout)
+        expected = ibsl_completion(b) if kind == "ibsl" else b
+        if all(getattr(moved, ops) == getattr(expected, ops)
+               for ops in ("binary_ops", "unary_ops", "constants")):
+            return
+    report = validate_for_kind(total, kind)
+    report.require(IsomorphismFailure, f"sum of decomposition is not a valid "
+                   f"{kind!r}: {[c.name for c in report.failures()]}")
+    from .algebra import find_isomorphism
 
-
-def _require_index_map(phi: Morphism, source: JoinSemilattice,
-                       target: JoinSemilattice) -> None:
-    if phi.source != source.algebra or phi.target != target.algebra:
-        raise InvalidSystemMorphism("index map endpoints do not match")
-    if phi.kind != "sl":
-        raise InvalidSystemMorphism("index map must be a semilattice hom")
-
-
-class DirectSystemMorphism(Record):
-    """Pair (index map, per-fiber homs) with commuting squares.
-
-    ``index_map`` is a bottom-preserving semilattice hom between the index
-    algebras; component i maps fiber(i) of the source into fiber(phi(i)) of
-    the target, and for i <= i' the square with both transition homs
-    commutes.
-    """
-
-    source: DirectSystem
-    target: DirectSystem
-    index_map: Morphism
-    components: Mapping[int, Morphism]
-
-    def __init__(self, source: DirectSystem, target: DirectSystem,
-                 index_map: Morphism, components: Mapping[int, Morphism]):
-        components = dict(components)
-        phi = index_map
-        _require_index_map(phi, source.index, target.index)
-        for i in range(source.index.size):
-            comp = components.get(i)
-            if comp is None:
-                raise InvalidSystemMorphism(f"missing component at index {i}")
-            if (comp.source != source.fiber(i)
-                    or comp.target != target.fiber(phi(i))):
-                raise InvalidSystemMorphism(
-                    f"component {i} endpoints do not match")
-        for i, j in source.index.comparable_pairs():
-            x = _square_breaks(components[j].map, source.transitions[(i, j)],
-                               target.transitions[(phi(i), phi(j))],
-                               components[i].map)
-            if x is not None:
-                raise InvalidSystemMorphism(
-                    f"square ({i},{j}) does not commute at {x}")
-        self.__dict__.update(source=source, target=target,
-                             index_map=index_map, components=components)
+    if find_isomorphism(total, b, kind) is None:
+        raise IsomorphismFailure("sum of decomposition not isomorphic")
 
 
-class InverseSystemMorphism(Record):
-    """Morphism of inverse systems: an index map running against the arrow
-    direction plus per-index term maps.
-
-    For source X (index I) and target Y (index J), ``index_map`` is a
-    semilattice hom J -> I and component j maps term X_phi(j) -> Y_j; for
-    j <= j' the square with both bonding maps commutes.
-    """
-
-    source: InverseSystem
-    target: InverseSystem
-    index_map: Morphism
-    components: Mapping[int, RawMap]
-
-    def __init__(self, source: InverseSystem, target: InverseSystem,
-                 index_map: Morphism,
-                 components: Mapping[int, Sequence[int]]):
-        components = {k: tuple(v) for k, v in components.items()}
-        phi = index_map
-        _require_index_map(phi, target.index, source.index)
-        for j in range(target.index.size):
-            vec = components.get(j)
-            if vec is None:
-                raise InvalidSystemMorphism(f"missing component at index {j}")
-            src = source.term(phi(j))
-            tgt = target.term(j)
-            if len(vec) != src.size or any(v >= tgt.size for v in vec):
-                raise InvalidSystemMorphism(
-                    f"component {j} is not a map term({phi(j)}) -> term({j})")
-        for j, j2 in target.index.comparable_pairs():
-            x = _square_breaks(components[j], source.bondings[(phi(j), phi(j2))],
-                               target.bondings[(j, j2)], components[j2])
-            if x is not None:
-                raise InvalidSystemMorphism(
-                    f"square ({j},{j2}) does not commute at {x}")
-        self.__dict__.update(source=source, target=target,
-                             index_map=index_map, components=components)
-
-
-def identity_system_morphism(system):
-    phi, n = Morphism.identity(system.index.algebra, "sl"), system.index.size
-    if isinstance(system, DirectSystem):
-        return DirectSystemMorphism(system, system, phi, {
-            i: Morphism.identity(system.fiber(i), system.kind) for i in range(n)})
-    return InverseSystemMorphism(system, system, phi, {
-        i: tuple(range(system.term(i).size)) for i in range(n)})
-
-
-def compose_system_morphisms(m2, m1):
-    """m2 after m1.
-
-    Direct variant: index maps compose covariantly and component i is
-    g_phi1(i) . f_i.  Inverse variant: index maps compose the other way
-    around and component k is g_k . f_psi(k).
-    """
-    if isinstance(m1, DirectSystemMorphism) and isinstance(m2, DirectSystemMorphism):
-        if m1.target != m2.source:
-            raise DomainMismatch("system morphisms do not compose")
-        chi = m2.index_map.compose(m1.index_map)
-        comps = {i: m2.components[m1.index_map(i)].compose(m1.components[i])
-                 for i in range(m1.source.index.size)}
-        return DirectSystemMorphism(m1.source, m2.target, chi, comps)
-    if isinstance(m1, InverseSystemMorphism) and isinstance(m2, InverseSystemMorphism):
-        if m1.target != m2.source:
-            raise DomainMismatch("system morphisms do not compose")
-        chi = m1.index_map.compose(m2.index_map)
-        comps = {k: _compose_raw(m2.components[k],
-                                 m1.components[m2.index_map(k)])
-                 for k in range(m2.target.index.size)}
-        return InverseSystemMorphism(m1.source, m2.target, chi, comps)
-    raise DomainMismatch("cannot compose morphisms of different variants")
-
-
-# ---------------------------------------------------------------------------
-# The equivalence between algebras and systems
-# ---------------------------------------------------------------------------
-
-def _expect_sum(h_end: FiniteAlgebra, system: DirectSystem, side: str) -> None:
-    expected = plonka_sum(system)
-    if any(getattr(expected, f) != getattr(h_end, f)
-           for f in ("size", "binary_ops", "unary_ops", "constants")):
-        raise DomainMismatch(
-            f"hom {side} is not the Plonka sum of the given system")
-
-
-def induced_index_map(h: Morphism, da: DirectSystem, db: DirectSystem) -> Morphism:
-    """The semilattice hom phi with h(fiber_i) inside fiber_phi(i), checked
-    exhaustively."""
-    _expect_sum(h.source, da, "source")
-    _expect_sum(h.target, db, "target")
-    offs_a = da.offsets()
-    phi = []
-    for i in range(da.index.size):
-        images = {db.locate(h(offs_a[i] + a))[0]
-                  for a in range(da.fiber(i).size)}
-        if len(images) != 1:
-            raise FiberSplit(
-                f"fiber {i} is scattered across target fibers {sorted(images)}")
-        phi.append(images.pop())
-    return Morphism(da.index.algebra, db.index.algebra, tuple(phi), "sl")
-
-
-def restrict_to_fibers(h: Morphism, da: DirectSystem,
-                       db: DirectSystem) -> dict[int, Morphism]:
-    """Per-index restrictions of an algebra hom, as fiber homs."""
-    return _fiber_restrictions(h, da, db, induced_index_map(h, da, db))
-
-
-def _fiber_restrictions(h: Morphism, da: DirectSystem, db: DirectSystem,
-                        phi: Morphism) -> dict[int, Morphism]:
-    offs_a, offs_b = da.offsets(), db.offsets()
-    out = {}
-    for i in range(da.index.size):
-        j = phi(i)
-        vec = tuple(h(offs_a[i] + a) - offs_b[j]
-                    for a in range(da.fiber(i).size))
-        out[i] = Morphism(da.fiber(i), db.fiber(j), vec, da.kind)
-    return out
-
-
-def hom_to_system_morphism(h: Morphism, da: DirectSystem,
-                           db: DirectSystem) -> DirectSystemMorphism:
-    phi = induced_index_map(h, da, db)
-    return DirectSystemMorphism(da, db, phi,
-                                _fiber_restrictions(h, da, db, phi))
-
-
-def system_morphism_to_hom(m: DirectSystemMorphism) -> Morphism:
-    """Glue the components of a system morphism into one hom of the sums."""
-    a, b = plonka_sum(m.source), plonka_sum(m.target)
-    offs_b = m.target.offsets()
-    vec = []
-    for i in range(m.source.index.size):
-        j = m.index_map(i)
-        for x in range(m.source.fiber(i).size):
-            vec.append(offs_b[j] + m.components[i](x))
-    kind = "ibsl" if m.source.kind == "ba" else "bsl"
-    return Morphism(a, b, tuple(vec), kind)
-
-
-def enumerate_system_morphisms(da: DirectSystem,
-                               db: DirectSystem) -> list[DirectSystemMorphism]:
-    """All system morphisms da -> db, ordered by (index map, components)."""
-    out = []
-
-    @cache
-    def fiber_homs(i, j) -> list[Morphism]:
-        return enumerate_homs(da.fiber(i), db.fiber(j), da.kind,
-                              validate=False)
-
-    comparable = da.index.comparable_pairs()
-    for phi in enumerate_homs(da.index.algebra, db.index.algebra, "sl",
-                              validate=False):
-        chosen: dict[int, Morphism] = {}
-
-        def squares_ok(i: int) -> bool:
-            return all(
-                _square_breaks(chosen[y].map, da.transitions[(x, y)],
-                               db.transitions[(phi(x), phi(y))],
-                               chosen[x].map) is None
-                for (x, y) in comparable
-                if x in chosen and y in chosen and (x == i or y == i))
-
-        def extend(i: int):
-            if i == da.index.size:
-                out.append(DirectSystemMorphism(da, db, phi, dict(chosen)))
-                return
-            for f in fiber_homs(i, phi(i)):
-                chosen[i] = f
-                if squares_ok(i):
-                    extend(i + 1)
-                del chosen[i]
-
-        extend(0)
-    return out
+# System morphisms, which no command builds, are defined in their own
+# module; their names resolve from here too
+__getattr__ = forwarder(globals(), {"system_morphisms": (
+    "DirectSystemMorphism", "InverseSystemMorphism",
+    "compose_system_morphisms", "enumerate_system_morphisms",
+    "hom_to_system_morphism", "identity_system_morphism",
+    "induced_index_map", "restrict_to_fibers", "system_morphism_to_hom")})

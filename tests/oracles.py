@@ -491,3 +491,20 @@ def loop_permute_algebra(a, perm):
     if a.names is not None:
         names = tuple(a.names[inv[x]] for x in range(a.size))
     return FiniteAlgebra(a.size, binary, unary, constants, names)
+
+
+def brute_downset_masks(p):
+    """All down-sets of the poset ``p`` as bitmasks, ascending, by testing
+    every one of the 2^size subsets for closure under the down-sets of its
+    members."""
+    down = [sum(1 << j for j in range(p.size) if p.leq[j][i])
+            for i in range(p.size)]
+    out = []
+    for mask in range(1 << p.size):
+        closure = mask
+        for i in range(p.size):
+            if (mask >> i) & 1:
+                closure |= down[i]
+        if closure == mask:
+            out.append(mask)
+    return out

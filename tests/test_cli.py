@@ -11,10 +11,11 @@ import pytest
 
 from algdual.algebra import FiniteAlgebra, builtin, permute_algebra
 from algdual.cli import main
+from algdual.errors import MissingBottom, NotSemilattice
 from algdual.documents import dumps_document, loads_document, check_document
 from algdual.duality import wk_space
 from algdual.generate import random_direct_system, random_permutation
-from algdual.systems import plonka_decompose, plonka_sum
+from algdual.systems import JoinSemilattice, plonka_decompose, plonka_sum
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -135,6 +136,36 @@ def test_check_system_index_failures(capsys, tmp_path, join, lines):
         "subject: direct-system", "  [PASS] join-idempotent",
         f"  {lines[0]}", "  [PASS] join-associative", f"  {lines[1]}",
         "  [PASS] objects-complete", "result: FAIL"]) + "\n"
+
+
+def test_wrong_index_bottom_is_reported_once(capsys, tmp_path):
+    # the benchmark's direct system over a three-element chain, with a
+    # declared bottom that is not the least element: its own law,
+    # bottom-neutral, fails exactly when index-bottom does
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import corpus
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    data = json.loads(corpus.build("cli-mix", 0)[0]["dsys"])
+    data["index"]["ops"]["bottom"] = 1
+    path = _write_json(tmp_path, "dsys.json", data)
+    code, out, _ = run(capsys, "check", path)
+    assert code == 1
+    assert out == "\n".join([
+        "subject: direct-system", "  [PASS] join-idempotent",
+        "  [PASS] join-commutative", "  [PASS] join-associative",
+        "  [FAIL] index-bottom  witness (1, 0)",
+        "  [PASS] objects-complete", "result: FAIL"]) + "\n"
+    index = FiniteAlgebra(3, {"join": data["index"]["ops"]["join"]},
+                          constants={"bottom": 1})
+    with pytest.raises(MissingBottom, match="element 1 is not a least"):
+        JoinSemilattice(index, 1)
+    right_projection = FiniteAlgebra(2, {"join": [[0, 1], [0, 1]]},
+                                     constants={"bottom": 0})
+    with pytest.raises(NotSemilattice,
+                       match="join is not a semilattice operation"):
+        JoinSemilattice(right_projection, 0)
 
 
 def test_hom_count_golden(capsys, three_file):
@@ -446,9 +477,9 @@ def test_gen_unreachable_size_exit_2(capsys, argv):
 def test_gen_gives_up_after_bounded_draws(capsys, monkeypatch):
     # reachable in principle (index of two elements, trivial upper fiber),
     # but practically never drawn: the draw budget ends the search
-    import algdual.cli as cli
+    import algdual.commands.gen as gen
 
-    monkeypatch.setattr(cli, "_GEN_DRAWS", 5)
+    monkeypatch.setattr(gen, "_GEN_DRAWS", 5)
     code, out, err = run(capsys, "gen", "--fibers", "4", "--size", "9")
     assert code == 2
     assert out == ""
@@ -501,6 +532,25 @@ def test_boolean_order_entries_still_accepted(capsys, tmp_path):
     assert code == 0
 
 
+# stdout, stderr and exit code of ``algctl ARGV`` for every help text and
+# every usage error argparse reports itself, recorded in-process through
+# main() with COLUMNS=80 (the same on Python 3.10 and 3.11) before the
+# parser built only the arguments of the command it runs
+HELP_GOLDENS = json.loads(
+    (ROOT / "tests" / "cli_help_goldens.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("argv", sorted(HELP_GOLDENS),
+                         ids=lambda argv: argv or "no-arguments")
+def test_help_and_usage_errors_are_unchanged(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = HELP_GOLDENS[argv]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv.split())
+    assert exit_info.value.code == code
+    assert capsys.readouterr() == (out, err)
+
+
 def _kind_choices(command: str):
     from algdual.cli import build_parser
 
@@ -524,12 +574,12 @@ def test_resource_exhaustion_exits_2_with_a_message(capsys, monkeypatch,
                                                     error):
     # an input too large or too deeply nested must end in a message, never
     # a traceback
-    import algdual.cli as cli
+    import algdual.commands.check as check
 
     def exhausted(args):
         raise error()
 
-    monkeypatch.setattr(cli, "cmd_check", exhausted)
+    monkeypatch.setattr(check, "run", exhausted)
     code, out, err = run(capsys, "check", "builtin:wk")
     assert code == 2
     assert out == ""
@@ -637,6 +687,43 @@ def test_dual_of_a_large_space_is_refused(tmp_path, document):
     assert err.decode() == (
         "error: the power-set algebra of a 40-point space has 2^40 "
         "elements, more than the limit of 2^10\n")
+
+
+def _poset40(leq) -> dict:
+    return {"kind": "poset", "size": 40,
+            "leq": [[int(leq(i, j)) for j in range(40)] for i in range(40)]}
+
+
+def test_dual_of_a_40_element_chain_is_its_41_down_sets(tmp_path):
+    # the down-sets are grown one at a time, so the 2^40 subsets of the
+    # chain are never visited
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(_poset40(lambda i, j: i <= j)),
+                    encoding="utf-8")
+    proc = _algctl("dual", str(path))
+    try:
+        out, err = proc.communicate(timeout=20)
+    finally:
+        proc.kill()
+    assert proc.wait() == 0, err
+    assert loads_document(out.decode()).payload.size == 41
+
+
+def test_dual_of_a_40_element_antichain_is_refused(tmp_path):
+    # its down-set lattice has 2^40 elements
+    path = tmp_path / "antichain.json"
+    path.write_text(json.dumps(_poset40(lambda i, j: i == j)),
+                    encoding="utf-8")
+    proc = _algctl("dual", str(path))
+    try:
+        out, err = proc.communicate(timeout=20)
+    finally:
+        proc.kill()
+    assert proc.wait() == 2
+    assert out == b""
+    assert err.decode() == (
+        "error: the down-set lattice of a 40-element poset has more than "
+        "2^10 elements, the limit\n")
 
 
 def _ladder_ibsl48() -> str:

@@ -1,7 +1,7 @@
 """Every top-level import of a library module is used in that module, and
 every top-level definition is used somewhere.
 
-Package ``__init__`` files re-export names, so they are exempt from the
+The package's ``__init__`` re-exports names, so it is exempt from the
 import check.  Names in quoted annotations (``-> "FiniteAlgebra"``) count
 as used.  A definition counts as used when its name is read outside its
 own body anywhere in ``src/``, ``tests/`` or ``perfbench/``: as a
@@ -20,8 +20,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "algdual"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-READERS = sorted([*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py"),
+MODULES = sorted(p for p in SRC.rglob("*.py") if p != SRC / "__init__.py")
+READERS = sorted([*SRC.rglob("*.py"), *(ROOT / "tests").glob("*.py"),
                   *(ROOT / "perfbench").glob("*.py")])
 
 
@@ -65,7 +65,8 @@ def test_detector_flags_unused_import():
     assert unused_imports(source) == ["os (line 1)", "y (line 2)"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES,
+                         ids=lambda p: str(p.relative_to(SRC)))
 def test_no_unused_top_level_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

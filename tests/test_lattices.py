@@ -14,6 +14,7 @@ from algdual.errors import (
     MissingBottom,
     NotBisemilattice,
     NotDistributive,
+    TooLarge,
     UnboundedTransition,
 )
 from algdual.generate import (
@@ -29,6 +30,7 @@ from algdual.lattices import (
     bsl_to_inverse_system,
     dl_double_dual_iso,
     dl_of_poset,
+    downset_masks,
     find_poset_isomorphism,
     inverse_system_to_bsl,
     join_irreducibles,
@@ -38,7 +40,7 @@ from algdual.lattices import (
     priestley_dual_hom,
 )
 from algdual.systems import plonka_sum, star_table
-from oracles import naive_join_irreducibles
+from oracles import brute_downset_masks, naive_join_irreducibles
 
 
 def chain_dl(n):
@@ -263,3 +265,22 @@ def test_gr_cross_check_hom_counts(three):
             n_alg = len(enumerate_homs(a, b, "bsl"))
             n_gr = len(enumerate_homs(dual_of_bsl(b), dual_of_bsl(a), "gr"))
             assert n_alg == n_gr
+
+
+def test_downset_masks_match_the_subset_scan():
+    # every poset up to 4 elements, and random ones up to 9
+    rng = Random(31)
+    posets = [p for n in range(5) for p in all_posets(n)]
+    posets += [random_poset(rng, 9) for _ in range(60)]
+    for p in posets:
+        assert downset_masks(p) == brute_downset_masks(p)
+
+
+def test_downset_masks_grow_with_the_down_sets_not_the_subsets():
+    chain = FinitePoset(40, [[i <= j for j in range(40)] for i in range(40)])
+    assert downset_masks(chain) == [(1 << k) - 1 for k in range(41)]
+    ten = FinitePoset(10, [[i == j for j in range(10)] for i in range(10)])
+    assert len(downset_masks(ten)) == 1 << 10
+    eleven = FinitePoset(11, [[i == j for j in range(11)] for i in range(11)])
+    with pytest.raises(TooLarge, match="11-element poset has more than 2"):
+        downset_masks(eleven)

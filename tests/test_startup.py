@@ -2,14 +2,19 @@
 
 Every ``algctl`` run is a fresh interpreter, so what it imports is paid on
 every command.  These tests run commands in new interpreters and check which
-modules got loaded: commands on algebra documents, and every error the
-parser reports itself, need only the algebra, document and error modules;
-only commands that run a system step load ``algdual.systems``, and only
-commands that search for homs load ``algdual.search``.  They also pin down
-the package's lazy exports and the behaviour of the immutable value classes
-(``Record`` subclasses).
+modules got loaded: each row of ``MODULE_ROWS`` names every module a command
+loads, so a new top-level import shows up here.  Commands on algebra
+documents, and every error the parser reports itself, need only the
+algebra, document and error modules and their own command module; only
+commands that run a system step load ``algdual.systems``, and only commands
+that search for homs load ``algdual.search``.  They also check that every
+function the benchmark names resolves, and pin down the package's lazy
+exports and the behaviour of the immutable value classes (``Record``
+subclasses).
 """
 
+import ast
+import importlib.util
 import json
 import os
 import subprocess
@@ -43,7 +48,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # modules that commands on algebra documents must not load
 HEAVY = {"dataclasses", "algdual.duality", "algdual.systems",
          "algdual.lattices", "algdual.generate", "algdual.hasse",
-         "algdual.search"}
+         "algdual.search", "algdual.morphisms", "algdual.orders",
+         "algdual.system_morphisms", "algdual.writer"}
 
 
 def _loaded_after(code: str) -> tuple[object, set]:
@@ -95,10 +101,12 @@ def algebra_files(tmp_path_factory):
         paths[kind] = str(folder / f"{kind}.json")
         Path(paths[kind]).write_text(dumps_document(obj, kind),
                                      encoding="utf-8")
-    paths["direct-system"] = str(folder / "direct-system.json")
-    Path(paths["direct-system"]).write_text(
-        dumps_document(systems.plonka_decompose(builtin("wk"))),
-        encoding="utf-8")
+    system = systems.plonka_decompose(builtin("wk"))
+    for kind, obj in (("direct-system", system),
+                      ("inverse-system",
+                       lattices.lift_functor_dir_to_inv(system))):
+        paths[kind] = str(folder / f"{kind}.json")
+        Path(paths[kind]).write_text(dumps_document(obj), encoding="utf-8")
     return paths
 
 
@@ -121,7 +129,8 @@ def test_search_and_hasse_on_algebras_load_no_heavy_module(
     argv = [arg.format(**algebra_files) for arg in argv]
     code, modules = _loaded_after(_main(argv))
     assert code == expected
-    allowed = {"hasse": {"algdual.hasse"}}.get(argv[0], {"algdual.search"})
+    allowed = {"hasse": {"algdual.hasse", "algdual.orders"}}.get(
+        argv[0], {"algdual.search", "algdual.morphisms"})
     assert not modules & (HEAVY - allowed)
     assert allowed <= modules
 
@@ -183,8 +192,11 @@ def test_hom_and_iso_call_the_algebra_bindings(algebra_files, command):
 # what the involutive-bisemilattice pipeline needs: no lattice, generator
 # or DOT module
 IBSL_PIPELINE = {"algdual", "algdual.algebra", "algdual.cli",
+                 "algdual.commands", "algdual.commands.dual",
+                 "algdual.commands.plonka", "algdual.commands.roundtrip",
                  "algdual.documents", "algdual.duality", "algdual.errors",
-                 "algdual.search", "algdual.systems"}
+                 "algdual.morphisms", "algdual.orders", "algdual.search",
+                 "algdual.systems", "algdual.writer"}
 
 
 @pytest.mark.parametrize("argv", [["dual"], ["plonka", "decompose"],
@@ -202,6 +214,146 @@ def test_bsl_decomposition_loads_no_lattice_module(algebra_files, argv):
     assert "algdual.lattices" not in modules
 
 
+# the modules every command loads, besides its own command module
+CORE = {"algdual", "algdual.algebra", "algdual.cli", "algdual.commands",
+        "algdual.documents", "algdual.errors"}
+GR = {"duality", "orders"}
+SEARCH = {"morphisms", "search"}
+SYSTEMS = {"systems", "morphisms"}
+BIRKHOFF = {"lattices", "orders"}
+WRITER = {"writer"}
+
+# One row per line of the README's start-up table: a command, and every
+# module it loads beyond CORE and its command module.
+MODULE_ROWS = [
+    *[(["check", "{%s}" % k], set()) for k in ("ibsl", "bsl", "ba", "dl", "sl")],
+    *[(["check", "{%s}" % k], {"orders"}) for k in ("poset", "space")],
+    (["check", "{gr}"], GR),
+    (["check", "{igr}"], GR | SEARCH),
+    (["check", "{direct-system}"], SYSTEMS),
+    (["check", "{inverse-system}"], SYSTEMS | {"orders"}),
+    *[(["dual", "{%s}" % k], GR | SEARCH | WRITER)
+      for k in ("ibsl", "bsl", "gr", "igr")],
+    *[(["dual", "{%s}" % k], BIRKHOFF | WRITER)
+      for k in ("ba", "dl", "poset", "space")],
+    *[(["dual", "{%s}" % k], SYSTEMS | BIRKHOFF | WRITER)
+      for k in ("direct-system", "inverse-system")],
+    (["plonka", "decompose", "{ibsl}"], SYSTEMS | WRITER),
+    (["plonka", "decompose", "{bsl}"], SYSTEMS | WRITER),
+    (["plonka", "sum", "{direct-system}"], SYSTEMS | WRITER),
+    (["roundtrip", "{ibsl}"], GR | SEARCH | SYSTEMS),
+    (["roundtrip", "{ibsl}", "--format", "json"],
+     GR | SEARCH | SYSTEMS | WRITER),
+    (["roundtrip", "{bsl}"], SYSTEMS),
+    *[(["roundtrip", "{%s}" % k], BIRKHOFF | {"morphisms"})
+      for k in ("ba", "dl", "poset")],
+    (["roundtrip", "{igr}"], GR | SEARCH),
+    *[(["hom", "{%s}" % k, "{%s}" % k, "--kind", k, "--count"], SEARCH)
+      for k in ("ibsl", "bsl", "ba", "dl", "sl")],
+    (["iso", "{ibsl}", "{ibsl}", "--kind", "ibsl"], SEARCH),
+    (["hom", "{igr}", "{igr}", "--kind", "igr", "--count"], GR | SEARCH),
+    (["iso", "{gr}", "{gr}", "--kind", "gr"], GR | SEARCH),
+    *[(["hasse", "{%s}" % k, "--order", "meet"], {"hasse", "orders"})
+      for k in ("ibsl", "poset")],
+    (["hasse", "{gr}", "--order", "box"], {"hasse"} | GR),
+    (["gen", "--size", "8"],
+     {"generate", "lattices", "morphisms", "orders", "systems", "writer"}),
+]
+
+
+@pytest.mark.parametrize("argv, extra", MODULE_ROWS,
+                         ids=[" ".join(argv) for argv, _ in MODULE_ROWS])
+def test_each_command_loads_exactly_its_modules(algebra_files, argv, extra):
+    argv = [arg.format(**algebra_files) for arg in argv]
+    code, modules = _loaded_after(_main(argv))
+    assert code == 0
+    expected = CORE | {f"algdual.commands.{argv[0]}"} | {
+        f"algdual.{m}" for m in extra}
+    assert {m for m in modules if m.startswith("algdual")} == expected
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _perfbench_module(name: str):
+    """``perfbench/<name>.py``, loaded by path."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up while the class is built
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def test_every_function_the_tracer_wraps_resolves():
+    spans = _perfbench_module("spans")
+    keys = [*spans.SPANS, *spans.CALL_COUNTERS, *spans.SIZE_COUNTERS]
+    missing = [key for key in keys if not callable(getattr(
+        importlib.import_module(f"algdual.{key[0]}"), key[1], None))]
+    assert keys and missing == []
+
+
+def test_every_name_the_corpus_imports_resolves():
+    corpus = _perfbench_module("corpus")
+    tree = ast.parse((PERFBENCH / "corpus.py").read_text(encoding="utf-8"))
+    names = [(node.module, alias.name) for node in tree.body
+             if isinstance(node, ast.ImportFrom)
+             and node.module.startswith("algdual")
+             for alias in node.names]
+    assert names
+    for module, name in names:
+        assert getattr(corpus, name) is getattr(
+            importlib.import_module(module), name)
+
+
+# commands whose counters and spans the tracer reads, and what they must be
+TRACED = [
+    (["hom", "{ibsl}", "{ibsl}", "--kind", "ibsl", "--count"],
+     "counts['algebra.morphism_checks'] == counts['algebra.homs_found'] > 0"
+     " and {'documents.load', 'documents.check',"
+     " 'algebra.hom_search'} <= names"),
+    (["iso", "{ibsl}", "{ibsl}", "--kind", "ibsl"],
+     "counts['algebra.iso_calls'] == counts['algebra.morphism_checks'] == 1"
+     " and 'algebra.iso_search' in names"),
+    (["check", "{direct-system}"],
+     "counts['systems.system_check_calls'] == 1"
+     " and counts['algebra.morphism_checks'] > 0"
+     " and counts['algebra.identity_checks'] > 0"),
+    (["dual", "{ibsl}"],
+     "{'cli.command', 'documents.load', 'documents.check', 'documents.dump',"
+     " 'duality.dual_build', 'duality.hom_space'} <= names"),
+    (["roundtrip", "{ibsl}"],
+     "{'systems.decompose', 'systems.sum', 'duality.double_dual'} <= names"),
+    (["roundtrip", "{igr}"],
+     "counts['duality.hom_space_points'] > 0"
+     " and counts['algebra.morphism_checks'] == 1"),
+]
+
+
+@pytest.mark.parametrize("argv, condition", TRACED, ids=[
+    "hom", "iso", "check-system", "dual", "roundtrip-ibsl", "roundtrip-igr"])
+def test_the_tracer_sees_every_wrapped_call(algebra_files, argv, condition):
+    # the benchmark's tracer wraps the bindings in the modules of
+    # spans.MODULES; a wrapped function defined elsewhere must be called
+    # through one of them
+    argv = [arg.format(**algebra_files) for arg in argv]
+    code = (f"sys.path.insert(0, {str(PERFBENCH)!r})\n"
+            "import spans\n"
+            "recorder = spans.Recorder('op')\n"
+            "spans.install(recorder)\n"
+            f"{_main(argv)}\n"
+            "counts = recorder.counts\n"
+            "names = {span[0] for span in recorder.spans}\n"
+            f"result = [result, bool({condition}), dict(counts),"
+            " sorted(names)]")
+    result, _ = _loaded_after(code)
+    assert result[0] == 0 and result[1], result[2:]
+
+
 @pytest.mark.parametrize("name, data", [
     ("not-json", "{"),
     ("unknown-kind", {"kind": "monoid"}),
@@ -215,12 +367,20 @@ def test_bsl_decomposition_loads_no_lattice_module(algebra_files, argv):
                   "terms": {"0": {"kind": "space", "size": "1"}}}),
 ])
 def test_parse_errors_load_no_heavy_module(tmp_path, name, data):
+    # a GR space, a poset, a space or a system is parsed next to its
+    # structure, so its parse errors load that module and no other
+    parser = {"bad-gr": {"algdual.duality", "algdual.orders"},
+              "bad-space": {"algdual.orders"},
+              "bad-poset": {"algdual.orders"},
+              "bad-system": {"algdual.systems", "algdual.morphisms"},
+              "bad-term": {"algdual.systems", "algdual.morphisms",
+                           "algdual.orders"}}.get(name, set())
     path = tmp_path / f"{name}.json"
     path.write_text(data if isinstance(data, str) else json.dumps(data),
                     encoding="utf-8")
     code, modules = _loaded_after(_main(["check", str(path)]))
     assert code == 2
-    assert not modules & HEAVY
+    assert modules & HEAVY == parser
 
 
 @pytest.mark.parametrize("argv", [
@@ -307,7 +467,7 @@ def _samples():
             [[0, 1], [1, 1]], bottom=0),
         Morphism: lambda: Morphism.identity(wk, "ibsl"),
         Document: lambda: Document("ibsl", wk),
-        documents.SystemParts: lambda: loads_document(system_doc).payload,
+        systems.SystemParts: lambda: loads_document(system_doc).payload,
         duality.FiniteSpace: lambda: duality.FiniteSpace(2),
         duality.GRSpace: duality.gr_three,
         duality.GRSpaceWithInvolution: duality.wk_space,
@@ -325,7 +485,7 @@ def _samples():
 
 # record classes with a dict field are unhashable, as their dataclass
 # forms were
-UNHASHABLE = {documents.SystemParts, systems.DirectSystem,
+UNHASHABLE = {systems.SystemParts, systems.DirectSystem,
               systems.InverseSystem, systems.DirectSystemMorphism,
               systems.InverseSystemMorphism}
 

@@ -19,7 +19,7 @@ from algdual.algebra import (
     builtin,
     permute_algebra,
 )
-from algdual.documents import _json, document_data, dumps_document
+from algdual.writer import _json, document_data, dumps_document
 from algdual.duality import (
     FiniteSpace,
     ba_of_space,
