@@ -25,7 +25,8 @@ Every command loads this module, so it holds only what checking an algebra
 document runs.  Morphisms (:mod:`algdual.morphisms`), the hom search
 (:mod:`algdual.search`), orders (:mod:`algdual.orders`) and index
 semilattices (:mod:`algdual.systems`) live with the commands that use them;
-their public names resolve from here too, on first use.
+the functions of theirs that the benchmark wraps or imports from here
+still resolve from here, on first use.
 """
 
 from __future__ import annotations
@@ -687,13 +688,12 @@ def forwarder(namespace: dict, moved: dict):
     return __getattr__
 
 
-# Morphisms, orders and index semilattices are defined in the modules of
-# the commands that use them, so every command compiles only the code it
-# runs; their names resolve from here too.
+# Morphisms, the hom search and permute_algebra are defined in the modules
+# of the commands that use them, so every command compiles only the code it
+# runs; these names, which the benchmark wraps or imports from here, resolve
+# from here too.
 __getattr__ = forwarder(globals(), {
-    "morphisms": ("Morphism", "as_isomorphism", "morphism_violations"),
+    "morphisms": ("morphism_violations",),
     "search": ("enumerate_homs", "find_isomorphism"),
-    "orders": ("induced_orders", "is_partial_order", "order_from_binary"),
-    "lattices": ("atoms",),
-    "systems": ("JoinSemilattice", "permute_algebra"),
+    "systems": ("permute_algebra",),
 })

@@ -8,7 +8,7 @@ import time
 
 from ..algebra import Check, ValidationReport, resolve
 from ..documents import kind_entry
-from ..errors import AlgebraError
+from ..errors import AlgebraError, TooLarge
 from . import add_format, checked_payload, emit_report
 
 
@@ -28,6 +28,9 @@ def run(args) -> int:
         try:
             resolve(step)(obj)
             checks.append(Check(name, True))
+        except TooLarge:
+            # input too large to process is not a failed check: exit 2
+            raise
         except AlgebraError as exc:
             checks.append(Check(name, False, None, str(exc)))
     elapsed = time.perf_counter() - t0

@@ -47,7 +47,7 @@ class Document(Record):
         self.__dict__.update(kind=kind, payload=payload)
 
 
-def _fail(msg: str) -> DocumentError:
+def fail(msg: str) -> DocumentError:
     return DocumentError(f"malformed document: {msg}")
 
 
@@ -55,22 +55,22 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _int_list(value, what: str) -> list:
+def int_list(value, what: str) -> list:
     if not isinstance(value, list) or not all(map(_is_int, value)):
-        raise _fail(f"{what} must be a list of integers")
+        raise fail(f"{what} must be a list of integers")
     return value
 
 
-def _int_table(value, what: str) -> list:
+def int_table(value, what: str) -> list:
     if not isinstance(value, list):
-        raise _fail(f"{what} must be a table of integers")
-    return [_int_list(row, f"rows of {what}") for row in value]
+        raise fail(f"{what} must be a table of integers")
+    return [int_list(row, f"rows of {what}") for row in value]
 
 
-def _expect_int(data, key: str) -> int:
+def expect_int(data, key: str) -> int:
     value = data.get(key)
     if not _is_int(value):
-        raise _fail(f"{key!r} must be an integer")
+        raise fail(f"{key!r} must be an integer")
     return value
 
 
@@ -80,54 +80,54 @@ _RESERVED_ARITY = {"join": "binary", "meet": "binary", "neg": "unary",
                    "zero": "constant", "one": "constant", "bottom": "constant"}
 
 
-def _parse_algebra(data: dict) -> FiniteAlgebra:
-    size = _expect_int(data, "size")
+def parse_algebra(data: dict) -> FiniteAlgebra:
+    size = expect_int(data, "size")
     ops = data.get("ops")
     if not isinstance(ops, dict):
-        raise _fail("'ops' must be an object")
+        raise fail("'ops' must be an object")
     names = data.get("names")
     if names is not None and (not isinstance(names, list) or not all(
             isinstance(v, str) for v in names)):
-        raise _fail("'names' must be a list of strings")
+        raise fail("'names' must be a list of strings")
     binary, unary, constants = {}, {}, {}
     for name, value in ops.items():
         if _is_int(value):
             constants[name] = value
         elif isinstance(value, list) and value and isinstance(value[0], list):
-            binary[name] = _int_table(value, f"op {name!r}")
+            binary[name] = int_table(value, f"op {name!r}")
         elif isinstance(value, list):
-            unary[name] = _int_list(value, f"op {name!r}")
+            unary[name] = int_list(value, f"op {name!r}")
         else:
-            raise _fail(f"op {name!r} must be an int, list or table")
+            raise fail(f"op {name!r} must be an int, list or table")
     for arity, ops_of in (("binary", binary), ("unary", unary),
                           ("constant", constants)):
         for name in ops_of:
             if _RESERVED_ARITY.get(name, arity) != arity:
-                raise _fail(f"op {name!r} must be a {_RESERVED_ARITY[name]} "
-                            f"operation, not a {arity} one")
+                raise fail(f"op {name!r} must be a {_RESERVED_ARITY[name]} "
+                           f"operation, not a {arity} one")
     try:
         return FiniteAlgebra(size, binary, unary, constants,
                              tuple(names) if names else None)
     except (ValueError, TypeError) as exc:
-        raise _fail(str(exc))
+        raise fail(str(exc))
 
 
-def _parse_matrix01(data, key: str, size: int):
+def parse_matrix01(data, key: str, size: int):
     m = data.get(key)
     if (not isinstance(m, list) or len(m) != size
             or any(not isinstance(r, list) or len(r) != size for r in m)):
-        raise _fail(f"'{key}' must be a {size}x{size} matrix")
+        raise fail(f"'{key}' must be a {size}x{size} matrix")
     if any(not isinstance(v, int) or v not in (0, 1) for r in m for v in r):
-        raise _fail(f"'{key}' entries must be 0 or 1")
+        raise fail(f"'{key}' entries must be 0 or 1")
     return tuple(tuple(bool(v) for v in r) for r in m)
 
 
 def parse_document(data: dict) -> Document:
     if not isinstance(data, dict):
-        raise _fail("top level must be an object")
+        raise fail("top level must be an object")
     kind = data.get("kind")
     if kind not in KINDS:
-        raise _fail(f"unknown kind {kind!r}")
+        raise fail(f"unknown kind {kind!r}")
     return Document(kind, resolve(KIND_TABLE[kind]["parse"])(data))
 
 
@@ -177,7 +177,7 @@ def realize_document(doc: Document):
 def _lifted_dual(system):
     """The duality of a system's terms applied termwise.  A direct system
     names its fiber kind; an inverse system's terms are spaces or posets."""
-    term_kind = (getattr(system, "kind", None) or _KIND_OF_CLASS.get(
+    term_kind = (getattr(system, "kind", None) or KIND_OF_CLASS.get(
         type(system.term(0)).__name__, "space"))
     lift = KIND_TABLE[term_kind].get("lift")
     if lift is None:
@@ -205,7 +205,7 @@ def _plonka_sum(system) -> Document:
 # raising AlgebraError; plonka: (mode, function); hasse: order name ->
 # function giving the order matrix.
 
-_ALGEBRA = {"parse": _parse_algebra, "data": ("writer", "algebra_data"),
+_ALGEBRA = {"parse": parse_algebra, "data": ("writer", "algebra_data"),
             "hasse": {op: lambda a, op=op: resolve(
                 ("orders", "order_from_binary"))(a.binary(op), op)
                 for op in ("join", "meet")},
@@ -270,7 +270,7 @@ KIND_TABLE = {
 # the kinds a document can declare
 KINDS = tuple(kind for kind, entry in KIND_TABLE.items() if "parse" in entry)
 # the kind of every library object other than an algebra, by class name
-_KIND_OF_CLASS = {"GRSpace": "gr", "GRSpaceWithInvolution": "igr",
+KIND_OF_CLASS = {"GRSpace": "gr", "GRSpaceWithInvolution": "igr",
                   "FinitePoset": "poset", "FiniteSpace": "space",
                   "DirectSystem": "direct-system",
                   "InverseSystem": "inverse-system"}
@@ -278,9 +278,8 @@ _KIND_OF_CLASS = {"GRSpace": "gr", "GRSpaceWithInvolution": "igr",
 
 def kind_entry(kind: str, obj) -> dict:
     """The entry of ``obj``, read from a document of kind ``kind``."""
-    return KIND_TABLE[_KIND_OF_CLASS.get(type(obj).__name__, kind)]
+    return KIND_TABLE[KIND_OF_CLASS.get(type(obj).__name__, kind)]
 
 
 # the writer loads only with the commands that write a document
-__getattr__ = forwarder(globals(), {"writer": ("document_data",
-                                               "dumps_document")})
+__getattr__ = forwarder(globals(), {"writer": ("dumps_document",)})

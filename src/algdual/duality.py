@@ -15,7 +15,8 @@ involutive bisemilattice additionally carries the involution
 (lexicographic) hom enumeration, which makes every dual table reproducible.
 
 Finite Stone duality, the Boolean case of Birkhoff duality, and its lift to
-systems are in :mod:`algdual.lattices`; their names resolve from here too.
+systems are in :mod:`algdual.lattices`; the names of theirs that the
+benchmark wraps or imports from here still resolve from here.
 The hom search (:mod:`algdual.search`) and morphisms
 (:mod:`algdual.morphisms`) load when a function here first needs them, so
 checking a plain GR space compiles neither.
@@ -126,25 +127,25 @@ def parse_gr(data: dict):
     """The GR space of a ``gr`` document, with its involution when the
     document has a ``neg`` map."""
     from .documents import (
-        _expect_int,
-        _fail,
-        _int_list,
-        _int_table,
-        _parse_matrix01,
+        expect_int,
+        fail,
+        int_list,
+        int_table,
+        parse_matrix01,
     )
 
-    size = _expect_int(data, "size")
-    leq = _parse_matrix01(data, "leq", size)
-    star = _int_table(data.get("star"), "'star'")
-    c0, c1, calpha = (_expect_int(data, key) for key in ("c0", "c1", "calpha"))
-    neg = _int_list(data["neg"], "'neg'") if "neg" in data else None
+    size = expect_int(data, "size")
+    leq = parse_matrix01(data, "leq", size)
+    star = int_table(data.get("star"), "'star'")
+    c0, c1, calpha = (expect_int(data, key) for key in ("c0", "c1", "calpha"))
+    neg = int_list(data["neg"], "'neg'") if "neg" in data else None
     try:
         base = GRSpace(size, star, leq, c0, c1, calpha)
         if neg is not None:
             return GRSpaceWithInvolution(base, neg)
         return base
     except (ValueError, TypeError) as exc:
-        raise _fail(str(exc))
+        raise fail(str(exc))
 
 
 def gr_data(g, kind: str) -> dict:
@@ -576,11 +577,11 @@ def ibsl_to_inverse_system(b: FiniteAlgebra) -> InverseSystem:
     return lift_functor_dir_to_inv(plonka_decompose(b))
 
 
-# Stone duality is in lattices and FiniteSpace in orders; their names
-# resolve from here too
+# Stone duality is in lattices and FiniteSpace in orders; the names of
+# theirs that the benchmark wraps or imports from here resolve from here
 __getattr__ = forwarder(globals(), {
     "lattices": ("ba_of_space", "lift_functor_dir_to_inv",
-                 "lift_functor_inv_to_dir", "lift_system_morphism_dir_to_inv",
-                 "stone_double_dual_iso", "stone_dual", "stone_dual_hom"),
+                 "lift_functor_inv_to_dir", "stone_double_dual_iso",
+                 "stone_dual"),
     "orders": ("FiniteSpace",),
 })

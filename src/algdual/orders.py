@@ -121,10 +121,10 @@ class FiniteSpace(Record):
 def parse_poset(data: dict) -> tuple:
     """The size and order matrix of a ``poset`` document, not yet checked
     to be a partial order."""
-    from .documents import _expect_int, _parse_matrix01
+    from .documents import expect_int, parse_matrix01
 
-    size = _expect_int(data, "size")
-    return size, _parse_matrix01(data, "leq", size)
+    size = expect_int(data, "size")
+    return size, parse_matrix01(data, "leq", size)
 
 
 def check_poset(payload: tuple) -> ValidationReport:
@@ -139,9 +139,9 @@ def poset_data(p: FinitePoset, kind: str) -> dict:
 
 
 def parse_space(data: dict) -> FiniteSpace:
-    from .documents import _expect_int, _fail
+    from .documents import expect_int, fail
 
-    size = _expect_int(data, "size")
+    size = expect_int(data, "size")
     if size < 0:
-        raise _fail("space size must be non-negative")
+        raise fail("space size must be non-negative")
     return FiniteSpace(size)

@@ -4,7 +4,7 @@ translation between homs of Plonka sums and direct-system morphisms.
 A direct-system morphism is an index map and a hom per fiber whose squares
 with the transitions commute; an inverse-system morphism runs its index map
 against the arrows.  No ``algctl`` command builds them, so they live apart
-from :mod:`algdual.systems`, which names them too.  Plonka sums are built
+from :mod:`algdual.systems`.  Plonka sums are built
 through ``systems.plonka_sum``, so a wrapper installed there sees them.
 """
 
@@ -17,7 +17,7 @@ from .algebra import FiniteAlgebra, RawMap, Record
 from .errors import DomainMismatch, FiberSplit, InvalidSystemMorphism
 from . import systems
 from .morphisms import Morphism
-from .systems import DirectSystem, InverseSystem, JoinSemilattice, _compose_raw
+from .systems import DirectSystem, InverseSystem, JoinSemilattice, compose_raw
 
 
 def _square_breaks(g: Sequence[int], p: Sequence[int], q: Sequence[int],
@@ -141,8 +141,8 @@ def compose_system_morphisms(m2, m1):
         if m1.target != m2.source:
             raise DomainMismatch("system morphisms do not compose")
         chi = m1.index_map.compose(m2.index_map)
-        comps = {k: _compose_raw(m2.components[k],
-                                 m1.components[m2.index_map(k)])
+        comps = {k: compose_raw(m2.components[k],
+                                m1.components[m2.index_map(k)])
                  for k in range(m2.target.index.size)}
         return InverseSystemMorphism(m1.source, m2.target, chi, comps)
     raise DomainMismatch("cannot compose morphisms of different variants")

@@ -1,5 +1,5 @@
-"""Semilattice direct and inverse systems, their morphisms, and the Plonka
-sum construction with its inverse decomposition.
+"""Semilattice direct and inverse systems, and the Plonka sum construction
+with its inverse decomposition.
 
 A direct system is a family of algebras of one kind indexed by a join
 semilattice with bottom, together with a transition homomorphism for every
@@ -30,7 +30,6 @@ from .algebra import (
     Table,
     ValidationReport,
     _freeze_binary,
-    forwarder,
     ibsl_completion,
     row_kernel,
     validate_bisemilattice,
@@ -132,7 +131,7 @@ class JoinSemilattice(Record):
         return comparable_pairs(self.algebra.binary("join"))
 
 
-def _compose_raw(outer: Sequence[int], inner: Sequence[int]) -> RawMap:
+def compose_raw(outer: Sequence[int], inner: Sequence[int]) -> RawMap:
     return tuple(outer[v] for v in inner)
 
 
@@ -235,8 +234,8 @@ def check_system(index_algebra: FiniteAlgebra, bottom: int,
 
     def composite(i, j, k):
         if inverse:
-            return _compose_raw(arrows[(i, j)], arrows[(j, k)])
-        return _compose_raw(arrows[(j, k)], arrows[(i, j)])
+            return compose_raw(arrows[(i, j)], arrows[(j, k)])
+        return compose_raw(arrows[(j, k)], arrows[(i, j)])
 
     triple_witness = next(((i, j, k) for (i, j) in pairs for k in range(n)
                            if join[j][k] == k
@@ -350,49 +349,49 @@ class SystemParts(Record):
 
 
 def _parse_arrow_key(key: str, size: int) -> tuple[int, int]:
-    from .documents import _fail
+    from .documents import fail
 
     parts = key.split("->")
     if len(parts) != 2:
-        raise _fail(f"arrow key {key!r} is not of the form 'i->j'")
+        raise fail(f"arrow key {key!r} is not of the form 'i->j'")
     try:
         i, j = int(parts[0]), int(parts[1])
     except ValueError:
-        raise _fail(f"arrow key {key!r} is not a pair of integers")
+        raise fail(f"arrow key {key!r} is not a pair of integers")
     if not (0 <= i < size and 0 <= j < size):
-        raise _fail(f"arrow key {key!r} is out of range")
+        raise fail(f"arrow key {key!r} is out of range")
     return i, j
 
 
 def _parse_term(key: str, doc: dict):
     """The term of an inverse-system document: a space or a poset."""
-    from .documents import _expect_int, _fail
+    from .documents import expect_int, fail
     from .orders import FinitePoset, FiniteSpace, is_partial_order, parse_poset
 
     inner = doc.get("kind")
     if inner == "space":
-        size = _expect_int(doc, "size")
+        size = expect_int(doc, "size")
         if size < 0:
-            raise _fail(f"term {key!r} size must be non-negative")
+            raise fail(f"term {key!r} size must be non-negative")
         return FiniteSpace(size)
     if inner == "poset":
         size, leq = parse_poset(doc)
         if is_partial_order(leq) is not None:
-            raise _fail(f"term {key!r} order is not a partial order")
+            raise fail(f"term {key!r} order is not a partial order")
         return FinitePoset(size, leq)
-    raise _fail(f"term {key!r} has unsupported kind {inner!r}")
+    raise fail(f"term {key!r} has unsupported kind {inner!r}")
 
 
 def parse_system(data: dict) -> SystemParts:
     """The parts of a ``direct-system`` or ``inverse-system`` document."""
-    from .documents import _fail, _int_list, _parse_algebra
+    from .documents import fail, int_list, parse_algebra
 
     index_doc = data.get("index")
     if not isinstance(index_doc, dict):
-        raise _fail("'index' must be a semilattice document")
-    index_algebra = _parse_algebra(index_doc)
+        raise fail("'index' must be a semilattice document")
+    index_algebra = parse_algebra(index_doc)
     if "join" not in index_algebra.binary_ops:
-        raise _fail("index semilattice needs a 'join' op")
+        raise fail("index semilattice needs a 'join' op")
     bottom = index_algebra.constants.get("bottom")
     if bottom is None:
         # without a least element, index-bottom fails at element 0
@@ -402,37 +401,37 @@ def parse_system(data: dict) -> SystemParts:
     obj_key = "fibers" if variant == "direct" else "terms"
     raw_objects = data.get(obj_key)
     if not isinstance(raw_objects, dict):
-        raise _fail(f"'{obj_key}' must be an object keyed by index element")
+        raise fail(f"'{obj_key}' must be an object keyed by index element")
     objects, fiber_kind = {}, None
     for key, doc in raw_objects.items():
         try:
             i = int(key)
         except ValueError:
-            raise _fail(f"object key {key!r} is not an integer")
+            raise fail(f"object key {key!r} is not an integer")
         if not (0 <= i < index_algebra.size):
-            raise _fail(f"object key {key!r} is out of range")
+            raise fail(f"object key {key!r} is out of range")
         if not isinstance(doc, dict):
-            raise _fail(f"object {key!r} must be a document")
+            raise fail(f"object {key!r} must be a document")
         inner = doc.get("kind")
         if variant == "direct":
             if inner not in ALGEBRA_KINDS:
-                raise _fail(f"fiber {key!r} has unsupported kind {inner!r}")
+                raise fail(f"fiber {key!r} has unsupported kind {inner!r}")
             if fiber_kind is None:
                 fiber_kind = inner
             elif fiber_kind != inner:
-                raise _fail("fibers carry inconsistent kinds")
-            objects[i] = _parse_algebra(doc)
+                raise fail("fibers carry inconsistent kinds")
+            objects[i] = parse_algebra(doc)
         else:
             objects[i] = _parse_term(key, doc)
 
     arrow_key = "transitions" if variant == "direct" else "bondings"
     raw_arrows = data.get(arrow_key, {})
     if not isinstance(raw_arrows, dict):
-        raise _fail(f"'{arrow_key}' must be an object keyed by 'i->j'")
+        raise fail(f"'{arrow_key}' must be an object keyed by 'i->j'")
     arrows = {}
     for key, vec in raw_arrows.items():
         i, j = _parse_arrow_key(key, index_algebra.size)
-        arrows[(i, j)] = tuple(_int_list(vec, f"arrow {key!r}"))
+        arrows[(i, j)] = tuple(int_list(vec, f"arrow {key!r}"))
     for i in objects:
         arrows.setdefault((i, i), tuple(range(objects[i].size)))
     return SystemParts(variant, index_algebra, bottom, objects, arrows,
@@ -736,12 +735,3 @@ def plonka_roundtrip(b: FiniteAlgebra, kind: str) -> None:
 
     if find_isomorphism(total, b, kind) is None:
         raise IsomorphismFailure("sum of decomposition not isomorphic")
-
-
-# System morphisms, which no command builds, are defined in their own
-# module; their names resolve from here too
-__getattr__ = forwarder(globals(), {"system_morphisms": (
-    "DirectSystemMorphism", "InverseSystemMorphism",
-    "compose_system_morphisms", "enumerate_system_morphisms",
-    "hom_to_system_morphism", "identity_system_morphism",
-    "induced_index_map", "restrict_to_fibers", "system_morphism_to_hom")})

@@ -12,7 +12,7 @@ import json
 from typing import Optional
 
 from .algebra import ALGEBRA_KINDS, FiniteAlgebra, resolve
-from .documents import _KIND_OF_CLASS, KIND_TABLE, Document
+from .documents import KIND_OF_CLASS, KIND_TABLE, Document
 
 
 def document_data(obj, kind: Optional[str] = None) -> dict:
@@ -24,7 +24,7 @@ def document_data(obj, kind: Optional[str] = None) -> dict:
         if kind not in ALGEBRA_KINDS:
             raise ValueError("algebra serialization needs an explicit kind")
     else:
-        kind = _KIND_OF_CLASS.get(type(obj).__name__)
+        kind = KIND_OF_CLASS.get(type(obj).__name__)
         if kind is None:
             raise ValueError(f"cannot serialize {type(obj).__name__}")
     return resolve(KIND_TABLE[kind]["data"])(obj, kind)

@@ -5,7 +5,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from algdual.algebra import FiniteAlgebra, JoinSemilattice, builtin
+from algdual.algebra import FiniteAlgebra, builtin
+from algdual.systems import JoinSemilattice
 
 
 @pytest.fixture

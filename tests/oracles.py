@@ -427,7 +427,8 @@ def tuple_pointwise(points, op3, what):
 def tuple_order(points):
     """The pointwise order matrix of ``points`` in the meet order
     alpha < 0 < 1 of the three-element algebra."""
-    from algdual.algebra import builtin, order_from_binary
+    from algdual.algebra import builtin
+    from algdual.orders import order_from_binary
 
     leq3 = order_from_binary(builtin("three").binary("meet"), "meet")
     return [[all(leq3[u][v] for u, v in zip(p, q)) for q in points]

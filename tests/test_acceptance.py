@@ -12,13 +12,13 @@ import pytest
 
 from algdual.algebra import (
     FiniteAlgebra,
-    Morphism,
     builtin,
     enumerate_homs,
     find_isomorphism,
     permute_algebra,
     validate_ibsl,
 )
+from algdual.morphisms import Morphism
 from algdual.cli import main as algctl
 from algdual.documents import dumps_document
 from algdual.duality import (
@@ -49,13 +49,12 @@ from algdual.lattices import (
     plonka_decompose_bsl,
     poset_double_dual_iso,
 )
-from algdual.systems import (
+from algdual.systems import plonka_decompose, plonka_sum
+from algdual.system_morphisms import (
     DirectSystemMorphism,
     compose_system_morphisms,
     enumerate_system_morphisms,
     hom_to_system_morphism,
-    plonka_decompose,
-    plonka_sum,
     system_morphism_to_hom,
 )
 from oracles import naive_gr_homs, naive_homs

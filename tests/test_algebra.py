@@ -5,18 +5,18 @@ import pytest
 
 from algdual.algebra import (
     FiniteAlgebra,
-    JoinSemilattice,
-    Morphism,
     builtin,
     enumerate_homs,
     find_isomorphism,
     ibsl_completion,
-    induced_orders,
     permute_algebra,
     validate_bisemilattice,
     validate_boolean_algebra,
     validate_ibsl,
 )
+from algdual.systems import JoinSemilattice
+from algdual.morphisms import Morphism
+from algdual.orders import induced_orders
 from algdual.errors import (
     InvalidMorphism,
     KindMismatch,
@@ -138,7 +138,7 @@ def test_validate_boolean_chain3_de_morgan_fails():
 
 
 def test_boolean_sizes_are_powers_of_two():
-    from algdual.algebra import atoms
+    from algdual.lattices import atoms
     from algdual.duality import FiniteSpace, ba_of_space
 
     for k in range(4):

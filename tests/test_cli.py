@@ -10,7 +10,7 @@ from random import Random
 import pytest
 
 from algdual.algebra import FiniteAlgebra, builtin, permute_algebra
-from algdual.cli import main
+from algdual.cli import build_parser, main, parse_plain
 from algdual.errors import MissingBottom, NotSemilattice
 from algdual.documents import dumps_document, loads_document, check_document
 from algdual.duality import wk_space
@@ -552,9 +552,7 @@ def test_help_and_usage_errors_are_unchanged(capsys, monkeypatch, argv):
 
 
 def _kind_choices(command: str):
-    from algdual.cli import build_parser
-
-    sub = next(a for a in build_parser()._actions
+    sub = next(a for a in build_parser(command)._actions
                if isinstance(a, argparse._SubParsersAction))
     return next(a.choices for a in sub.choices[command]._actions
                 if a.dest == "kind")
@@ -567,6 +565,85 @@ def test_parser_kind_choices_are_the_kind_tuples():
     assert tuple(_kind_choices("check")) == KINDS
     assert tuple(_kind_choices("hom")) == ALGEBRA_KINDS + SPACE_KINDS
     assert tuple(_kind_choices("iso")) == ALGEBRA_KINDS + SPACE_KINDS
+
+
+# the words of each subcommand's lines, and words only argparse reads or
+# refuses: help, an abbreviation, an attached value, a negative number,
+# a lone dash, an option-like word with a space, the end of options
+_LINE_WORDS = {
+    "check": ("f.json", "g.json", "--kind", "ibsl", "igr", "nokind",
+              "--format", "json", "text"),
+    "dual": ("f.json", "g.json", "-o", "--output", "out.txt"),
+    "plonka": ("sum", "decompose", "f.json", "g.json", "-o", "out.txt"),
+    "hom": ("f.json", "g.json", "--kind", "ibsl", "gr", "nokind", "--count",
+            "--list", "--format", "json"),
+    "iso": ("f.json", "g.json", "--kind", "ibsl", "gr", "nokind"),
+    "roundtrip": ("f.json", "g.json", "--format", "json", "text"),
+    "hasse": ("f.json", "--order", "join", "meet", "box", "nope", "-o",
+              "out.txt"),
+    "gen": ("--size", "--fibers", "--seed", "5", "x", "-o", "out.txt"),
+}
+_ARGPARSE_WORDS = ("-h", "--help", "--fo", "--kind=ibsl", "-1", "-", "",
+                   "-x y", "--")
+
+
+def test_plain_lines_parse_as_argparse_parses_them(capsys):
+    # parse_plain takes a line only when it gives what argparse gives it
+    rng = Random(0)
+    parsers = {command: build_parser(command) for command in _LINE_WORDS}
+    plain = 0
+    for _ in range(6000):
+        command = rng.choice(sorted(_LINE_WORDS))
+        words = _LINE_WORDS[command] + _ARGPARSE_WORDS[:rng.randrange(2)
+                                                       * len(_ARGPARSE_WORDS)]
+        argv = [command] + [rng.choice(words) for _ in range(rng.randrange(7))]
+        try:
+            expected = vars(parsers[command].parse_args(argv))
+        except SystemExit:
+            expected = None
+        fast = parse_plain(argv)
+        if fast is not None:
+            plain += 1
+            assert vars(fast) == expected, argv
+    capsys.readouterr()
+    assert plain > 300
+
+
+@pytest.mark.parametrize("line, plain", [
+    ("hom a b --kind ibsl --count", True),
+    ("hom a b --kind ibsl --count --list", False),
+    ("hom a b --count", False),
+    ("plonka sum f -o out", True),
+    ("plonka add f", False),
+    ("gen", True),
+    ("gen --seed 3 --seed 4 -o out", True),
+    ("gen --seed -1", False),
+    ("gen --size x", False),
+    ("check f --format json --kind ibsl", True),
+    ("check f --kind=ibsl", False),
+    ("check f --fo json", False),
+    ("check f g", False),
+    ("check", False),
+    ("check -h", False),
+    ("hasse f --order nope", False),
+])
+def test_plain_line_cases(capsys, line, plain):
+    argv = line.split()
+    fast = parse_plain(argv)
+    assert (fast is not None) == plain
+    if plain:
+        assert vars(fast) == vars(build_parser(argv[0]).parse_args(argv))
+
+
+def test_the_benchmark_lines_are_plain():
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import corpus
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    for ops in corpus.OPS.values():
+        for op in ops:
+            assert parse_plain(corpus.cli_argv(op, 0)) is not None, op.id
 
 
 @pytest.mark.parametrize("error", [MemoryError, RecursionError])
@@ -723,6 +800,25 @@ def test_dual_of_a_40_element_antichain_is_refused(tmp_path):
     assert out == b""
     assert err.decode() == (
         "error: the down-set lattice of a 40-element poset has more than "
+        "2^10 elements, the limit\n")
+
+
+def test_roundtrip_past_the_down_set_limit_exits_2(tmp_path):
+    # 2^11 down-sets: too large to process, not a failed check
+    path = tmp_path / "antichain.json"
+    path.write_text(json.dumps(
+        {"kind": "poset", "size": 11,
+         "leq": [[int(i == j) for j in range(11)] for i in range(11)]}),
+        encoding="utf-8")
+    proc = _algctl("roundtrip", str(path))
+    try:
+        out, err = proc.communicate(timeout=20)
+    finally:
+        proc.kill()
+    assert proc.wait() == 2
+    assert out == b""
+    assert err.decode() == (
+        "error: the down-set lattice of a 11-element poset has more than "
         "2^10 elements, the limit\n")
 
 

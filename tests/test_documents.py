@@ -4,13 +4,13 @@ from algdual.algebra import builtin
 from algdual.documents import (
     Document,
     check_document,
-    document_data,
     dumps_document,
     load_document,
     loads_document,
     parse_document,
     realize_document,
 )
+from algdual.writer import document_data
 from algdual.duality import dual_of_ibsl, ibsl_to_inverse_system
 from algdual.errors import DocumentError
 from algdual.lattices import FinitePoset, bsl_to_inverse_system

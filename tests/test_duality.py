@@ -6,14 +6,14 @@ import pytest
 
 from algdual import duality
 from algdual.algebra import (
-    Morphism,
     builtin,
     enumerate_homs,
     find_isomorphism,
     ibsl_completion,
-    induced_orders,
     validate_ibsl,
 )
+from algdual.morphisms import Morphism
+from algdual.orders import induced_orders
 from algdual.duality import (
     FiniteSpace,
     GRSpace,
@@ -32,14 +32,13 @@ from algdual.duality import (
     ibsl_to_inverse_system,
     lift_functor_dir_to_inv,
     lift_functor_inv_to_dir,
-    lift_system_morphism_dir_to_inv,
     stone_double_dual_iso,
     stone_dual,
-    stone_dual_hom,
     validate_gr_involution,
     validate_gr_space,
     wk_space,
 )
+from algdual.lattices import lift_system_morphism_dir_to_inv, stone_dual_hom
 from algdual.errors import NotBoolean, NotGRSpace
 from algdual.generate import (
     _chain_index,
@@ -48,13 +47,12 @@ from algdual.generate import (
     random_ibsl,
     random_presheaf_system,
 )
-from algdual.systems import (
+from algdual.systems import plonka_decompose, plonka_sum
+from algdual.system_morphisms import (
     DirectSystemMorphism,
     InverseSystemMorphism,
     hom_to_system_morphism,
     identity_system_morphism,
-    plonka_decompose,
-    plonka_sum,
 )
 from oracles import (
     naive_gr_homs,
@@ -129,7 +127,7 @@ def test_lift_wk_decomposition(wk):
 
 
 def test_lift_singleton(two):
-    from algdual.algebra import JoinSemilattice
+    from algdual.systems import JoinSemilattice
     from algdual.systems import DirectSystem
 
     point = JoinSemilattice.from_table([[0]], bottom=0)

@@ -3,21 +3,17 @@ contravariant lift from the direct side."""
 
 import pytest
 
-from algdual.algebra import Morphism, builtin
-from algdual.duality import (
-    FiniteSpace,
-    lift_functor_dir_to_inv,
-    lift_system_morphism_dir_to_inv,
-)
+from algdual.algebra import builtin
+from algdual.morphisms import Morphism
+from algdual.duality import FiniteSpace, lift_functor_dir_to_inv
+from algdual.lattices import lift_system_morphism_dir_to_inv
 from algdual.errors import InvalidSystemMorphism
-from algdual.systems import (
-    InverseSystem,
+from algdual.systems import InverseSystem, plonka_decompose, plonka_sum
+from algdual.system_morphisms import (
     InverseSystemMorphism,
     compose_system_morphisms,
     hom_to_system_morphism,
     identity_system_morphism,
-    plonka_decompose,
-    plonka_sum,
 )
 
 

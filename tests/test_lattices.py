@@ -4,11 +4,11 @@ import pytest
 
 from algdual.algebra import (
     FiniteAlgebra,
-    Morphism,
     builtin,
     enumerate_homs,
     find_isomorphism,
 )
+from algdual.morphisms import Morphism
 from algdual.duality import dual_of_bsl
 from algdual.errors import (
     MissingBottom,

@@ -11,11 +11,10 @@ from algdual.algebra import (
     enumerate_homs,
     find_isomorphism,
     ibsl_completion,
-    induced_orders,
-    is_partial_order,
     validate_bisemilattice,
     validate_ibsl,
 )
+from algdual.orders import induced_orders, is_partial_order
 from algdual.duality import (
     dual_of_ibsl,
     eps_iso,
@@ -26,11 +25,9 @@ from algdual.duality import (
 )
 from algdual.generate import random_bsl, random_direct_system, random_ibsl
 from algdual.lattices import plonka_decompose_bsl
-from algdual.systems import (
+from algdual.systems import local_units, plonka_decompose, plonka_sum
+from algdual.system_morphisms import (
     enumerate_system_morphisms,
-    local_units,
-    plonka_decompose,
-    plonka_sum,
     system_morphism_to_hom,
 )
 

@@ -12,14 +12,13 @@ import pytest
 from algdual import search
 from algdual.algebra import (
     FiniteAlgebra,
-    Morphism,
-    as_isomorphism,
     builtin,
     enumerate_homs,
     find_isomorphism,
-    is_partial_order,
     permute_algebra,
 )
+from algdual.morphisms import Morphism, as_isomorphism
+from algdual.orders import is_partial_order
 from algdual.duality import (
     GRSpace,
     GRSpaceWithInvolution,

@@ -6,11 +6,11 @@ modules got loaded: each row of ``MODULE_ROWS`` names every module a command
 loads, so a new top-level import shows up here.  Commands on algebra
 documents, and every error the parser reports itself, need only the
 algebra, document and error modules and their own command module; only
-commands that run a system step load ``algdual.systems``, and only commands
-that search for homs load ``algdual.search``.  They also check that every
-function the benchmark names resolves, and pin down the package's lazy
-exports and the behaviour of the immutable value classes (``Record``
-subclasses).
+commands that run a system step load ``algdual.systems``, only commands
+that search for homs load ``algdual.search``, and a plain command line
+loads no ``argparse``.  They also check that every function the benchmark
+names resolves, and pin down the package's lazy exports and the behaviour
+of the immutable value classes (``Record`` subclasses).
 """
 
 import ast
@@ -25,15 +25,17 @@ from random import Random
 import pytest
 
 import algdual
-from algdual import algebra, documents, duality, lattices, systems
-from algdual.algebra import (
-    Check,
-    FiniteAlgebra,
-    JoinSemilattice,
-    Morphism,
-    ValidationReport,
-    builtin,
+from algdual import (
+    algebra,
+    documents,
+    duality,
+    lattices,
+    system_morphisms,
+    systems,
 )
+from algdual.algebra import Check, FiniteAlgebra, ValidationReport, builtin
+from algdual.systems import JoinSemilattice
+from algdual.morphisms import Morphism
 from algdual.documents import Document, dumps_document, loads_document
 from algdual.duality import FiniteSpace, dual_of_bsl, dual_of_ibsl
 from algdual.lattices import FinitePoset
@@ -270,6 +272,8 @@ def test_each_command_loads_exactly_its_modules(algebra_files, argv, extra):
     expected = CORE | {f"algdual.commands.{argv[0]}"} | {
         f"algdual.{m}" for m in extra}
     assert {m for m in modules if m.startswith("algdual")} == expected
+    # every row is a plain command line, read without argparse
+    assert "argparse" not in modules
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -393,45 +397,46 @@ def test_unreadable_inputs_load_no_heavy_module(argv):
     assert not modules & HEAVY
 
 
-# The package's public names before its submodules were loaded lazily.
+# The package's public names, by the module that defines each.
 EXPORTS = {
     "algebra": (
-        "Check", "FiniteAlgebra", "JoinSemilattice", "Morphism",
-        "ValidationReport", "atoms", "builtin", "enumerate_homs",
-        "find_isomorphism", "ibsl_completion", "induced_orders",
-        "permute_algebra", "validate_bisemilattice",
+        "Check", "FiniteAlgebra", "ValidationReport", "builtin",
+        "ibsl_completion", "validate_bisemilattice",
         "validate_boolean_algebra", "validate_distributive_lattice",
         "validate_ibsl", "validate_semilattice"),
     "duality": (
-        "FiniteSpace", "GRSpace", "GRSpaceWithInvolution", "ba_of_space",
-        "bsl_of_gr", "delta_iso", "dual_of_bsl", "dual_of_gr", "dual_of_ibsl",
-        "dual_of_ibsl_hom", "eps_iso", "gr_homs", "gr_three",
-        "ibsl_to_inverse_system", "lift_functor_dir_to_inv",
-        "lift_functor_inv_to_dir", "stone_double_dual_iso", "stone_dual",
-        "stone_dual_hom", "validate_gr_involution", "validate_gr_space",
-        "wk_space"),
+        "GRSpace", "GRSpaceWithInvolution", "bsl_of_gr", "delta_iso",
+        "dual_of_bsl", "dual_of_gr", "dual_of_ibsl", "dual_of_ibsl_hom",
+        "eps_iso", "gr_homs", "gr_three", "ibsl_to_inverse_system",
+        "validate_gr_involution", "validate_gr_space", "wk_space"),
     "lattices": (
-        "DistributiveLattice", "FinitePoset", "bsl_to_inverse_system",
+        "DistributiveLattice", "atoms", "ba_of_space", "bsl_to_inverse_system",
         "dl_of_poset", "dl_double_dual_iso", "find_poset_isomorphism",
-        "inverse_system_to_bsl", "join_irreducibles", "plonka_decompose_bsl",
-        "poset_double_dual_iso", "priestley_dual", "priestley_dual_hom"),
+        "inverse_system_to_bsl", "join_irreducibles",
+        "lift_functor_dir_to_inv", "lift_functor_inv_to_dir",
+        "poset_double_dual_iso", "priestley_dual", "priestley_dual_hom",
+        "stone_double_dual_iso", "stone_dual", "stone_dual_hom"),
+    "morphisms": ("Morphism",),
+    "orders": ("FinitePoset", "FiniteSpace", "induced_orders"),
+    "search": ("enumerate_homs", "find_isomorphism"),
+    "system_morphisms": (
+        "DirectSystemMorphism", "InverseSystemMorphism",
+        "compose_system_morphisms", "enumerate_system_morphisms",
+        "hom_to_system_morphism", "identity_system_morphism",
+        "induced_index_map", "restrict_to_fibers", "system_morphism_to_hom"),
     "systems": (
-        "DirectSystem", "DirectSystemMorphism", "InverseSystem",
-        "InverseSystemMorphism", "compose_system_morphisms",
-        "enumerate_system_morphisms", "hom_to_system_morphism",
-        "identity_system_morphism", "induced_index_map", "local_units",
-        "plonka_decompose", "plonka_sum", "restrict_to_fibers",
-        "system_morphism_to_hom"),
+        "DirectSystem", "InverseSystem", "JoinSemilattice", "local_units",
+        "permute_algebra", "plonka_decompose", "plonka_decompose_bsl",
+        "plonka_sum"),
 }
 
 
 def test_package_exports_resolve_to_submodule_attributes():
-    modules = {"algebra": algebra, "duality": duality, "lattices": lattices,
-               "systems": systems}
     names = set()
     for module, exported in EXPORTS.items():
+        home = importlib.import_module(f"algdual.{module}")
         for name in exported:
-            assert getattr(algdual, name) is getattr(modules[module], name)
+            assert getattr(algdual, name) is getattr(home, name)
             names.add(name)
     assert set(algdual.__all__) == names
     assert names <= set(dir(algdual))
@@ -456,7 +461,8 @@ def _samples():
     system_doc = dumps_document(systems.plonka_decompose(wk))
 
     def dsm():
-        return systems.identity_system_morphism(systems.plonka_decompose(wk))
+        return system_morphisms.identity_system_morphism(
+            systems.plonka_decompose(wk))
 
     return {
         Check: lambda: Check("I1", False, (0, 1), "note"),
@@ -477,17 +483,17 @@ def _samples():
         systems.DirectSystem: lambda: systems.plonka_decompose(wk),
         systems.InverseSystem: lambda: duality.lift_functor_dir_to_inv(
             systems.plonka_decompose(wk)),
-        systems.DirectSystemMorphism: dsm,
-        systems.InverseSystemMorphism: lambda: (
-            duality.lift_system_morphism_dir_to_inv(dsm())),
+        system_morphisms.DirectSystemMorphism: dsm,
+        system_morphisms.InverseSystemMorphism: lambda: (
+            lattices.lift_system_morphism_dir_to_inv(dsm())),
     }
 
 
 # record classes with a dict field are unhashable, as their dataclass
 # forms were
 UNHASHABLE = {systems.SystemParts, systems.DirectSystem,
-              systems.InverseSystem, systems.DirectSystemMorphism,
-              systems.InverseSystemMorphism}
+              systems.InverseSystem, system_morphisms.DirectSystemMorphism,
+              system_morphisms.InverseSystemMorphism}
 
 
 def _fields(cls) -> tuple[str, ...]:

@@ -4,12 +4,12 @@ import pytest
 
 from algdual.algebra import (
     FiniteAlgebra,
-    JoinSemilattice,
-    Morphism,
     builtin,
     find_isomorphism,
     validate_ibsl,
 )
+from algdual.systems import JoinSemilattice
+from algdual.morphisms import Morphism
 from algdual.errors import (
     DomainMismatch,
     InvalidSystem,
@@ -19,16 +19,18 @@ from algdual.errors import (
 from algdual.generate import random_direct_system, random_ibsl
 from algdual.systems import (
     DirectSystem,
-    DirectSystemMorphism,
     check_system,
+    local_units,
+    plonka_decompose,
+    plonka_sum,
+)
+from algdual.system_morphisms import (
+    DirectSystemMorphism,
     compose_system_morphisms,
     enumerate_system_morphisms,
     hom_to_system_morphism,
     identity_system_morphism,
     induced_index_map,
-    local_units,
-    plonka_decompose,
-    plonka_sum,
     restrict_to_fibers,
     system_morphism_to_hom,
 )
@@ -294,4 +296,4 @@ def test_hom_to_system_morphism_builds_each_sum_once(monkeypatch):
     monkeypatch.setattr(systems, "plonka_sum", spy)
     m = hom_to_system_morphism(h, da, da)
     assert len(calls) == 2
-    assert m == systems.identity_system_morphism(da)
+    assert m == identity_system_morphism(da)

@@ -13,12 +13,8 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from algdual.algebra import (
-    FiniteAlgebra,
-    JoinSemilattice,
-    builtin,
-    permute_algebra,
-)
+from algdual.algebra import FiniteAlgebra, builtin, permute_algebra
+from algdual.systems import JoinSemilattice
 from algdual.writer import _json, document_data, dumps_document
 from algdual.duality import (
     FiniteSpace,
