@@ -279,11 +279,10 @@ def _compile_identity(lhs, rhs) -> str:
     ``t[row][row]`` of one row from the diagonal; two different rows are
     zipped.  The sides are compared as rows, and the first index where they
     differ completes the witness, so assignments are visited in ``product``
-    order and the first witness is the tree walk's.  Each distinct subterm
-    is computed once, in the outermost loop that binds all of its loop
+    order and the first witness is the tree walk's.  Each occurrence of a
+    subterm is computed in the outermost loop that binds all of its loop
     variables (level 0 is before the loops).
     """
-    uses: dict = {}
     names: set[str] = set()
     tables: dict = {}
 
@@ -294,10 +293,8 @@ def _compile_identity(lhs, rhs) -> str:
             names.add(term)
             return
         tables.setdefault((_ACCESSORS[len(term)], term[0]), f"t{len(tables)}")
-        uses[term] = uses.get(term, 0) + 1
-        if uses[term] == 1:
-            for t in term[1:]:
-                scan(t)
+        for t in term[1:]:
+            scan(t)
 
     scan(lhs)
     scan(rhs)
@@ -305,12 +302,11 @@ def _compile_identity(lhs, rhs) -> str:
     level_of = {v: k + 1 for k, v in enumerate(outer)}
     blocks: list[list[str]] = [[] for _ in range(len(outer) + 1)]
     padded: dict = {}
-    done: dict = {}
 
-    def hoist(expr, level, at=None):
+    def hoist(expr, level, at):
         """``expr``, bound to a name in loop ``level`` when it is read in a
-        deeper loop ``at`` (always, without ``at``)."""
-        if (at is None or level < at) and not expr.isidentifier():
+        deeper loop ``at``."""
+        if level < at and not expr.isidentifier():
             name = f"s{sum(map(len, blocks))}"
             blocks[level].append(f"{name} = {expr}")
             return name
@@ -329,8 +325,6 @@ def _compile_identity(lhs, rhs) -> str:
             if term == last:
                 return "R", 0, True
             return f"v{level_of[term] - 1}", level_of[term], False
-        if term in done:
-            return done[term]
         op, t = term[0], tables[(_ACCESSORS[len(term)], term[0])]
         args = [emit(arg) for arg in term[1:]]
         level = max((lv for _, lv, _ in args), default=0)
@@ -347,9 +341,6 @@ def _compile_identity(lhs, rhs) -> str:
             expr = gather(ex[0], op, "cols", ex[1])
         else:
             expr = gather(ex[1], op, "rows", ex[0])
-        if uses[term] > 1:
-            expr = hoist(expr, level)
-        done[term] = expr, level, row
         return expr, level, row
 
     sides = []

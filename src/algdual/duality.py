@@ -279,15 +279,11 @@ def _gr_homs_to_three(base: GRSpace) -> tuple[RawMap, ...]:
     return tuple(_search_homs(base, gr_three(), "gr"))
 
 
-def gr_homs(g, target: Optional[GRSpace] = None) -> list[RawMap]:
+def gr_homs(g) -> list[RawMap]:
     """Value vectors of all GR morphisms (star, constants, order; no
-    involution) into ``target`` (default: the dualizing three-point space),
-    in lexicographic order."""
-    from .search import _search_homs
-
-    if target is None:
-        return list(_gr_homs_to_three(base_of(g)))
-    return _search_homs(base_of(g), target, "gr")
+    involution) into the dualizing three-point space, in lexicographic
+    order."""
+    return list(_gr_homs_to_three(base_of(g)))
 
 
 def zero_morphism(g) -> Optional[RawMap]:

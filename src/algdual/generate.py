@@ -238,17 +238,13 @@ def random_direct_system(rng: Random, kind: str = "ba", max_fibers: int = 3,
     return random_chain_system(rng, kind, 3, max_atoms, bounded)
 
 
-def random_ibsl(rng: Random, max_fibers: int = 3, max_atoms: int = 2,
-                relabel: bool = True) -> FiniteAlgebra:
+def random_ibsl(rng: Random, max_fibers: int = 3,
+                max_atoms: int = 2) -> FiniteAlgebra:
     total = plonka_sum(random_direct_system(rng, "ba", max_fibers, max_atoms))
-    if relabel:
-        total = permute_algebra(total, random_permutation(rng, total.size))
-    return total
+    return permute_algebra(total, random_permutation(rng, total.size))
 
 
-def random_bsl(rng: Random, max_fibers: int = 3, max_points: int = 2,
-               relabel: bool = True) -> FiniteAlgebra:
+def random_bsl(rng: Random, max_fibers: int = 3,
+               max_points: int = 2) -> FiniteAlgebra:
     total = plonka_sum(random_direct_system(rng, "dl", max_fibers, max_points))
-    if relabel:
-        total = permute_algebra(total, random_permutation(rng, total.size))
-    return total
+    return permute_algebra(total, random_permutation(rng, total.size))

@@ -33,12 +33,12 @@ def _dot_string(text: str) -> str:
             .replace("\r", "\\r").replace("\n", "\\n"))
 
 
-def dot_hasse(leq: OrderMatrix, labels: Optional[Sequence[str]] = None,
-              name: str = "hasse") -> str:
+def dot_hasse(leq: OrderMatrix,
+              labels: Optional[Sequence[str]] = None) -> str:
     n = len(leq)
     if labels is None:
         labels = [str(i) for i in range(n)]
-    lines = [f"digraph {name} {{", "  rankdir=BT;"]
+    lines = ["digraph hasse {", "  rankdir=BT;"]
     for i in range(n):
         lines.append(f'  n{i} [label="{_dot_string(labels[i])}"];')
     for i, j in covering_edges(leq):

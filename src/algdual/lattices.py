@@ -67,10 +67,6 @@ class DistributiveLattice(Record):
             NotDistributive, "not a distributive lattice")
         self.__dict__["algebra"] = algebra
 
-    @property
-    def size(self) -> int:
-        return self.algebra.size
-
 
 def _as_lattice(d) -> DistributiveLattice:
     return d if isinstance(d, DistributiveLattice) else DistributiveLattice(d)

@@ -186,14 +186,6 @@ class Morphism(Record):
         return (self.source.size == self.target.size
                 and len(set(self.map)) == self.source.size)
 
-    def inverse(self) -> "Morphism":
-        if not self.is_bijective:
-            raise InvalidMorphism("not bijective")
-        inv = [0] * self.target.size
-        for x, v in enumerate(self.map):
-            inv[v] = x
-        return Morphism(self.target, self.source, tuple(inv), self.kind)
-
 
 def as_isomorphism(source, target, map: Sequence[int], kind: str) -> Morphism:
     """``map`` as an isomorphism source -> target, by the rule of

@@ -168,6 +168,71 @@ def naive_igr_homs(g, h, three):
             if all(z_h[f[x]] == z_g[x] for x in range(g.size))]
 
 
+def _first_cell(n, broken):
+    """The first (x, y), in row-major order over n x n, where ``broken(x,
+    y)`` holds; None if there is none."""
+    for x in range(n):
+        for y in range(n):
+            if broken(x, y):
+                return (x, y)
+    return None
+
+
+def _first_point(n, broken):
+    for x in range(n):
+        if broken(x):
+            return (x,)
+    return None
+
+
+def naive_morphism_conditions(g, h, kind):
+    """A function listing each condition a map f: g -> h of ``kind`` breaks,
+    as ``(name, first witness)``, by plain loops over the objects' tables:
+    constants, the ``igr`` zero-morphism, unary maps, binary tables, then
+    the order (preserved; for ``poset`` also reflected).  The first entry
+    is the one ``morphism_violations`` reports."""
+    n = g.size
+    constants, unary, binary, zeros = [], [], [], None
+    if kind in ("gr", "igr"):
+        constants = [(nm, getattr(g, nm), getattr(h, nm))
+                     for nm in ("c0", "c1", "calpha")]
+        binary = [("star", g.star, h.star)]
+    if kind == "igr":
+        from algdual.duality import gr_three
+
+        zeros = (naive_zero_morphism(g, gr_three()),
+                 naive_zero_morphism(h, gr_three()))
+        unary = [("neg", g.neg, h.neg)]
+    if kind in KIND_OPS:
+        names_binary, names_unary, names_constants = KIND_OPS[kind]
+        if kind == "sl" and "bottom" in g.constants:
+            names_constants += ("bottom",)
+        constants = [(nm, g.const(nm), h.const(nm)) for nm in names_constants]
+        unary = [(nm, g.unary(nm), h.unary(nm)) for nm in names_unary]
+        binary = [(nm, g.binary(nm), h.binary(nm)) for nm in names_binary]
+
+    def conditions(f):
+        out = [(nm, (a,)) for nm, a, b in constants if f[a] != b]
+        if zeros is not None:
+            z_g, z_h = zeros
+            out.append(("zero-morphism", _first_point(
+                n, lambda x: z_g is None or z_h is None or z_h[f[x]] != z_g[x])))
+        for nm, ua, ub in unary:
+            out.append((nm, _first_point(n, lambda x: f[ua[x]] != ub[f[x]])))
+        for nm, ta, tb in binary:
+            out.append((nm, _first_cell(
+                n, lambda x, y: f[ta[x][y]] != tb[f[x]][f[y]])))
+        if kind == "poset":
+            out.append(("order", _first_cell(
+                n, lambda x, y: g.leq[x][y] != h.leq[f[x]][f[y]])))
+        elif kind in ("gr", "igr"):
+            out.append(("order", _first_cell(
+                n, lambda x, y: g.leq[x][y] and not h.leq[f[x]][f[y]])))
+        return [(nm, w) for nm, w in out if w is not None]
+
+    return conditions
+
+
 def naive_order_embeddings(p, q):
     """All maps p -> q that preserve and reflect the order, by full
     enumeration."""

@@ -114,8 +114,8 @@ def test_criterion_3_category_equivalence():
     builtins = [builtin(n) for n in ("two", "s2", "wk")]
     pairs = [(a, b) for a in builtins for b in builtins]
     for _ in range(50):
-        pairs.append((random_ibsl(rng, 3, 2, relabel=False),
-                      random_ibsl(rng, 3, 2, relabel=False)))
+        pairs.append((plonka_sum(random_direct_system(rng, "ba", 3, 2)),
+                      plonka_sum(random_direct_system(rng, "ba", 3, 2))))
     for k, (a, b) in enumerate(pairs):
         da, db = plonka_decompose(a), plonka_decompose(b)
         sa, sb = plonka_sum(da), plonka_sum(db)

@@ -532,6 +532,64 @@ def test_boolean_order_entries_still_accepted(capsys, tmp_path):
     assert code == 0
 
 
+def _sizeless_gr_data():
+    return {"kind": "gr", "star": [], "leq": [], "c0": 0, "c1": 0, "calpha": 0}
+
+
+_BA1 = {"kind": "ba", "size": 1}
+_NOT_AN_ORDER = {"kind": "poset", "size": 2, "leq": [[1, 1], [1, 1]]}
+
+
+@pytest.mark.parametrize("make, path, value, message", [
+    (_system_data, ("transitions",), {"0-1": [0, 0]},
+     "arrow key '0-1' is not of the form 'i->j'"),
+    (_system_data, ("transitions",), {"a->b": [0, 0]},
+     "arrow key 'a->b' is not a pair of integers"),
+    (_system_data, ("transitions",), {"0->9": [0, 0]},
+     "arrow key '0->9' is out of range"),
+    (_system_data, ("transitions",), [[0, 0]],
+     "'transitions' must be an object keyed by 'i->j'"),
+    (_system_data, ("fibers", "x"), _BA1, "object key 'x' is not an integer"),
+    (_system_data, ("fibers", "9"), _BA1, "object key '9' is out of range"),
+    (_system_data, ("fibers", "0", "kind"), "gr",
+     "fiber '0' has unsupported kind 'gr'"),
+    (_system_data, ("fibers", "1", "kind"), "bsl",
+     "fibers carry inconsistent kinds"),
+    (_inverse_system_data, ("terms", "0"), _NOT_AN_ORDER,
+     "term '0' order is not a partial order"),
+    (_inverse_system_data, ("terms", "1", "kind"), "gr",
+     "term '1' has unsupported kind 'gr'"),
+    (_inverse_system_data, ("bondings",), {"0->1->1": []},
+     "arrow key '0->1->1' is not of the form 'i->j'"),
+    (_inverse_system_data, ("bondings",), [],
+     "'bondings' must be an object keyed by 'i->j'"),
+    (_sizeless_gr_data, ("size",), 0,
+     "GR spaces are non-empty (they carry constants)"),
+    (_gr_data, ("star", 0, 0), 3, "star table has out-of-range entries"),
+    (_gr_data, ("c1",), 3, "constant out of range"),
+    (_gr_data, ("calpha",), -1, "constant out of range"),
+    (_gr_data, ("neg",), [1, 0], "involution is not a carrier self-map"),
+    (_gr_data, ("neg", 2), 3, "involution has out-of-range values"),
+])
+def test_shape_errors_exit_2_with_one_line(capsys, tmp_path, make, path,
+                                           value, message):
+    # each line as the parser and the constructors of systems and GR spaces
+    # word it
+    doc = _write_json(tmp_path, "doc.json", _set(make(), path, value))
+    assert run(capsys, "check", doc) == (
+        2, "", f"error: malformed document: {message}\n")
+
+
+@pytest.mark.parametrize("argv, out", [
+    (("builtin:wk", "builtin:wk", "--kind", "ibsl", "--list"),
+     '{"count": 1, "homs": [[0, 1, 2]]}\n'),
+    (("builtin:three", "builtin:wk", "--kind", "bsl", "--count"),
+     '{"count": 6}\n'),
+])
+def test_hom_json_goldens(capsys, argv, out):
+    assert run(capsys, "hom", *argv, "--format", "json") == (0, out, "")
+
+
 # stdout, stderr and exit code of ``algctl ARGV`` for every help text and
 # every usage error argparse reports itself, recorded in-process through
 # main() with COLUMNS=80 (the same on Python 3.10 and 3.11) before the

@@ -82,8 +82,8 @@ def test_fiber_count_is_local_unit_count(seed):
 @given(seeds)
 def test_hom_system_morphism_bijection(seed):
     rng = Random(seed)
-    a, b = random_ibsl(rng, 2, 2, relabel=False), random_ibsl(rng, 2, 2,
-                                                              relabel=False)
+    a = plonka_sum(random_direct_system(rng, "ba", 2, 2))
+    b = plonka_sum(random_direct_system(rng, "ba", 2, 2))
     da, db = plonka_decompose(a), plonka_decompose(b)
     homs = enumerate_homs(a, b, "ibsl")
     morphisms = enumerate_system_morphisms(da, db)

@@ -5,6 +5,7 @@ into conflicts."""
 
 import sys
 import time
+from itertools import product
 from random import Random
 
 import pytest
@@ -17,7 +18,7 @@ from algdual.algebra import (
     find_isomorphism,
     permute_algebra,
 )
-from algdual.morphisms import Morphism, as_isomorphism
+from algdual.morphisms import Morphism, as_isomorphism, morphism_violations
 from algdual.orders import is_partial_order
 from algdual.duality import (
     GRSpace,
@@ -54,6 +55,7 @@ from oracles import (
     naive_homs,
     naive_igr_homs,
     naive_isomorphisms,
+    naive_morphism_conditions,
     naive_order_disconnected_witness,
     naive_order_embeddings,
     naive_poset_isomorphism,
@@ -286,7 +288,7 @@ def test_gr_homs_match_naive():
     pool = [g.base for g in _igr_pool(rng)] + [gr_three()]
     for g, h in _pairs(pool, rng, 40):
         expected = naive_gr_homs(g, h)
-        assert gr_homs(g, h) == expected
+        assert _search_homs(g, h, "gr") == expected
         assert _search_homs(g, h, "gr", limit=1) == expected[:1]
     for g in pool:
         assert gr_homs(g) == naive_gr_homs(g, gr_three())
@@ -363,7 +365,7 @@ def test_gr_order_preservation_matches_naive():
     spaces = [_order_space(_relabel(p, random_permutation(rng, p.size)))
               for p in posets]
     for g, h in _pairs(spaces, rng, 40):
-        assert gr_homs(g, h) == naive_gr_homs(g, h)
+        assert _search_homs(g, h, "gr") == naive_gr_homs(g, h)
 
 
 def test_order_disconnected_witness_matches_old_form():
@@ -425,3 +427,59 @@ def test_search_needs_no_recursion_depth():
         sys.setrecursionlimit(limit)
     assert first == [(0,) * n]
     assert identity == [tuple(range(n))]
+
+
+def _violation_pools(rng):
+    """Small objects of every morphism kind: lawful ones, and for spaces
+    perturbed ones and order spaces, so that maps between them break each
+    condition first."""
+    igr = rng.sample([g for g in _igr_pool(rng) if g.size <= 4], 12)
+    posets = [p for p in (random_poset(rng, 4) for _ in range(8)) if p.size]
+    return {
+        "ibsl": _lawful("ibsl", rng),
+        # an eight-element algebra has maps into two that keep the
+        # constants and the complement but not the tables
+        "ba": _lawful("ba", rng) + [random_boolean_algebra(rng, 3, 3)],
+        "bsl": _lawful("bsl", rng),
+        "dl": _lawful("dl", rng),
+        "sl": _draw(lambda r: random_join_semilattice(r, 4).algebra, rng, 4),
+        "gr": [g.base for g in igr] + [_order_space(p) for p in posets],
+        "igr": igr,
+        "poset": posets,
+    }
+
+
+def test_morphism_violations_match_the_loops():
+    rng = Random(97)
+    first, sole = set(), set()
+    for kind, pool in _violation_pools(rng).items():
+        for g, h in product(pool, repeat=2):
+            if h.size ** g.size > 256:
+                continue
+            conditions = naive_morphism_conditions(g, h, kind)
+            for f in product(range(h.size), repeat=g.size):
+                broken = conditions(f)
+                assert morphism_violations(g, h, f, kind) == (
+                    broken[0] if broken else None), (kind, f)
+                if broken:
+                    first.add((kind, broken[0][0]))
+                if len(broken) == 1:
+                    sole.add((kind, broken[0][0]))
+    # every condition of every kind is reported first by some map
+    names = {
+        "ibsl": {"zero", "neg", "join"},
+        # a map that keeps the join and the complement keeps the meet
+        "ba": {"zero", "one", "neg", "join"},
+        "bsl": {"join", "meet"},
+        "dl": {"join", "meet"},
+        "sl": {"bottom", "join"},
+        "gr": {"c0", "c1", "calpha", "star", "order"},
+        "igr": {"c0", "c1", "calpha", "zero-morphism", "neg", "star", "order"},
+        "poset": {"order"},
+    }
+    assert first == {(kind, name) for kind in names for name in names[kind]}
+    # and maps that break exactly one table, order or label
+    assert {("ibsl", "join"), ("bsl", "join"), ("bsl", "meet"),
+            ("dl", "join"), ("sl", "join"), ("gr", "star"), ("gr", "order"),
+            ("igr", "order"), ("igr", "zero-morphism"),
+            ("poset", "order")} <= sole, sorted(sole)
