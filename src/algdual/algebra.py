@@ -9,17 +9,14 @@ Validators return a :class:`ValidationReport` listing one entry per checked
 identity.  Each failed identity carries the lexicographically first
 witnessing assignment, which keeps golden outputs small and deterministic.
 
-Identity checks are compiled.  :func:`first_violation` turns each identity,
-on first use, into nested loops over every variable but the last, in sorted
-name order; each subterm is computed once, in the outermost loop that binds
-all of its variables.  The last variable is a row of all its values, and a
-subterm that reads it is one whole-row gather through a table row, column,
-diagonal or unary map (``bytes.translate`` on byte rows up to 256 elements,
-a tuple gather above; see :func:`row_kernel`).  The sides are compared as
-rows, and the first index where they differ completes the witness, so
-assignments are visited in lexicographic order and every witness is the
-first one.  ``tests/oracles.py`` keeps the one-loop-per-variable form and
-the term-tree evaluation as references.
+Identity checks run over whole rows.  :func:`first_violation` builds the
+terms of an identity into closures on each call.  The last two variables
+are rows of all their values, gathered through a table at once
+(``bytes.translate`` on byte rows up to 256 elements, a tuple gather
+above; see :func:`row_kernel`), and the others run over the carrier in
+``product`` order.  Assignments are visited in lexicographic order, so
+every witness is the first one.  ``tests/oracles.py`` keeps the
+one-loop-per-variable form and the term-tree evaluation as references.
 
 Every command loads this module, so it holds only what checking an algebra
 document runs.  Morphisms (:mod:`algdual.morphisms`), the hom search
@@ -33,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import importlib
+import itertools
 import operator
 import weakref
 from types import MappingProxyType
@@ -234,22 +232,18 @@ def row_kernel(n: int):
 
 
 def _row_table(a: FiniteAlgebra, op: str, form: str):
-    """Operation ``op`` of ``a`` padded for the row kernel: the unary map
-    (``form='map'``), or a binary table's ``'rows'``, ``'cols'`` (column y
-    is the map x -> t[x][y]) or ``'diag'`` (x -> t[x][x]).  Cached on the
-    algebra, so the cache dies with it."""
+    """Operation ``op`` of ``a`` as a tuple of maps padded for the row
+    kernel: the unary map alone (``form='map'``), or a binary table's
+    ``'rows'`` or ``'cols'`` (column y is the map x -> t[x][y]).  Cached on
+    the algebra, so the cache dies with it."""
     cache = a._row_tables
     if (op, form) not in cache:
         pad = row_kernel(a.size)[2]
         if form == "map":
-            out = pad(a.unary_ops[op])
+            cache[op, form] = (pad(a.unary_ops[op]),)
         else:
             t = a.binary_ops[op]
-            if form == "diag":
-                out = pad([t[x][x] for x in range(a.size)])
-            else:
-                out = tuple(map(pad, t if form == "rows" else zip(*t)))
-        cache[op, form] = out
+            cache[op, form] = tuple(map(pad, t if form == "rows" else zip(*t)))
     return cache[op, form]
 
 
@@ -263,128 +257,124 @@ def _row_table(a: FiniteAlgebra, op: str, form: str):
 _ACCESSORS = {1: "const", 2: "unary", 3: "binary"}
 
 
-def _first_difference(r1, r2) -> int:
-    return next(i for i, (u, v) in enumerate(zip(r1, r2)) if u != v)
-
-
-def _compile_identity(lhs, rhs) -> str:
-    """Python source of ``check(a)``, which returns the first assignment
-    violating ``lhs = rhs``, or None.
-
-    Loop k binds the k-th variable in sorted order, except the last: it
-    becomes the row ``R`` of all its values, and each subterm that reads it
-    is a row too, computed by one gather of the row kernel
-    (:func:`row_kernel`): a unary op gathers from its padded map,
-    ``t[x][row]`` from row x of ``t``, ``t[row][y]`` from column y, and
-    ``t[row][row]`` of one row from the diagonal; two different rows are
-    zipped.  The sides are compared as rows, and the first index where they
-    differ completes the witness, so assignments are visited in ``product``
-    order and the first witness is the tree walk's.  Each occurrence of a
-    subterm is computed in the outermost loop that binds all of its loop
-    variables (level 0 is before the loops).
-    """
-    names: set[str] = set()
-    tables: dict = {}
-
-    def scan(term):
-        # pre-order, lhs first: the tables are looked up in the tree walk's
-        # order, so a missing operation raises the same error
-        if isinstance(term, str):
-            names.add(term)
-            return
-        tables.setdefault((_ACCESSORS[len(term)], term[0]), f"t{len(tables)}")
+def _variables(term, names: set) -> set:
+    if isinstance(term, str):
+        names.add(term)
+    else:
         for t in term[1:]:
-            scan(t)
-
-    scan(lhs)
-    scan(rhs)
-    *outer, last = sorted(names) or [None]
-    level_of = {v: k + 1 for k, v in enumerate(outer)}
-    blocks: list[list[str]] = [[] for _ in range(len(outer) + 1)]
-    padded: dict = {}
-
-    def hoist(expr, level, at):
-        """``expr``, bound to a name in loop ``level`` when it is read in a
-        deeper loop ``at``."""
-        if level < at and not expr.isidentifier():
-            name = f"s{sum(map(len, blocks))}"
-            blocks[level].append(f"{name} = {expr}")
-            return name
-        return expr
-
-    def gather(row, op, form, index=None):
-        table = padded.setdefault((op, form), f"p{len(padded)}")
-        if index is not None:
-            table += f"[{index}]"
-        # gathering the identity row through a table is its first n entries
-        return f"{table}[:n]" if row == "R" else f"G({row}, {table})"
-
-    def emit(term):
-        """(expression, level, is a row) of ``term``."""
-        if isinstance(term, str):
-            if term == last:
-                return "R", 0, True
-            return f"v{level_of[term] - 1}", level_of[term], False
-        op, t = term[0], tables[(_ACCESSORS[len(term)], term[0])]
-        args = [emit(arg) for arg in term[1:]]
-        level = max((lv for _, lv, _ in args), default=0)
-        row = any(r for _, _, r in args)
-        ex = [hoist(e, lv, level) for e, lv, _ in args]
-        if not row:
-            expr = t + "".join(f"[{e}]" for e in ex)
-        elif len(ex) == 1:
-            expr = gather(ex[0], op, "map")
-        elif args[0][2] and args[1][2]:
-            expr = (gather(ex[0], op, "diag") if ex[0] == ex[1] else
-                    f"M({t}[u][v] for u, v in zip({ex[0]}, {ex[1]}))")
-        elif args[0][2]:
-            expr = gather(ex[0], op, "cols", ex[1])
-        else:
-            expr = gather(ex[1], op, "rows", ex[0])
-        return expr, level, row
-
-    sides = []
-    for term in (lhs, rhs):
-        expr, level, row = emit(term)
-        if last and not row:
-            expr = f"M(({expr},)) * n"
-        sides.append(hoist(expr, level, len(outer)))
-    witness = [f"v{k}, " for k in range(len(outer))]
-    if last:
-        witness.append("_first_difference(l, r), ")
-    lines = ["def check(a):", "    n = a.size"]
-    lines += [f"    {t} = a.{kind}({op!r})" for (kind, op), t in tables.items()]
-    lines.append("    M, G, _ = row_kernel(n)")
-    lines += [f"    {p} = _row_table(a, {op!r}, {form!r})"
-              for (op, form), p in padded.items()]
-    lines.append("    R = M(range(n))")
-    for k, block in enumerate(blocks):
-        if k:
-            lines.append(f"{'    ' * k}for v{k - 1} in range(n):")
-        lines += ["    " * (k + 1) + stmt for stmt in block]
-    indent = "    " * (len(outer) + 1)
-    lines += [f"{indent}l = {sides[0]}", f"{indent}r = {sides[1]}",
-              f"{indent}if l != r:", f"{indent}    return ({''.join(witness)})",
-              "    return None"]
-    return "\n".join(lines) + "\n"
+            _variables(t, names)
+    return names
 
 
-_COMPILED: dict = {}
+# The axes a subterm reads, as bits: the last variable z and the one before
+# it, y, are rows (see first_violation).
+_Z, _Y = 1, 2
+_YZ = _Y | _Z
 
 
 def first_violation(a: FiniteAlgebra, lhs, rhs) -> Optional[tuple[int, ...]]:
     """Lexicographically first assignment violating ``lhs = rhs``, if any.
 
-    The identity is compiled on first use and cached by ``(lhs, rhs)``; the
-    identities are module constants, so the cache stays small.
+    Variables are taken in sorted name order.  The last two, y and z, are
+    rows of all their values (``R``), so a subterm is a value, a row over y
+    or over z, or, if it reads both, the list over y of its rows over z.  A
+    row goes through a padded table by one gather of :func:`row_kernel`:
+    the unary map, or the row or column that the other argument picks
+    (gathering ``R`` is a slice); two rows are zipped.  The other variables
+    run over the carrier in ``product`` order as ``env``.  A subterm that
+    reads none of them is computed once, the others become closures of
+    ``env``.  Tables are looked up in pre-order, ``lhs`` first, so a
+    missing operation raises the tree walk's error, and the first witness
+    is the tree walk's.
     """
-    check = _COMPILED.get((lhs, rhs))
-    if check is None:
-        scope: dict = {"row_kernel": row_kernel, "_row_table": _row_table,
-                       "_first_difference": _first_difference}
-        exec(_compile_identity(lhs, rhs), scope)
-        check = _COMPILED[(lhs, rhs)] = scope["check"]
-    return check(a)
+    names = sorted(_variables(rhs, _variables(lhs, set())))
+    outer = names[:-2]
+    full = _YZ if len(names) > 1 else len(names)
+    n = a.size
+    make, gather, _ = row_kernel(n)
+    R = make(range(n))
+    leaves = dict(zip(names[::-1], ((R, _Z), (R, _Y))))
+    for k, v in enumerate(outer):
+        leaves[v] = operator.itemgetter(k), 0
+
+    def along_y(value, axes):
+        return value if axes & _Y else itertools.repeat(value, n)
+
+    def kernel(op, table, unary, su, sv):
+        """The function of the arguments' values, which read the axes ``su``
+        and ``sv``, that gives the node's value; and whether it takes them
+        in reverse order."""
+        lifted = su | sv == _YZ
+        # whether each argument is a row; in a list over y, a row over z
+        ru, rv = (su & _Z, sv & _Z) if lifted else (su, sv)
+        if not (ru or rv):
+            return (lambda u, v: table[u] if unary else table[u][v]), False
+        if ru and rv:
+            def zipped(u, v):
+                return make(table[s][t] for s, t in zip(u, v))
+            if not lifted:
+                return zipped, False
+            return (lambda u, v: [zipped(*uv) for uv in zip(
+                along_y(u, su), along_y(v, sv))]), False
+        # f(row, pick): the row through the unary map (pick 0) or through
+        # the row or column of the table that the other argument picks
+        p = _row_table(a, op, "map" if unary else "cols" if ru else "rows")
+        if not ru:
+            su, sv = sv, su
+        if not lifted:
+            f = lambda row, w: p[w][:n] if row is R else gather(row, p[w])
+        elif su & sv & _Y:
+            f = lambda rows, ws: [gather(x, p[w]) for x, w in zip(rows, ws)]
+        elif su & _Y:
+            f = lambda rows, w: [gather(x, p[w]) for x in rows]
+        else:
+            f = lambda row, ws: ([p[w][:n] for w in ws] if row is R
+                                 else [gather(row, p[w]) for w in ws])
+        return f, not ru
+
+    def build(term):
+        """(``term``'s value, or a closure of ``env`` that returns it; the
+        axes it reads)."""
+        if isinstance(term, str):
+            return leaves[term]
+        table = getattr(a, _ACCESSORS[len(term)])(term[0])
+        if len(term) == 1:
+            return table, 0
+        u, su = build(term[1])
+        # a unary op has one map, which the pick 0 picks
+        v, sv = build(term[2]) if len(term) == 3 else (0, 0)
+        f, swap = kernel(term[0], table, len(term) == 2, su, sv)
+        if swap:
+            u, v = v, u
+        if callable(u) and callable(v):
+            return (lambda env: f(u(env), v(env))), su | sv
+        if callable(u):
+            return (lambda env: f(u(env), v)), su | sv
+        if callable(v):
+            return (lambda env: f(u, v(env))), su | sv
+        return f(u, v), su | sv
+
+    def expand(value, axes):
+        """``value`` as the rows over z of every y (as one row, or as the
+        value, when the identity has fewer variables)."""
+        if axes == full:
+            return value
+        if full == _Z:
+            return make((value,)) * n
+        return [v if axes & _Z else make((v,)) * n
+                for v in along_y(value, axes)]
+
+    (l, sl), (r, sr) = build(lhs), build(rhs)
+    for env in itertools.product(range(n), repeat=len(outer)):
+        lv = expand(l(env) if callable(l) else l, sl)
+        rv = expand(r(env) if callable(r) else r, sr)
+        if lv != rv:
+            for _ in names[len(outer):]:
+                # the first index where the rows (or the lists) differ
+                i = list(map(operator.ne, lv, rv)).index(True)
+                env, lv, rv = (*env, i), lv[i], rv[i]
+            return env
+    return None
 
 
 class Check(Record):

@@ -117,7 +117,7 @@ def parse_matrix01(data, key: str, size: int):
     if (not isinstance(m, list) or len(m) != size
             or any(not isinstance(r, list) or len(r) != size for r in m)):
         raise fail(f"'{key}' must be a {size}x{size} matrix")
-    if any(not isinstance(v, int) or v not in (0, 1) for r in m for v in r):
+    if any(not _is_int(v) or v not in (0, 1) for r in m for v in r):
         raise fail(f"'{key}' entries must be 0 or 1")
     return tuple(tuple(bool(v) for v in r) for r in m)
 

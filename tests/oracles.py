@@ -104,19 +104,17 @@ def naive_isomorphisms(a, b, kind):
         inv = [0] * a.size
         for x, v in enumerate(perm):
             inv[v] = x
-        fwd = naive_algebra_homs  # reuse the pointwise predicate below
         ok = True
-        for n in constants:
-            ok = ok and perm[a.const(n)] == b.const(n)
-        for n in unary:
-            ok = ok and all(perm[a.unary(n)[x]] == b.unary(n)[perm[x]]
-                            for x in range(a.size))
-        for n in binary:
-            ok = ok and all(perm[a.binary(n)[x][y]] == b.binary(n)[perm[x]][perm[y]]
-                            for x in range(a.size) for y in range(a.size))
-        for n in binary:
-            ok = ok and all(inv[b.binary(n)[x][y]] == a.binary(n)[inv[x]][inv[y]]
-                            for x in range(a.size) for y in range(a.size))
+        for f, src, dst in ((perm, a, b), (inv, b, a)):
+            for n in constants:
+                ok = ok and f[src.const(n)] == dst.const(n)
+            for n in unary:
+                ok = ok and all(f[src.unary(n)[x]] == dst.unary(n)[f[x]]
+                                for x in range(a.size))
+            for n in binary:
+                ok = ok and all(
+                    f[src.binary(n)[x][y]] == dst.binary(n)[f[x]][f[y]]
+                    for x in range(a.size) for y in range(a.size))
         if ok:
             out.append(perm)
     return out

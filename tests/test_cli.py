@@ -525,11 +525,13 @@ def test_bad_entries_sizes_and_arities_exit_2(capsys, tmp_path, make, path,
     assert err.startswith("error: malformed document")
 
 
-def test_boolean_order_entries_still_accepted(capsys, tmp_path):
+def test_boolean_order_entries_exit_2(capsys, tmp_path):
+    # JSON true and false are not integers, and inputs are never coerced:
+    # `dual` refuses the order too instead of writing its down-set lattice
     doc = _write_json(tmp_path, "doc.json",
                       {"kind": "poset", "size": 2, "leq": [[True, 1], [0, 1]]})
-    code, _, _ = run(capsys, "check", doc)
-    assert code == 0
+    assert run(capsys, "dual", doc) == (
+        2, "", "error: malformed document: 'leq' entries must be 0 or 1\n")
 
 
 def _sizeless_gr_data():
@@ -570,6 +572,8 @@ _NOT_AN_ORDER = {"kind": "poset", "size": 2, "leq": [[1, 1], [1, 1]]}
     (_gr_data, ("calpha",), -1, "constant out of range"),
     (_gr_data, ("neg",), [1, 0], "involution is not a carrier self-map"),
     (_gr_data, ("neg", 2), 3, "involution has out-of-range values"),
+    (_poset_data, ("leq", 0, 0), True, "'leq' entries must be 0 or 1"),
+    (_gr_data, ("leq", 0, 0), True, "'leq' entries must be 0 or 1"),
 ])
 def test_shape_errors_exit_2_with_one_line(capsys, tmp_path, make, path,
                                            value, message):

@@ -1,11 +1,14 @@
-"""Differential test: the compiled identity checks against the tree walk.
+"""Differential test: the identity checks against the tree walk.
 
-``first_violation`` compiles each identity into loops over the op tables;
-``oracles.naive_first_violation`` evaluates both sides by walking the term
-trees at every assignment in ``product`` order.  They must agree on every
-identity the library checks, on lawful and on broken tables.
+``first_violation`` builds each identity into closures over whole rows of
+the op tables; ``oracles.naive_first_violation`` evaluates both sides by
+walking the term trees at every assignment in ``product`` order, and
+``oracles.loop_first_violation`` runs one loop per variable.  They must
+agree on every identity the library checks, on lawful and on broken tables,
+and raise the same error for a missing operation.
 """
 
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -102,9 +105,31 @@ def test_constant_identity_witness_is_empty_tuple():
     assert first_violation(lawful, lhs, rhs) is None
 
 
-def test_missing_operation_raises_like_tree_walk():
-    a = FiniteAlgebra(2, {"join": ((0, 1), (1, 1))})
-    lhs, rhs = algebra.IBSL_IDENTITIES[4][1:]  # I5 needs meet, neg, join
+def _ops(term) -> set:
+    """The operations ``term`` reads."""
+    if isinstance(term, str):
+        return set()
+    return {term[0]}.union(*map(_ops, term[1:]))
+
+
+def _missing_cases():
+    for name, lhs, rhs in IDENTITIES:
+        ops = sorted(_ops(lhs) | _ops(rhs))
+        for removed in [*combinations(ops, 1), *combinations(ops, 2)]:
+            yield pytest.param(lhs, rhs, removed,
+                               id=f"{name}-without-{'-'.join(removed)}")
+
+
+@pytest.mark.parametrize("lhs, rhs, removed", _missing_cases())
+def test_missing_operation_raises_like_tree_walk(lhs, rhs, removed):
+    # the tables are looked up in pre-order, lhs first, as the tree walk
+    # meets them, so the first missing one names the same operation
+    full = random_algebra(Random(0))
+    a = FiniteAlgebra(
+        full.size,
+        {k: t for k, t in full.binary_ops.items() if k not in removed},
+        {k: t for k, t in full.unary_ops.items() if k not in removed},
+        {k: c for k, c in full.constants.items() if k not in removed})
     with pytest.raises(algebra.MissingOperation) as compiled:
         first_violation(a, lhs, rhs)
     with pytest.raises(algebra.MissingOperation) as walked:
