@@ -365,6 +365,8 @@ def first_violation(a: FiniteAlgebra, lhs, rhs) -> Optional[tuple[int, ...]]:
                 for v in along_y(value, axes)]
 
     (l, sl), (r, sr) = build(lhs), build(rhs)
+    # build refers to itself: a cycle that would keep ``a`` alive
+    del build
     for env in itertools.product(range(n), repeat=len(outer)):
         lv = expand(l(env) if callable(l) else l, sl)
         rv = expand(r(env) if callable(r) else r, sr)
@@ -417,10 +419,12 @@ class ValidationReport(Record):
         raise KeyError(name)
 
 
-def _identity_checks(a: FiniteAlgebra, identities) -> list[Check]:
+def _identity_checks(a: FiniteAlgebra, identities,
+                     lawful: bool = False) -> list[Check]:
+    # a lawful algebra has no witness to look for
     out = []
     for name, lhs, rhs in identities:
-        w = first_violation(a, lhs, rhs)
+        w = None if lawful else first_violation(a, lhs, rhs)
         out.append(Check(name, w is None, w))
     return out
 
@@ -428,6 +432,8 @@ def _identity_checks(a: FiniteAlgebra, identities) -> list[Check]:
 # ---------------------------------------------------------------------------
 # Validators
 # ---------------------------------------------------------------------------
+
+_BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 BISEMILATTICE_IDENTITIES = (
     ("join-idempotent", ("join", "x", "x"), "x"),
@@ -554,19 +560,61 @@ def validate_ibsl(a: FiniteAlgebra) -> ValidationReport:
     return ValidationReport("involutive bisemilattice", tuple(checks))
 
 
+def _is_set_algebra(a: FiniteAlgebra, boolean: bool) -> bool:
+    """Whether labelling each element with the set of join-irreducibles
+    below it is one-to-one and sends join to union, meet to intersection
+    and, if ``boolean``, neg to complement, zero to the empty and one to
+    the full set: then ``a`` is a ring (field) of sets, and by Birkhoff
+    (Stone) every finite distributive lattice (Boolean algebra) is.  A set
+    is ``width`` bytes, a bit per join-irreducible."""
+    n, join, meet = a.size, a.binary_ops["join"], a.binary_ops["meet"]
+    # byte y of below[x] is 1 when x + y = x: y <= x, in a lattice
+    below = [bytes(map(x.__eq__, row)) for x, row in enumerate(join)]
+    # x is join-irreducible if below it, x aside, is below one element
+    downs = set(below)
+    irreducible = [x for x, b in enumerate(below)
+                   if b[:x] + b"\0" + b[x + 1:] in downs]
+    # x's set: the bytes of below[x] at the join-irreducibles, read as the
+    # digits of a binary number
+    width = len(irreducible) // 8 + 1
+    labels = [int(b"0" + bytes(map(b.__getitem__, irreducible)).translate(
+        _BINARY_DIGITS), 2).to_bytes(width, "big") for b in below]
+    if len(set(labels)) < n:
+        return False
+
+    def sets(cells) -> int:  # the labels of the cells, joined
+        return int.from_bytes(b"".join(map(labels.__getitem__, cells)), "big")
+
+    # cell y of row x of join (meet) must hold the union (intersection) of
+    # the sets of x (repeated in xs) and of y (listed in ys)
+    ys = sets(range(n))
+    for label, join_row, meet_row in zip(labels, join, meet):
+        xs = int.from_bytes(label * n, "big")
+        if sets(join_row) != xs | ys or sets(meet_row) != xs & ys:
+            return False
+    full = ((1 << len(irreducible)) - 1).to_bytes(width, "big")
+    return not boolean or (
+        not any(labels[a.constants["zero"]]) and labels[a.constants["one"]] == full
+        and sets(a.unary_ops["neg"]) == ys ^ int.from_bytes(full * n, "big"))
+
+
 @validated_once
 def validate_boolean_algebra(a: FiniteAlgebra) -> ValidationReport:
-    """Bounded distributive lattice plus complement laws."""
+    """Bounded distributive lattice plus complement laws, evaluated only if
+    ``a`` is not a field of sets (:func:`_is_set_algebra`)."""
     _require(a, binary=("join", "meet"), unary=("neg",), constants=("zero", "one"))
     identities = BISEMILATTICE_IDENTITIES + LATTICE_ABSORPTION + BOOLEAN_COMPLEMENT
-    return ValidationReport("boolean algebra", tuple(_identity_checks(a, identities)))
+    checks = _identity_checks(a, identities, _is_set_algebra(a, True))
+    return ValidationReport("boolean algebra", tuple(checks))
 
 
 @validated_once
 def validate_distributive_lattice(a: FiniteAlgebra) -> ValidationReport:
+    """Distributive lattice laws, evaluated unless ``a`` is a ring of sets."""
     _require(a, binary=("join", "meet"))
     identities = BISEMILATTICE_IDENTITIES + LATTICE_ABSORPTION
-    return ValidationReport("distributive lattice", tuple(_identity_checks(a, identities)))
+    checks = _identity_checks(a, identities, _is_set_algebra(a, False))
+    return ValidationReport("distributive lattice", tuple(checks))
 
 
 @validated_once

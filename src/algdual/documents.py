@@ -16,8 +16,8 @@ documents.
 Every kind has one entry in :data:`KIND_TABLE`.  Algebra documents are
 parsed here; every other kind is parsed and written next to its structure
 (:mod:`algdual.duality` for GR spaces, :mod:`algdual.orders` for posets and
-spaces, :mod:`algdual.systems` for systems), with the shape checks of this
-module, so a command compiles the document code of its kind only.  The
+spaces, :mod:`algdual.system_documents` for systems), with the shape checks
+of this module, so a command compiles the document code of its kind only.  The
 JSON text of every document is written by :mod:`algdual.writer`, which
 only the commands that write a document load.
 """
@@ -214,9 +214,9 @@ _GR = {"data": ("duality", "gr_data"),
        "hasse": {"meet": attrgetter("leq"), "box": attrgetter("box")},
        "hasse_refusal": "GR spaces carry the base order (--order meet) and "
                         "the derived order (--order box)"}
-_SYSTEM = {"parse": ("systems", "parse_system"),
-           "check": ("systems", "check_system_parts"),
-           "realize": ("systems", "realize_system"),
+_SYSTEM = {"parse": ("system_documents", "parse_system"),
+           "check": ("system_documents", "check_system_parts"),
+           "realize": ("system_documents", "realize_system"),
            "data": ("systems", "system_data"), "dual": _lifted_dual}
 
 KIND_TABLE = {

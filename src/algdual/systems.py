@@ -22,7 +22,6 @@ from itertools import chain
 from typing import Mapping, Optional, Sequence
 
 from .algebra import (
-    ALGEBRA_KINDS,
     Check,
     FiniteAlgebra,
     RawMap,
@@ -329,131 +328,6 @@ class InverseSystem(Record):
 # ---------------------------------------------------------------------------
 # Documents of systems
 # ---------------------------------------------------------------------------
-
-class SystemParts(Record):
-    """Shape-valid but not yet coherence-checked system data."""
-
-    variant: str  # "direct" | "inverse"
-    index_algebra: FiniteAlgebra
-    bottom: int
-    objects: dict
-    arrows: dict
-    fiber_kind: Optional[str]
-
-    def __init__(self, variant: str, index_algebra: FiniteAlgebra,
-                 bottom: int, objects: dict, arrows: dict,
-                 fiber_kind: Optional[str]):
-        self.__dict__.update(variant=variant, index_algebra=index_algebra,
-                             bottom=bottom, objects=objects, arrows=arrows,
-                             fiber_kind=fiber_kind)
-
-
-def _parse_arrow_key(key: str, size: int) -> tuple[int, int]:
-    from .documents import fail
-
-    parts = key.split("->")
-    if len(parts) != 2:
-        raise fail(f"arrow key {key!r} is not of the form 'i->j'")
-    try:
-        i, j = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise fail(f"arrow key {key!r} is not a pair of integers")
-    if not (0 <= i < size and 0 <= j < size):
-        raise fail(f"arrow key {key!r} is out of range")
-    return i, j
-
-
-def _parse_term(key: str, doc: dict):
-    """The term of an inverse-system document: a space or a poset."""
-    from .documents import expect_int, fail
-    from .orders import FinitePoset, FiniteSpace, is_partial_order, parse_poset
-
-    inner = doc.get("kind")
-    if inner == "space":
-        size = expect_int(doc, "size")
-        if size < 0:
-            raise fail(f"term {key!r} size must be non-negative")
-        return FiniteSpace(size)
-    if inner == "poset":
-        size, leq = parse_poset(doc)
-        if is_partial_order(leq) is not None:
-            raise fail(f"term {key!r} order is not a partial order")
-        return FinitePoset(size, leq)
-    raise fail(f"term {key!r} has unsupported kind {inner!r}")
-
-
-def parse_system(data: dict) -> SystemParts:
-    """The parts of a ``direct-system`` or ``inverse-system`` document."""
-    from .documents import fail, int_list, parse_algebra
-
-    index_doc = data.get("index")
-    if not isinstance(index_doc, dict):
-        raise fail("'index' must be a semilattice document")
-    index_algebra = parse_algebra(index_doc)
-    if "join" not in index_algebra.binary_ops:
-        raise fail("index semilattice needs a 'join' op")
-    bottom = index_algebra.constants.get("bottom")
-    if bottom is None:
-        # without a least element, index-bottom fails at element 0
-        bottom = least_element(index_algebra.binary("join")) or 0
-
-    variant = "direct" if data["kind"] == "direct-system" else "inverse"
-    obj_key = "fibers" if variant == "direct" else "terms"
-    raw_objects = data.get(obj_key)
-    if not isinstance(raw_objects, dict):
-        raise fail(f"'{obj_key}' must be an object keyed by index element")
-    objects, fiber_kind = {}, None
-    for key, doc in raw_objects.items():
-        try:
-            i = int(key)
-        except ValueError:
-            raise fail(f"object key {key!r} is not an integer")
-        if not (0 <= i < index_algebra.size):
-            raise fail(f"object key {key!r} is out of range")
-        if not isinstance(doc, dict):
-            raise fail(f"object {key!r} must be a document")
-        inner = doc.get("kind")
-        if variant == "direct":
-            if inner not in ALGEBRA_KINDS:
-                raise fail(f"fiber {key!r} has unsupported kind {inner!r}")
-            if fiber_kind is None:
-                fiber_kind = inner
-            elif fiber_kind != inner:
-                raise fail("fibers carry inconsistent kinds")
-            objects[i] = parse_algebra(doc)
-        else:
-            objects[i] = _parse_term(key, doc)
-
-    arrow_key = "transitions" if variant == "direct" else "bondings"
-    raw_arrows = data.get(arrow_key, {})
-    if not isinstance(raw_arrows, dict):
-        raise fail(f"'{arrow_key}' must be an object keyed by 'i->j'")
-    arrows = {}
-    for key, vec in raw_arrows.items():
-        i, j = _parse_arrow_key(key, index_algebra.size)
-        arrows[(i, j)] = tuple(int_list(vec, f"arrow {key!r}"))
-    for i in objects:
-        arrows.setdefault((i, i), tuple(range(objects[i].size)))
-    return SystemParts(variant, index_algebra, bottom, objects, arrows,
-                       fiber_kind)
-
-
-def check_system_parts(parts: SystemParts) -> ValidationReport:
-    return check_system(parts.index_algebra, parts.bottom, parts.objects,
-                        parts.arrows, parts.fiber_kind,
-                        inverse=(parts.variant == "inverse"))
-
-
-def realize_system(parts: SystemParts):
-    index = JoinSemilattice(
-        parts.index_algebra if "bottom" in parts.index_algebra.constants
-        else parts.index_algebra.with_ops(constants={"bottom": parts.bottom}),
-        parts.bottom)
-    if parts.variant == "direct":
-        return DirectSystem(index, parts.objects, parts.arrows,
-                            parts.fiber_kind)
-    return InverseSystem(index, parts.objects, parts.arrows)
-
 
 def system_data(s, kind: str) -> dict:
     from .writer import algebra_data, document_data

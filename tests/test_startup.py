@@ -35,6 +35,7 @@ from algdual import (
 )
 from algdual.algebra import Check, FiniteAlgebra, ValidationReport, builtin
 from algdual.systems import JoinSemilattice
+from algdual.system_documents import SystemParts
 from algdual.morphisms import Morphism
 from algdual.documents import Document, dumps_document, loads_document
 from algdual.duality import FiniteSpace, dual_of_bsl, dual_of_ibsl
@@ -51,7 +52,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 HEAVY = {"dataclasses", "algdual.duality", "algdual.systems",
          "algdual.lattices", "algdual.generate", "algdual.hasse",
          "algdual.search", "algdual.morphisms", "algdual.orders",
-         "algdual.system_morphisms", "algdual.writer"}
+         "algdual.system_morphisms", "algdual.system_documents",
+         "algdual.writer"}
 
 
 def _loaded_after(code: str) -> tuple[object, set]:
@@ -222,6 +224,8 @@ CORE = {"algdual", "algdual.algebra", "algdual.cli", "algdual.commands",
 GR = {"duality", "orders"}
 SEARCH = {"morphisms", "search"}
 SYSTEMS = {"systems", "morphisms"}
+# a system document is read by its own module, which loads SYSTEMS to check it
+SYSTEM_DOCS = SYSTEMS | {"system_documents"}
 BIRKHOFF = {"lattices", "orders"}
 WRITER = {"writer"}
 
@@ -232,17 +236,17 @@ MODULE_ROWS = [
     *[(["check", "{%s}" % k], {"orders"}) for k in ("poset", "space")],
     (["check", "{gr}"], GR),
     (["check", "{igr}"], GR | SEARCH),
-    (["check", "{direct-system}"], SYSTEMS),
-    (["check", "{inverse-system}"], SYSTEMS | {"orders"}),
+    (["check", "{direct-system}"], SYSTEM_DOCS),
+    (["check", "{inverse-system}"], SYSTEM_DOCS | {"orders"}),
     *[(["dual", "{%s}" % k], GR | SEARCH | WRITER)
       for k in ("ibsl", "bsl", "gr", "igr")],
     *[(["dual", "{%s}" % k], BIRKHOFF | WRITER)
       for k in ("ba", "dl", "poset", "space")],
-    *[(["dual", "{%s}" % k], SYSTEMS | BIRKHOFF | WRITER)
+    *[(["dual", "{%s}" % k], SYSTEM_DOCS | BIRKHOFF | WRITER)
       for k in ("direct-system", "inverse-system")],
     (["plonka", "decompose", "{ibsl}"], SYSTEMS | WRITER),
     (["plonka", "decompose", "{bsl}"], SYSTEMS | WRITER),
-    (["plonka", "sum", "{direct-system}"], SYSTEMS | WRITER),
+    (["plonka", "sum", "{direct-system}"], SYSTEM_DOCS | WRITER),
     (["roundtrip", "{ibsl}"], GR | SEARCH | SYSTEMS),
     (["roundtrip", "{ibsl}", "--format", "json"],
      GR | SEARCH | SYSTEMS | WRITER),
@@ -371,13 +375,14 @@ def test_the_tracer_sees_every_wrapped_call(algebra_files, argv, condition):
                   "terms": {"0": {"kind": "space", "size": "1"}}}),
 ])
 def test_parse_errors_load_no_heavy_module(tmp_path, name, data):
-    # a GR space, a poset, a space or a system is parsed next to its
-    # structure, so its parse errors load that module and no other
+    # a GR space, a poset or a space is parsed next to its structure, and a
+    # system by its document reader, which parses without the system code,
+    # so their parse errors load that module and no other
     parser = {"bad-gr": {"algdual.duality", "algdual.orders"},
               "bad-space": {"algdual.orders"},
               "bad-poset": {"algdual.orders"},
-              "bad-system": {"algdual.systems", "algdual.morphisms"},
-              "bad-term": {"algdual.systems", "algdual.morphisms",
+              "bad-system": {"algdual.system_documents"},
+              "bad-term": {"algdual.system_documents",
                            "algdual.orders"}}.get(name, set())
     path = tmp_path / f"{name}.json"
     path.write_text(data if isinstance(data, str) else json.dumps(data),
@@ -473,7 +478,7 @@ def _samples():
             [[0, 1], [1, 1]], bottom=0),
         Morphism: lambda: Morphism.identity(wk, "ibsl"),
         Document: lambda: Document("ibsl", wk),
-        systems.SystemParts: lambda: loads_document(system_doc).payload,
+        SystemParts: lambda: loads_document(system_doc).payload,
         duality.FiniteSpace: lambda: duality.FiniteSpace(2),
         duality.GRSpace: duality.gr_three,
         duality.GRSpaceWithInvolution: duality.wk_space,
@@ -491,7 +496,7 @@ def _samples():
 
 # record classes with a dict field are unhashable, as their dataclass
 # forms were
-UNHASHABLE = {systems.SystemParts, systems.DirectSystem,
+UNHASHABLE = {SystemParts, systems.DirectSystem,
               systems.InverseSystem, system_morphisms.DirectSystemMorphism,
               system_morphisms.InverseSystemMorphism}
 

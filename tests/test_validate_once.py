@@ -5,7 +5,8 @@ per object in one weak memo (``algebra.validated_once``).  These tests
 compare every memoized validator with the function it wraps, on lawful
 tables, on tables with one cell changed and on fresh objects equal to ones
 already validated; check that a repeat costs no identity check and that the
-memo keeps no object alive; and pin the identity checks of the ``dual`` and
+memo keeps no object alive, not even until the next garbage collection; and
+pin the identity checks and validator runs of the ``dual`` and
 ``roundtrip`` pipelines.
 """
 
@@ -20,7 +21,7 @@ from random import Random
 
 import pytest
 
-from algdual import algebra, duality
+from algdual import algebra, duality, systems
 from algdual.algebra import FiniteAlgebra, builtin, validate_ibsl
 from algdual.duality import (
     GRSpace,
@@ -179,17 +180,58 @@ def test_the_memo_keeps_no_object_alive():
     assert gone() is None
 
 
-# identity checks (``first_violation`` calls) of one command on the
-# document of ``algctl gen --size 64 --seed 0 --fibers 4``: each distinct
-# object is validated once
+@pytest.mark.parametrize("validator, make", [
+    (validate_ibsl, lambda: _one_cell_changed(builtin("wk"), Random(0))),
+    (algebra.validate_bisemilattice, lambda: _copy(builtin("three"))),
+    (algebra.validate_semilattice,
+     lambda: random_join_semilattice(Random(2), 6).algebra),
+    (algebra.validate_boolean_algebra,
+     lambda: _one_cell_changed(builtin("two"), Random(1))),
+], ids=["ibsl", "bsl", "sl", "ba-failing"])
+def test_a_checked_algebra_dies_with_its_last_reference(validator, make):
+    # no reference cycle keeps it (or its padded row tables) until the next
+    # collection, so what the memo holds does not depend on when that runs
+    a = make()
+    gc.disable()
+    try:
+        validator(a)
+        gone = weakref.ref(a)
+        del a
+        assert gone() is None
+    finally:
+        gc.enable()
+
+
+def test_identical_builds_run_the_same_identity_checks(identity_checks):
+    def build():
+        b = random_ibsl(Random(6), 4, 3)
+        return systems.plonka_sum(systems.plonka_decompose(b))
+
+    algebra._VERDICTS.clear()
+    gc.disable()
+    try:
+        counts = []
+        for _ in range(2):
+            identity_checks.clear()
+            build()
+            counts.append(len(identity_checks))
+    finally:
+        gc.enable()
+    assert counts[0] == counts[1] > 0
+
+
+# identity checks (``first_violation`` calls) and validator runs of one
+# command on the document of ``algctl gen --size 64 --seed 0 --fibers 4``:
+# each distinct object is validated once
 PIPELINE_CHECKS = {
-    # the input (10), the index semilattice (4), four Boolean fibers (14
-    # each), the dual (its base's 3 star laws) and the double dual (10); the
-    # Plonka sum is not validated, as the checked bijection onto the valid
-    # input shows it valid
-    "roundtrip": 83,
-    # the input (10) and the dual's base (3)
-    "dual": 13,
+    # runs: the input (10 identity checks), the index semilattice (4), four
+    # Boolean fibers (none: each is a field of sets), the dual's base (its 3
+    # star laws) and the dual (none of its own), and the double dual (10);
+    # the Plonka sum is not validated, as the checked bijection onto the
+    # valid input shows it valid
+    "roundtrip": (27, 9),
+    # the input (10), the dual's base (3) and the dual
+    "dual": (13, 3),
 }
 
 
@@ -206,22 +248,36 @@ def gen64(tmp_path_factory):
 @pytest.mark.parametrize("command", sorted(PIPELINE_CHECKS))
 def test_pipeline_identity_checks_are_pinned(gen64, command):
     # a fresh interpreter: no memo, no hom-space cache
+    # a run is a miss of the memo: a validator that stores a report
     probe = (
-        "import json, sys\n"
+        "import json, sys, weakref\n"
         "from algdual import algebra\n"
-        "calls = [0]\n"
+        "calls, runs = [0], []\n"
         "original = algebra.first_violation\n"
         "def counted(*args):\n"
         "    calls[0] += 1\n"
         "    return original(*args)\n"
         "algebra.first_violation = counted\n"
+        "class Reports(dict):\n"
+        "    def __setitem__(self, validator, report):\n"
+        "        runs.append([validator.__name__, self.key])\n"
+        "        super().__setitem__(validator, report)\n"
+        "class Verdicts(weakref.WeakKeyDictionary):\n"
+        "    def setdefault(self, obj, default=None):\n"
+        "        if obj not in self:\n"
+        "            self[obj] = Reports()\n"
+        "            self[obj].key = hash(obj)\n"
+        "        return self[obj]\n"
+        "algebra._VERDICTS = Verdicts()\n"
         "from algdual.cli import main\n"
         f"code = main([{command!r}, {gen64!r}])\n"
-        "print(json.dumps([code, calls[0]]))\n")
+        "print(json.dumps([code, calls[0], runs]))\n")
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    code, calls = json.loads(proc.stdout.splitlines()[-1])
+    code, calls, runs = json.loads(proc.stdout.splitlines()[-1])
     assert code == 0
-    assert calls == PIPELINE_CHECKS[command]
+    assert (calls, len(runs)) == PIPELINE_CHECKS[command]
+    # no object is validated twice, nor one equal to it
+    assert len({tuple(run) for run in runs}) == len(runs)
