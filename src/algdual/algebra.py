@@ -210,7 +210,18 @@ class FiniteAlgebra(Record):
 # ---------------------------------------------------------------------------
 # Scans over a carrier do one C-level operation per row instead of one
 # Python step per cell: a row of ints is gathered through a table at once.
-# (Sets of elements are ints, ``orders.byteset``.)
+# Sets of elements are ints (:func:`byteset`).
+
+def byteset(row) -> int:
+    """The set of positions y where ``row[y]`` is 1 or True, as the int
+    with byte y equal to ``row[y]``."""
+    return int.from_bytes(bytes(row), "little")
+
+
+def _least(s: int) -> int:
+    """The least element of a non-empty byte set."""
+    return (s & -s).bit_length() - 1 >> 3
+
 
 def _gather(row, table) -> tuple[int, ...]:
     # itemgetter returns a bare item, not a tuple, for a one-entry row
@@ -220,15 +231,17 @@ def _gather(row, table) -> tuple[int, ...]:
 
 
 def row_kernel(n: int):
-    """``(make, gather, pad)`` for carriers of ``n`` elements: ``make``
+    """``(make, gather, pad, join)`` for carriers of ``n`` elements: ``make``
     builds a row from ints below n, ``gather(row, table)`` is the row of
-    ``table[v]`` for each entry v of ``row``, and ``pad`` puts a table of
-    at most n ints below n into the shape ``gather`` reads.  Up to 256
-    elements rows are bytes, gather is ``bytes.translate`` and a table is
-    padded to 256 bytes; above, rows and tables are tuples."""
+    ``table[v]`` for each entry v of ``row``, ``pad`` puts a table of at
+    most n ints below n into the shape ``gather`` reads, and ``join``
+    concatenates rows.  Up to 256 elements rows are bytes and a table is
+    padded to 256 bytes for ``bytes.translate``; above, all are tuples."""
     if n <= 256:
-        return bytes, bytes.translate, lambda t: bytes(t).ljust(256, b"\0")
-    return tuple, _gather, tuple
+        return (bytes, bytes.translate, lambda t: bytes(t).ljust(256, b"\0"),
+                b"".join)
+    return (tuple, _gather, tuple,
+            lambda rows: tuple(itertools.chain.from_iterable(rows)))
 
 
 def _row_table(a: FiniteAlgebra, op: str, form: str):
@@ -245,6 +258,46 @@ def _row_table(a: FiniteAlgebra, op: str, form: str):
             t = a.binary_ops[op]
             cache[op, form] = tuple(map(pad, t if form == "rows" else zip(*t)))
     return cache[op, form]
+
+
+# Where a map first fails to keep a table or an order, or two composites
+# first differ, a row at a time; ``tests/oracles.py`` keeps the loops.
+
+def compose(outer, inner) -> RawMap:
+    """The value vector of ``outer`` after ``inner``."""
+    return tuple(map(outer.__getitem__, inner))
+
+
+def first_difference(u, v) -> Optional[int]:
+    """The first index at which the rows ``u`` and ``v`` differ, or None."""
+    return None if u == v else list(map(operator.ne, u, v)).index(True)
+
+
+def table_break(f, ta: Table, tb: Table) -> Optional[tuple[int, int]]:
+    """The first (x, y) with ``f(ta[x][y]) != tb[f x][f y]``, or None, for
+    f: A -> B: ``f . ta`` against the rows ``f x`` of ``tb`` gathered
+    through f, one gather per value of f, all rows in one comparison."""
+    make, gather, pad, join = row_kernel(max(len(ta), len(tb)))
+    frow = make(f)
+    images = {v: gather(frow, pad(tb[v])) for v in set(f)}
+    i = first_difference(gather(make(itertools.chain(*ta)), pad(f)),
+                         join(map(images.__getitem__, f)))
+    return None if i is None else divmod(i, len(ta))
+
+
+def order_breaks(maps, la, lb, reflect: bool = False):
+    """For each f: A -> B in ``maps``, the first (x, y) with ``la[x][y]``
+    and not ``lb[f x][f y]`` or, if ``reflect``, with the two different, or
+    None: the pairs of ``la`` as one byte set against the preimages of the
+    up-sets of each f x, gathered through rows of ``lb`` padded per call."""
+    make, gather, pad, join = row_kernel(max(len(la), len(lb)))
+    pairs, rows = byteset(itertools.chain(*la)), list(map(pad, lb))
+    for f in maps:
+        frow = make(f)
+        preimages = {v: gather(frow, rows[v]) for v in set(f)}
+        kept = byteset(join(map(preimages.__getitem__, f)))
+        bad = pairs ^ kept if reflect else pairs & ~kept
+        yield divmod(_least(bad), len(la)) if bad else None
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +344,7 @@ def first_violation(a: FiniteAlgebra, lhs, rhs) -> Optional[tuple[int, ...]]:
     outer = names[:-2]
     full = _YZ if len(names) > 1 else len(names)
     n = a.size
-    make, gather, _ = row_kernel(n)
+    make, gather, *_ = row_kernel(n)
     R = make(range(n))
     leaves = dict(zip(names[::-1], ((R, _Z), (R, _Y))))
     for k, v in enumerate(outer):
@@ -372,8 +425,7 @@ def first_violation(a: FiniteAlgebra, lhs, rhs) -> Optional[tuple[int, ...]]:
         rv = expand(r(env) if callable(r) else r, sr)
         if lv != rv:
             for _ in names[len(outer):]:
-                # the first index where the rows (or the lists) differ
-                i = list(map(operator.ne, lv, rv)).index(True)
+                i = first_difference(lv, rv)
                 env, lv, rv = (*env, i), lv[i], rv[i]
             return env
     return None

@@ -117,9 +117,10 @@ def parse_matrix01(data, key: str, size: int):
     if (not isinstance(m, list) or len(m) != size
             or any(not isinstance(r, list) or len(r) != size for r in m)):
         raise fail(f"'{key}' must be a {size}x{size} matrix")
-    if any(not _is_int(v) or v not in (0, 1) for r in m for v in r):
+    # a row at a time: ints only (not bools), then 0 and 1 only
+    if any({*map(type, r)} - {int} or {*r} - {0, 1} for r in m):
         raise fail(f"'{key}' entries must be 0 or 1")
-    return tuple(tuple(bool(v) for v in r) for r in m)
+    return tuple(tuple(map(bool, r)) for r in m)
 
 
 def parse_document(data: dict) -> Document:
@@ -250,7 +251,7 @@ KIND_TABLE = {
             "roundtrip": {"double-dual-iso": ("duality", "delta_iso")}},
     "poset": {"parse": ("orders", "parse_poset"),
               "check": ("orders", "check_poset"),
-              "realize": lambda p: resolve(("orders", "FinitePoset"))(*p),
+              "realize": ("orders", "realize_poset"),
               "data": ("orders", "poset_data"),
               "dual": ("lattices", "dl_of_poset"), "dual_kind": "dl",
               "lift": ("lattices", "lift_system_posets_to_dl"),

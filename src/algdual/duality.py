@@ -25,7 +25,7 @@ checking a plain GR space compiles neither.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache, reduce
-from itertools import compress, product
+from itertools import compress
 from operator import or_
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -36,16 +36,20 @@ from .algebra import (
     Record,
     ValidationReport,
     builtin,
+    byteset,
+    first_difference,
     first_violation,
     forwarder,
     ibsl_completion,
+    order_breaks,
     row_kernel,
+    table_break,
     validate_bisemilattice,
     validate_ibsl,
     validated_once,
 )
 from .errors import NotBisemilattice, NotGRSpace, NotIBSL
-from .orders import OrderMatrix, byteset, is_partial_order, order_from_binary
+from .orders import OrderMatrix, is_partial_order, order_from_binary
 
 if TYPE_CHECKING:
     from .morphisms import Morphism
@@ -208,23 +212,19 @@ def validate_gr_space(g) -> ValidationReport:
     w = is_partial_order(leq)
     checks.append(Check("order-partial", w is None, w))
 
-    # the verdicts come from whole rows; only a failure is scanned for its
-    # lexicographically first witness
-    w = None if _keeps_order(leq, zip(*star)) else next(
-        ((x, y, z) for x, y, z in product(range(n), repeat=3)
-         if leq[x][y] and not leq[star[x][z]][star[y][z]]), None)
-    checks.append(Check("order-right-compatible", w is None, w))
-    w = None if _keeps_order(leq, star) else next(
-        ((x, y, z) for x, y, z in product(range(n), repeat=3)
-         if leq[x][y] and not leq[star[z][x]][star[z][y]]), None)
-    checks.append(Check("order-left-compatible", w is None, w))
+    # each map x -> x*z (right) and x -> z*x (left) keeps the order; the
+    # witness is the least (x, y, z)
+    for name, maps in (("order-right-compatible", zip(*star)),
+                       ("order-left-compatible", star)):
+        w = min(((*b, z) for z, b in enumerate(order_breaks(maps, leq, leq))
+                 if b is not None), default=None)
+        checks.append(Check(name, w is None, w))
     # x*y <= x for every y: row x of star, gathered through column x of leq
-    make, gather, pad = row_kernel(n)
+    make, gather, pad, _ = row_kernel(n)
     ones = make([1] * n)
-    w = None if all(gather(make(row), pad(col)) == ones
-                    for row, col in zip(star, zip(*leq))) else next(
-        ((x, y) for x, y in product(range(n), repeat=2)
-         if not leq[star[x][y]][x]), None)
+    ys = (first_difference(gather(make(row), pad(col)), ones)
+          for row, col in zip(star, zip(*leq)))
+    w = next(((x, y) for x, y in enumerate(ys) if y is not None), None)
     checks.append(Check("star-decreasing", w is None, w))
 
     ca, c0, c1 = g.calpha, g.c0, g.c1
@@ -253,23 +253,6 @@ def validate_gr_space(g) -> ValidationReport:
               if not g.leq[a][b] and not separates[b]), None)
     checks.append(Check("order-disconnected", w is None, w))
     return ValidationReport("GR space", tuple(checks))
-
-
-def _keeps_order(leq: OrderMatrix, maps) -> bool:
-    """Whether each carrier self-map in ``maps`` keeps the order ``leq``:
-    for every x, the up-set U(x) lies in the preimage of U(f x), both byte
-    sets, gathered once per value of f."""
-    make, gather, pad = row_kernel(len(leq))
-    up = [byteset(row) for row in leq]
-    tables = [pad(row) for row in leq]
-    for f in maps:
-        row, preimage = make(f), {}
-        for u, c in zip(up, f):
-            if c not in preimage:
-                preimage[c] = byteset(gather(row, tables[c]))
-            if u & ~preimage[c]:
-                return False
-    return True
 
 
 @lru_cache(maxsize=512)
@@ -405,11 +388,10 @@ def validate_gr_involution(g: GRSpaceWithInvolution) -> ValidationReport:
 
     w = next(((a,) for a in range(n) if neg[neg[a]] != a), None)
     checks.append(Check("G1", w is None, w))
-    w = next(((a, b) for a in range(n) for b in range(n)
-              if neg[star[a][b]] != star[neg[a]][neg[b]]), None)
+    # neg keeps star, and turns the order into the reversed box order
+    w = table_break(neg, star, star)
     checks.append(Check("G2", w is None, w))
-    w = next(((a, b) for a in range(n) for b in range(n)
-              if leq[a][b] and not box[neg[b]][neg[a]]), None)
+    w = next(order_breaks((neg,), leq, tuple(zip(*box))))
     checks.append(Check("G3", w is None, w))
     g4 = (neg[g.c0] == g.c1 and neg[g.c1] == g.c0 and neg[g.calpha] == g.calpha)
     checks.append(Check("G4", g4, None if g4 else (g.c0, g.c1, g.calpha)))

@@ -21,7 +21,7 @@ from __future__ import annotations
 from random import Random
 from typing import Optional
 
-from .algebra import FiniteAlgebra
+from .algebra import FiniteAlgebra, compose
 from .lattices import (
     atoms,
     ba_of_space,
@@ -194,7 +194,7 @@ def random_chain_system(rng: Random, kind: str, max_fibers: int,
         vec = tuple(range(fibers[i].size))
         transitions[(i, i)] = vec
         for j in range(i + 1, k):
-            vec = tuple(covers[j].map[v] for v in vec)
+            vec = compose(covers[j].map, vec)
             transitions[(i, j)] = vec
     return DirectSystem(index, fibers, transitions, kind)
 

@@ -16,7 +16,6 @@ so a wrapper installed on ``algebra.morphism_violations`` sees every one.
 
 from __future__ import annotations
 
-import operator
 from typing import Optional, Sequence
 
 from . import algebra
@@ -25,7 +24,6 @@ from .algebra import (
     MORPHISM_KINDS,
     SPACE_KINDS,
     Record,
-    Table,
     resolve,
 )
 from .errors import (
@@ -95,27 +93,6 @@ def _related_pairs(leq) -> int:
     return sum(map(sum, leq))
 
 
-def _first_cell(f: Sequence[int], ta: Table, tb: Table):
-    """The first (x, y) with f(ta[x][y]) != tb[f x][f y], or None."""
-    for x, row in enumerate(ta):
-        image = tb[f[x]]
-        for y, v in enumerate(row):
-            if f[v] != image[f[y]]:
-                return x, y
-    return None
-
-
-def _first_pair(f: Sequence[int], la, lb, related=operator.le):
-    """The first (x, y) with ``not related(la[x][y], lb[f x][f y])``, or
-    None: where f fails to preserve (``le``) or to reflect (``eq``) it."""
-    for x, row in enumerate(la):
-        image = lb[f[x]]
-        for y, v in enumerate(row):
-            if not related(v, image[f[y]]):
-                return x, y
-    return None
-
-
 def morphism_violations(source, target, mapping: Sequence[int],
                         kind: str) -> Optional[tuple[str, tuple[int, ...]]]:
     """The first condition of :func:`_signature` that ``mapping`` violates,
@@ -127,20 +104,20 @@ def morphism_violations(source, target, mapping: Sequence[int],
     for name, ca, cb in constants:
         if f[ca] != cb:
             return name, (ca,)
-    for name, la, lb in labels:
-        for x, v in enumerate(f):
-            if lb[v] != la[x]:
-                return name, (x,)
-    for name, ua, ub in unary:
-        for x, v in enumerate(f):
-            if f[ua[x]] != ub[v]:
-                return name, (x,)
+    # a label kept is lb . f = la, a unary map kept f . ua = ub . f
+    compose = algebra.compose
+    rows = [(nm, compose(lb, f), la) for nm, la, lb in labels]
+    rows += [(nm, compose(f, ua), compose(ub, f)) for nm, ua, ub in unary]
+    for name, u, v in rows:
+        x = algebra.first_difference(u, v)
+        if x is not None:
+            return name, (x,)
     for name, ta, tb in binary:
-        w = _first_cell(f, ta, tb)
+        w = algebra.table_break(f, ta, tb)
         if w is not None:
             return name, w
     if order is not None:
-        w = _first_pair(f, *order, operator.eq if reflect else operator.le)
+        w = next(algebra.order_breaks((f,), *order, reflect))
         if w is not None:
             return "order", w
     return None
@@ -158,7 +135,7 @@ class Morphism(Record):
         map = tuple(int(v) for v in map)
         if len(map) != source.size:
             raise InvalidMorphism("map length does not match source carrier")
-        if any(v < 0 or v >= target.size for v in map):
+        if map and (min(map) < 0 or max(map) >= target.size):
             raise InvalidMorphism("map has out-of-range values")
         bad = algebra.morphism_violations(source, target, map, kind)
         if bad is not None:
@@ -179,7 +156,7 @@ class Morphism(Record):
         if other.target is not self.source and other.target != self.source:
             raise DomainMismatch("codomain of inner morphism != domain of outer")
         return Morphism(other.source, self.target,
-                        tuple(self.map[v] for v in other.map), self.kind)
+                        algebra.compose(self.map, other.map), self.kind)
 
     @property
     def is_bijective(self) -> bool:

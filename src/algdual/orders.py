@@ -3,30 +3,27 @@ operation table induces, and the two ordered structures that are documents
 of their own, finite posets and finite discrete spaces.
 
 An order matrix holds ``leq[x][y]`` for x <= y.  Sets of elements are byte
-sets (:func:`byteset`), so a union, intersection or subset test of up-sets
-or down-sets is one int operation.
+sets (:func:`algdual.algebra.byteset`), so a union, intersection or subset
+test of up-sets or down-sets is one int operation.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from itertools import compress
-from typing import Optional, Sequence
+from typing import Optional
 
-from .algebra import Check, FiniteAlgebra, Record, Table, ValidationReport
+from .algebra import (
+    Check,
+    FiniteAlgebra,
+    Record,
+    Table,
+    ValidationReport,
+    _least,
+    byteset,
+)
 
 OrderMatrix = tuple[tuple[bool, ...], ...]
-
-
-def byteset(row: Sequence[int]) -> int:
-    """The set of positions y where ``row[y]`` is 1 or True, as the int
-    with byte y equal to ``row[y]``."""
-    return int.from_bytes(bytes(row), "little")
-
-
-def _least(s: int) -> int:
-    """The least element of a non-empty byte set."""
-    return (s & -s).bit_length() - 1 >> 3
 
 
 def order_from_binary(table: Table, via: str) -> OrderMatrix:
@@ -131,6 +128,13 @@ def check_poset(payload: tuple) -> ValidationReport:
     w = is_partial_order(payload[1])
     return ValidationReport("finite poset",
                             (Check("order-partial", w is None, w),))
+
+
+def realize_poset(payload: tuple) -> FinitePoset:
+    """The poset of a payload that passed :func:`check_poset`, as is."""
+    p = FinitePoset.__new__(FinitePoset)
+    p.__dict__.update(size=payload[0], leq=payload[1])
+    return p
 
 
 def poset_data(p: FinitePoset, kind: str) -> dict:

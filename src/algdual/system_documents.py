@@ -48,7 +48,7 @@ def _parse_arrow_key(key: str, size: int) -> tuple[int, int]:
 
 def _parse_term(key: str, doc: dict):
     """The term of an inverse-system document: a space or a poset."""
-    from .orders import FinitePoset, FiniteSpace, is_partial_order, parse_poset
+    from .orders import FinitePoset, FiniteSpace, parse_poset
 
     inner = doc.get("kind")
     if inner == "space":
@@ -57,10 +57,10 @@ def _parse_term(key: str, doc: dict):
             raise fail(f"term {key!r} size must be non-negative")
         return FiniteSpace(size)
     if inner == "poset":
-        size, leq = parse_poset(doc)
-        if is_partial_order(leq) is not None:
-            raise fail(f"term {key!r} order is not a partial order")
-        return FinitePoset(size, leq)
+        try:
+            return FinitePoset(*parse_poset(doc))
+        except ValueError:
+            raise fail(f"term {key!r} order is not a partial order") from None
     raise fail(f"term {key!r} has unsupported kind {inner!r}")
 
 

@@ -2,31 +2,24 @@
 translation between homs of Plonka sums and direct-system morphisms.
 
 A direct-system morphism is an index map and a hom per fiber whose squares
-with the transitions commute; an inverse-system morphism runs its index map
-against the arrows.  No ``algctl`` command builds them, so they live apart
-from :mod:`algdual.systems`.  Plonka sums are built
-through ``systems.plonka_sum``, so a wrapper installed there sees them.
+with the transitions commute: the two composites around a square
+(``algebra.compose``) agree, and a square that does not commute is reported
+at the first point where they differ.  An inverse-system morphism runs its
+index map against the arrows.  No ``algctl`` command builds them, so they
+live apart from :mod:`algdual.systems`.  Plonka sums are built through
+``systems.plonka_sum``, so a wrapper installed there sees them.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
-from .algebra import FiniteAlgebra, RawMap, Record
+from .algebra import FiniteAlgebra, RawMap, Record, compose, first_difference
 from .errors import DomainMismatch, FiberSplit, InvalidSystemMorphism
 from . import systems
 from .morphisms import Morphism
-from .systems import DirectSystem, InverseSystem, JoinSemilattice, compose_raw
-
-
-def _square_breaks(g: Sequence[int], p: Sequence[int], q: Sequence[int],
-                   f: Sequence[int]) -> Optional[int]:
-    """The first x at which the square ``g . p = q . f`` does not commute,
-    or None.  Here p and q are the arrows of the two systems, and f and g
-    are the components at their sources and targets."""
-    return next((x for x, (px, fx) in enumerate(zip(p, f))
-                 if g[px] != q[fx]), None)
+from .systems import DirectSystem, InverseSystem, JoinSemilattice
 
 
 def _require_index_map(phi: Morphism, source: JoinSemilattice,
@@ -65,9 +58,10 @@ class DirectSystemMorphism(Record):
                 raise InvalidSystemMorphism(
                     f"component {i} endpoints do not match")
         for i, j in source.index.comparable_pairs():
-            x = _square_breaks(components[j].map, source.transitions[(i, j)],
-                               target.transitions[(phi(i), phi(j))],
-                               components[i].map)
+            x = first_difference(
+                compose(components[j].map, source.transitions[(i, j)]),
+                compose(target.transitions[(phi(i), phi(j))],
+                        components[i].map))
             if x is not None:
                 raise InvalidSystemMorphism(
                     f"square ({i},{j}) does not commute at {x}")
@@ -105,8 +99,9 @@ class InverseSystemMorphism(Record):
                 raise InvalidSystemMorphism(
                     f"component {j} is not a map term({phi(j)}) -> term({j})")
         for j, j2 in target.index.comparable_pairs():
-            x = _square_breaks(components[j], source.bondings[(phi(j), phi(j2))],
-                               target.bondings[(j, j2)], components[j2])
+            x = first_difference(
+                compose(components[j], source.bondings[(phi(j), phi(j2))]),
+                compose(target.bondings[(j, j2)], components[j2]))
             if x is not None:
                 raise InvalidSystemMorphism(
                     f"square ({j},{j2}) does not commute at {x}")
@@ -141,8 +136,7 @@ def compose_system_morphisms(m2, m1):
         if m1.target != m2.source:
             raise DomainMismatch("system morphisms do not compose")
         chi = m1.index_map.compose(m2.index_map)
-        comps = {k: compose_raw(m2.components[k],
-                                m1.components[m2.index_map(k)])
+        comps = {k: compose(m2.components[k], m1.components[m2.index_map(k)])
                  for k in range(m2.target.index.size)}
         return InverseSystemMorphism(m1.source, m2.target, chi, comps)
     raise DomainMismatch("cannot compose morphisms of different variants")
@@ -234,9 +228,8 @@ def enumerate_system_morphisms(da: DirectSystem,
 
         def squares_ok(i: int) -> bool:
             return all(
-                _square_breaks(chosen[y].map, da.transitions[(x, y)],
-                               db.transitions[(phi(x), phi(y))],
-                               chosen[x].map) is None
+                compose(chosen[y].map, da.transitions[(x, y)])
+                == compose(db.transitions[(phi(x), phi(y))], chosen[x].map)
                 for (x, y) in comparable
                 if x in chosen and y in chosen and (x == i or y == i))
 

@@ -18,7 +18,6 @@ fibers, there Boolean algebras indexed by their local units ``a + a'``.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Mapping, Optional, Sequence
 
 from .algebra import (
@@ -29,7 +28,9 @@ from .algebra import (
     Table,
     ValidationReport,
     _freeze_binary,
+    compose,
     ibsl_completion,
+    order_breaks,
     row_kernel,
     validate_bisemilattice,
     validate_ibsl,
@@ -44,12 +45,7 @@ from .errors import (
     NotIBSL,
     NotSemilattice,
 )
-from .morphisms import (
-    Morphism,
-    _first_pair,
-    morphism_violations,
-    validate_for_kind,
-)
+from .morphisms import Morphism, morphism_violations, validate_for_kind
 
 
 # ---------------------------------------------------------------------------
@@ -128,10 +124,6 @@ class JoinSemilattice(Record):
 
     def comparable_pairs(self) -> list[tuple[int, int]]:
         return comparable_pairs(self.algebra.binary("join"))
-
-
-def compose_raw(outer: Sequence[int], inner: Sequence[int]) -> RawMap:
-    return tuple(outer[v] for v in inner)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +217,7 @@ def check_system(index_algebra: FiniteAlgebra, bottom: int,
         def disorder(i, j):
             src, tgt = endpoints(i, j)
             if hasattr(src, "leq") and hasattr(tgt, "leq"):
-                w = _first_pair(arrows[(i, j)], src.leq, tgt.leq)
+                w = next(order_breaks((arrows[(i, j)],), src.leq, tgt.leq))
                 return None if w is None else (i, j, *w)
 
         mono_witness = next(filter(None, (disorder(*p) for p in pairs)), None)
@@ -233,8 +225,8 @@ def check_system(index_algebra: FiniteAlgebra, bottom: int,
 
     def composite(i, j, k):
         if inverse:
-            return compose_raw(arrows[(i, j)], arrows[(j, k)])
-        return compose_raw(arrows[(j, k)], arrows[(i, j)])
+            return compose(arrows[(i, j)], arrows[(j, k)])
+        return compose(arrows[(j, k)], arrows[(i, j)])
 
     triple_witness = next(((i, j, k) for (i, j) in pairs for k in range(n)
                            if join[j][k] == k
@@ -366,9 +358,7 @@ def plonka_sum(system: DirectSystem) -> FiniteAlgebra:
     idx = system.index
     offs = system.offsets()
     total = system.total_size()
-    make, gather, pad = row_kernel(total)
-    concat = (b"".join if make is bytes
-              else lambda rows: tuple(chain.from_iterable(rows)))
+    make, gather, pad, join = row_kernel(total)
     fibers = [system.fibers[i] for i in range(idx.size)]
     # per fiber pair (i1, i2): transition i1 -> j, transition i2 -> j as a
     # row, and j, for j = i1 + i2
@@ -394,8 +384,8 @@ def plonka_sum(system: DirectSystem) -> FiniteAlgebra:
         table = []
         for i1, f in enumerate(fibers):
             for a in range(f.size):
-                table.append(concat([gather(t2, shifted[j][t1[a]])
-                                     for t1, t2, j in blocks[i1]]))
+                table.append(join([gather(t2, shifted[j][t1[a]])
+                                   for t1, t2, j in blocks[i1]]))
         binary[name] = table
     unary = {name: [offs[i] + v for i, f in enumerate(fibers)
                     for v in f.unary(name)]
@@ -412,7 +402,7 @@ def permute_algebra(a: FiniteAlgebra, perm: Sequence[int]) -> FiniteAlgebra:
     gathered through ``inv`` and its values through ``perm``: two whole-row
     gathers (see :func:`algdual.algebra.row_kernel`).  ``tests/oracles.py``
     keeps the cell-by-cell form."""
-    make, gather, pad = row_kernel(a.size)
+    make, gather, pad, _ = row_kernel(a.size)
     inv = [0] * a.size
     for old, new in enumerate(perm):
         inv[new] = old

@@ -466,6 +466,82 @@ def loop_gr_order_witnesses(g):
     }
 
 
+def loop_involution_witnesses(g):
+    """The witnesses of the checks G2 and G3 of a GR space with
+    involution, by scanning every cell."""
+    n, neg, star, leq, box = g.size, g.neg, g.star, g.leq, g.box
+    return {
+        "G2": next(((a, b) for a in range(n) for b in range(n)
+                    if neg[star[a][b]] != star[neg[a]][neg[b]]), None),
+        "G3": next(((a, b) for a in range(n) for b in range(n)
+                    if leq[a][b] and not box[neg[b]][neg[a]]), None),
+    }
+
+
+def loop_table_break(f, ta, tb):
+    """The first (x, y) with f(ta[x][y]) != tb[f x][f y], or None, cell by
+    cell (``algebra.table_break``)."""
+    for x, row in enumerate(ta):
+        image = tb[f[x]]
+        for y, v in enumerate(row):
+            if f[v] != image[f[y]]:
+                return x, y
+    return None
+
+
+def loop_order_break(f, la, lb, reflect=False):
+    """The first (x, y) with la[x][y] and not lb[f x][f y] or, if
+    ``reflect``, with the two different; None if there is none, cell by
+    cell (``algebra.order_breaks``)."""
+    for x, row in enumerate(la):
+        image = lb[f[x]]
+        for y, v in enumerate(row):
+            if (v != image[f[y]]) if reflect else (v and not image[f[y]]):
+                return x, y
+    return None
+
+
+def loop_compose(outer, inner):
+    """``outer`` after ``inner``, entry by entry (``algebra.compose``)."""
+    return tuple(outer[v] for v in inner)
+
+
+def loop_square_break(g, p, q, f):
+    """The first x at which the square g . p = q . f does not commute, or
+    None (``system_morphisms._square_breaks``)."""
+    return next((x for x, (px, fx) in enumerate(zip(p, f))
+                 if g[px] != q[fx]), None)
+
+
+def loop_system_witnesses(join, objects, arrows, inverse):
+    """The witnesses of the ``arrows-monotone`` and ``arrows-transitive``
+    checks of ``systems.check_system`` on well-formed arrows, by loops:
+    the first comparable pair (i, j) of ordered objects, with the first
+    pair its arrow does not keep in order, and the first (i, j, k), i <= j <= k, whose
+    composite differs from the arrow (i, k)."""
+    n = len(join)
+    pairs = [(i, j) for i in range(n) for j in range(n) if join[i][j] == j]
+    monotone = None
+    for i, j in pairs:
+        src, tgt = (objects[j], objects[i]) if inverse else (objects[i],
+                                                             objects[j])
+        w = (loop_order_break(arrows[i, j], src.leq, tgt.leq)
+             if hasattr(src, "leq") and hasattr(tgt, "leq") else None)
+        if w is not None:
+            monotone = (i, j, *w)
+            break
+    transitive = None
+    for (i, j), k in product(pairs, range(n)):
+        if join[j][k] != k:
+            continue
+        outer, inner = ((arrows[i, j], arrows[j, k]) if inverse
+                        else (arrows[j, k], arrows[i, j]))
+        if loop_compose(outer, inner) != tuple(arrows[i, k]):
+            transitive = (i, j, k)
+            break
+    return monotone, transitive
+
+
 def tuple_locate(points, vectors, what):
     """Positions of the value vectors ``vectors`` among the tuple
     ``points``, or NotGRSpace naming ``what``."""

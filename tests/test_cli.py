@@ -574,6 +574,15 @@ _NOT_AN_ORDER = {"kind": "poset", "size": 2, "leq": [[1, 1], [1, 1]]}
     (_gr_data, ("neg", 2), 3, "involution has out-of-range values"),
     (_poset_data, ("leq", 0, 0), True, "'leq' entries must be 0 or 1"),
     (_gr_data, ("leq", 0, 0), True, "'leq' entries must be 0 or 1"),
+    # entries are checked a row at a time, after the shape
+    (_poset_data, ("leq", 1, 0), False, "'leq' entries must be 0 or 1"),
+    (_poset_data, ("leq", 0, 1), 1.0, "'leq' entries must be 0 or 1"),
+    (_poset_data, ("leq", 1, 1), [1], "'leq' entries must be 0 or 1"),
+    (_poset_data, ("leq", 1, 0), "0", "'leq' entries must be 0 or 1"),
+    (_poset_data, ("leq", 1, 0), None, "'leq' entries must be 0 or 1"),
+    (_poset_data, ("leq", 1, 0), 2, "'leq' entries must be 0 or 1"),
+    (_poset_data, ("leq", 0, 0), -1, "'leq' entries must be 0 or 1"),
+    (_poset_data, ("leq", 1), [True, 1, 0], "'leq' must be a 2x2 matrix"),
 ])
 def test_shape_errors_exit_2_with_one_line(capsys, tmp_path, make, path,
                                            value, message):

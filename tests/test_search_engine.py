@@ -27,6 +27,7 @@ from algdual.duality import (
     dual_of_ibsl,
     gr_homs,
     gr_three,
+    validate_gr_involution,
     validate_gr_space,
     wk_space,
     zero_morphism,
@@ -50,6 +51,7 @@ from algdual.systems import plonka_sum
 from oracles import (
     KIND_OPS,
     loop_gr_order_witnesses,
+    loop_involution_witnesses,
     loop_partial_order,
     naive_gr_homs,
     naive_homs,
@@ -380,11 +382,21 @@ def test_order_disconnected_witness_matches_old_form():
     assert witnesses == {True, False}
 
 
+def _random_tables_space(rng):
+    """A GR space with random star and order tables: the failing (x, y) of
+    the maps x -> x*z of different z compete for the least witness."""
+    n = rng.randint(1, 6)
+    return GRSpace(n, [[rng.randrange(n) for _ in range(n)] for _ in range(n)],
+                   [[x == y or rng.random() < 0.4 for y in range(n)]
+                    for x in range(n)], 0, 0, 0)
+
+
 def test_gr_order_scans_match_the_loops():
     # the order checks decide on byte sets and rows
     rng = Random(83)
     spaces = [g.base for g in _igr_pool(rng)] + [gr_three()]
     spaces += [_gr_perturbed(g, rng) for g in spaces for _ in range(4)]
+    spaces += [_random_tables_space(rng) for _ in range(300)]
     verdicts = set()
     for g in spaces:
         report = validate_gr_space(g)
@@ -395,6 +407,24 @@ def test_gr_order_scans_match_the_loops():
             verdicts.add((name, w is None))
     # each check both holds and fails somewhere
     assert len(verdicts) == 2 * len(expected)
+
+
+def test_involution_scans_match_the_loops():
+    # G2 is the table check of neg on star, G3 the order check of neg into
+    # the reversed box order
+    rng = Random(87)
+    spaces = _igr_pool(rng)
+    for _ in range(300):
+        base = _random_tables_space(rng)
+        spaces.append(GRSpaceWithInvolution(
+            base, [rng.randrange(base.size) for _ in range(base.size)]))
+    verdicts = set()
+    for g in spaces:
+        report = validate_gr_involution(g)
+        for name, w in loop_involution_witnesses(g).items():
+            assert report.check(name).witness == w, name
+            verdicts.add((name, w is None))
+    assert len(verdicts) == 4
 
 
 def test_partial_order_bitsets_match_the_loops():
@@ -451,7 +481,7 @@ def _violation_pools(rng):
 
 def test_morphism_violations_match_the_loops():
     rng = Random(97)
-    first, sole = set(), set()
+    first, sole, unequal = set(), set(), set()
     for kind, pool in _violation_pools(rng).items():
         for g, h in product(pool, repeat=2):
             if h.size ** g.size > 256:
@@ -463,6 +493,8 @@ def test_morphism_violations_match_the_loops():
                     broken[0] if broken else None), (kind, f)
                 if broken:
                     first.add((kind, broken[0][0]))
+                    if g.size != h.size:
+                        unequal.add((kind, broken[0][0]))
                 if len(broken) == 1:
                     sole.add((kind, broken[0][0]))
     # every condition of every kind is reported first by some map
@@ -483,3 +515,41 @@ def test_morphism_violations_match_the_loops():
             ("dl", "join"), ("sl", "join"), ("gr", "star"), ("gr", "order"),
             ("igr", "order"), ("igr", "zero-morphism"),
             ("poset", "order")} <= sole, sorted(sole)
+    # sources and targets of different sizes break tables, orders and the
+    # order reflection of posets too
+    assert {("ibsl", "join"), ("bsl", "meet"), ("gr", "star"),
+            ("gr", "order"), ("igr", "order"),
+            ("poset", "order")} <= unequal, sorted(unequal)
+
+
+def _chain(n):
+    """The n-element chain as a join semilattice and as a poset."""
+    return (FiniteAlgebra(n, {"join": [[max(x, y) for y in range(n)]
+                                       for x in range(n)]}),
+            FinitePoset(n, [[x <= y for y in range(n)] for x in range(n)]))
+
+
+@pytest.mark.parametrize("m, n", [(300, 260), (300, 3), (3, 300), (257, 257)])
+def test_morphism_violations_match_the_loops_above_256(m, n):
+    # a carrier above 256 elements takes the tuple rows of the kernel; each
+    # map is monotone (and one-to-one when it can be), then has one value
+    # redrawn, and is checked as a join hom, an order embedding of posets
+    # and an order-preserving map of GR spaces
+    rng = Random(m * n)
+    (a, p), (b, q) = _chain(m), _chain(n)
+    kinds = (("sl", a, b), ("poset", p, q),
+             ("gr", _order_space(p), _order_space(q)))
+    outcomes = set()
+    for _ in range(2):
+        values = (rng.sample(range(n), m) if m <= n
+                  else [rng.randrange(n) for _ in range(m)])
+        f = [0, *sorted(values)[1:]]
+        broken = list(f)
+        broken[rng.randrange(m)] = rng.randrange(n)
+        for vec in (tuple(f), tuple(broken)):
+            for kind, s, t in kinds:
+                expected = naive_morphism_conditions(s, t, kind)(vec)
+                got = morphism_violations(s, t, vec, kind)
+                assert got == (expected[0] if expected else None), kind
+                outcomes.add((kind, got is None))
+    assert {("sl", False), ("poset", False), ("gr", False)} <= outcomes

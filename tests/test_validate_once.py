@@ -281,3 +281,41 @@ def test_pipeline_identity_checks_are_pinned(gen64, command):
     assert (calls, len(runs)) == PIPELINE_CHECKS[command]
     # no object is validated twice, nor one equal to it
     assert len({tuple(run) for run in runs}) == len(runs)
+
+
+def test_each_poset_order_is_checked_once(tmp_path, monkeypatch, capsys):
+    # a poset document's order is checked by ``check_poset`` only, and
+    # each poset term of an inverse system when it is read; ``roundtrip``
+    # checks one more order, that of the join-irreducibles of the dual
+    from algdual import orders
+    from algdual.cli import main
+    from algdual.documents import dumps_document
+    from algdual.generate import random_direct_system
+    from algdual.lattices import lift_system_dl_to_posets
+
+    calls = []
+    original = orders.is_partial_order
+
+    def counted(leq):
+        calls.append(len(leq))
+        return original(leq)
+
+    monkeypatch.setattr(orders, "is_partial_order", counted)
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps({"kind": "poset", "size": 5, "leq": [
+        [int(x <= y) for y in range(5)] for x in range(5)]}))
+    system = lift_system_dl_to_posets(
+        random_direct_system(Random(4), "dl", 4, 3, bounded=True))
+    terms = system.index.size
+    assert terms > 1
+    inverse = tmp_path / "inverse.json"
+    inverse.write_text(dumps_document(system, "inverse-system"))
+    for command, path, expected in (
+            ("check", chain, [5]), ("dual", chain, [5]),
+            ("hasse", chain, [5]), ("roundtrip", chain, [5, 5]),
+            ("check", inverse, [system.term(i).size for i in range(terms)]),
+            ("dual", inverse, [system.term(i).size for i in range(terms)])):
+        calls.clear()
+        assert main([command, str(path)]) == 0
+        assert calls == expected, command
+    capsys.readouterr()

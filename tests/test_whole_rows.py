@@ -1,6 +1,9 @@
 """The whole-row builders of the Plonka path against their cell-by-cell
 forms in ``tests/oracles.py``: ``plonka_sum``, ``permute_algebra`` and the
-document writer behind ``dumps_document``.
+document writer behind ``dumps_document``; and the checks of where two maps
+disagree (``algebra.compose``, ``first_difference``, ``order_breaks``)
+against their loops, through the witnesses of the system-morphism squares
+and of the coherence checks of systems, on broken inputs.
 
 Up to 256 elements the rows are bytes gathered by ``bytes.translate``,
 above they are tuples (``algebra.row_kernel``), so each builder is also
@@ -13,7 +16,18 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from algdual.algebra import FiniteAlgebra, builtin, permute_algebra
+from algdual.algebra import (
+    FiniteAlgebra,
+    builtin,
+    enumerate_homs,
+    permute_algebra,
+)
+from algdual.errors import InvalidSystemMorphism
+from algdual.morphisms import Morphism
+from algdual.system_morphisms import (
+    DirectSystemMorphism,
+    InverseSystemMorphism,
+)
 from algdual.systems import JoinSemilattice
 from algdual.writer import _json, document_data, dumps_document
 from algdual.duality import (
@@ -34,9 +48,19 @@ from algdual.generate import (
     random_presheaf_system,
 )
 from algdual.lattices import lift_system_dl_to_posets
-from algdual.systems import DirectSystem, plonka_decompose, plonka_sum
+from algdual.systems import (
+    DirectSystem,
+    check_system,
+    plonka_decompose,
+    plonka_sum,
+)
 
-from oracles import loop_permute_algebra, loop_plonka_sum
+from oracles import (
+    loop_permute_algebra,
+    loop_plonka_sum,
+    loop_square_break,
+    loop_system_witnesses,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -185,3 +209,107 @@ def test_dumps_document_matches_json_dumps_on_every_kind():
         assert dumps_document(obj, kind) == _dumps(data) + "\n"
     assert kinds == {"ibsl", "bsl", "ba", "dl", "sl", "gr", "poset", "space",
                      "direct-system", "inverse-system"}
+
+
+# ---------------------------------------------------------------------------
+# Where two maps disagree
+# ---------------------------------------------------------------------------
+
+def _square_message(pairs, square):
+    """The error of the first square that does not commute, by the loop
+    reference, or None; ``square(i, j)`` gives (g, p, q, f) of the square
+    ``g . p = q . f`` at the comparable pair (i, j)."""
+    for i, j in pairs:
+        x = loop_square_break(*square(i, j))
+        if x is not None:
+            return f"square ({i},{j}) does not commute at {x}"
+    return None
+
+
+def _construction_error(make):
+    try:
+        make()
+    except InvalidSystemMorphism as exc:
+        return str(exc)
+    return None
+
+
+def test_direct_system_morphism_squares_match_the_loops():
+    # identity components but one, which is a random endomorphism
+    rng = Random("squares/direct")
+    outcomes = set()
+    for _ in range(40):
+        kind = rng.choice(["ba", "dl"])
+        s = random_direct_system(rng, kind, rng.choice([2, 3, 4]), 3)
+        n = s.index.size
+        comps = {i: Morphism.identity(s.fiber(i), kind) for i in range(n)}
+        i = rng.randrange(n)
+        comps[i] = rng.choice(enumerate_homs(s.fiber(i), s.fiber(i), kind))
+        expected = _square_message(
+            s.index.comparable_pairs(), lambda i, j: (
+                comps[j].map, s.transitions[i, j], s.transitions[i, j],
+                comps[i].map))
+        phi = Morphism.identity(s.index.algebra, "sl")
+        assert _construction_error(
+            lambda: DirectSystemMorphism(s, s, phi, comps)) == expected
+        outcomes.add(expected is None)
+    assert outcomes == {True, False}
+
+
+def test_inverse_system_morphism_squares_match_the_loops():
+    # identity components but one, which has one value redrawn
+    rng = Random("squares/inverse")
+    outcomes = set()
+    for _ in range(40):
+        s = lift_functor_dir_to_inv(
+            random_direct_system(rng, "ba", rng.choice([2, 3, 4]), 3))
+        n = s.index.size
+        comps = {j: list(range(s.term(j).size)) for j in range(n)}
+        if not any(comps.values()):
+            continue
+        j = rng.choice([j for j in range(n) if comps[j]])
+        comps[j][rng.randrange(len(comps[j]))] = rng.randrange(len(comps[j]))
+        expected = _square_message(
+            s.index.comparable_pairs(), lambda j, j2: (
+                comps[j], s.bondings[j, j2], s.bondings[j, j2], comps[j2]))
+        phi = Morphism.identity(s.index.algebra, "sl")
+        assert _construction_error(
+            lambda: InverseSystemMorphism(s, s, phi, comps)) == expected
+        outcomes.add(expected is None)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("variant", ["direct", "inverse"])
+def test_system_coherence_witnesses_match_the_loops(variant):
+    # one value of one arrow redrawn, in range: the arrows stay well formed
+    # and may stop being monotone or transitive
+    rng = Random(f"coherence/{variant}")
+    inverse = variant == "inverse"
+    seen = set()
+    for _ in range(60):
+        d = random_direct_system(rng, "dl", rng.choice([3, 4, 5]), 3,
+                                 bounded=True)
+        s = lift_system_dl_to_posets(d) if inverse else d
+        objects = s.terms if inverse else s.fibers
+        arrows = dict(s.bondings if inverse else s.transitions)
+        movable = [(i, j) for (i, j), vec in arrows.items() if i != j and vec]
+        if not movable:
+            continue
+        i, j = rng.choice(movable)
+        vec = list(arrows[i, j])
+        vec[rng.randrange(len(vec))] = rng.randrange(
+            objects[i if inverse else j].size)
+        arrows[i, j] = tuple(vec)
+        report = check_system(s.index.algebra, s.index.bottom, objects,
+                              arrows, None if inverse else d.kind,
+                              inverse=inverse)
+        monotone, transitive = loop_system_witnesses(
+            s.index.algebra.binary("join"), objects, arrows, inverse)
+        assert report.check("arrows-transitive").witness == transitive
+        seen.add(("arrows-transitive", transitive is None))
+        if inverse:
+            assert report.check("arrows-monotone").witness == monotone
+            seen.add(("arrows-monotone", monotone is None))
+    names = ("arrows-transitive", "arrows-monotone") if inverse else (
+        "arrows-transitive",)
+    assert seen == {(name, held) for name in names for held in (True, False)}
