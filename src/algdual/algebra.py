@@ -17,6 +17,9 @@ above; see :func:`row_kernel`), and the others run over the carrier in
 ``product`` order.  Assignments are visited in lexicographic order, so
 every witness is the first one.  ``tests/oracles.py`` keeps the
 one-loop-per-variable form and the term-tree evaluation as references.
+The lattice validators evaluate identities only for an algebra that is
+not a ring of sets under :func:`birkhoff_labels`, the labelling that
+:mod:`algdual.lattices` also dualizes.
 
 Every command loads this module, so it holds only what checking an algebra
 document runs.  Morphisms (:mod:`algdual.morphisms`), the hom search
@@ -612,42 +615,51 @@ def validate_ibsl(a: FiniteAlgebra) -> ValidationReport:
     return ValidationReport("involutive bisemilattice", tuple(checks))
 
 
-def _is_set_algebra(a: FiniteAlgebra, boolean: bool) -> bool:
-    """Whether labelling each element with the set of join-irreducibles
-    below it is one-to-one and sends join to union, meet to intersection
-    and, if ``boolean``, neg to complement, zero to the empty and one to
-    the full set: then ``a`` is a ring (field) of sets, and by Birkhoff
-    (Stone) every finite distributive lattice (Boolean algebra) is.  A set
-    is ``width`` bytes, a bit per join-irreducible."""
-    n, join, meet = a.size, a.binary_ops["join"], a.binary_ops["meet"]
+def birkhoff_labels(a: FiniteAlgebra) -> tuple[list[int], list[int]]:
+    """The join-irreducibles of a finite lattice in index order, and each
+    element's set of join-irreducibles below it as an int, bit k for the
+    k-th (Birkhoff's representation; Stone's in a Boolean algebra).  Only
+    the join table is read: x is join-irreducible when the elements
+    strictly below it are those below one element."""
     # byte y of below[x] is 1 when x + y = x: y <= x, in a lattice
-    below = [bytes(map(x.__eq__, row)) for x, row in enumerate(join)]
-    # x is join-irreducible if below it, x aside, is below one element
+    below = [bytes(map(x.__eq__, row)) for x, row in enumerate(a.binary("join"))]
     downs = set(below)
     irreducible = [x for x, b in enumerate(below)
                    if b[:x] + b"\0" + b[x + 1:] in downs]
-    # x's set: the bytes of below[x] at the join-irreducibles, read as the
-    # digits of a binary number
-    width = len(irreducible) // 8 + 1
-    labels = [int(b"0" + bytes(map(b.__getitem__, irreducible)).translate(
-        _BINARY_DIGITS), 2).to_bytes(width, "big") for b in below]
+    # x's set: the bytes of below[x] at the join-irreducibles, last first,
+    # read as the digits of a binary number
+    last_first = irreducible[::-1]
+    return irreducible, [int(b"0" + bytes(map(b.__getitem__, last_first))
+                             .translate(_BINARY_DIGITS), 2) for b in below]
+
+
+def _is_set_algebra(a: FiniteAlgebra, boolean: bool) -> bool:
+    """Whether the labels of :func:`birkhoff_labels` are one-to-one and
+    send join to union, meet to intersection and, if ``boolean``, neg to
+    complement, zero to the empty and one to the full set: then ``a`` is a
+    ring (field) of sets, as by Birkhoff (Stone) every finite distributive
+    lattice (Boolean algebra) is.  A table row is one int, a cell a set."""
+    n, join, meet = a.size, a.binary_ops["join"], a.binary_ops["meet"]
+    irreducible, labels = birkhoff_labels(a)
     if len(set(labels)) < n:
         return False
+    cells = [s.to_bytes(len(irreducible) // 8 + 1, "little") for s in labels]
 
-    def sets(cells) -> int:  # the labels of the cells, joined
-        return int.from_bytes(b"".join(map(labels.__getitem__, cells)), "big")
+    def sets(row) -> int:  # the sets of the cells, joined
+        return int.from_bytes(b"".join(map(cells.__getitem__, row)), "little")
 
     # cell y of row x of join (meet) must hold the union (intersection) of
     # the sets of x (repeated in xs) and of y (listed in ys)
     ys = sets(range(n))
-    for label, join_row, meet_row in zip(labels, join, meet):
-        xs = int.from_bytes(label * n, "big")
+    for cell, join_row, meet_row in zip(cells, join, meet):
+        xs = int.from_bytes(cell * n, "little")
         if sets(join_row) != xs | ys or sets(meet_row) != xs & ys:
             return False
-    full = ((1 << len(irreducible)) - 1).to_bytes(width, "big")
-    return not boolean or (
-        not any(labels[a.constants["zero"]]) and labels[a.constants["one"]] == full
-        and sets(a.unary_ops["neg"]) == ys ^ int.from_bytes(full * n, "big"))
+    if not boolean:
+        return True
+    one, full = a.constants["one"], (1 << len(irreducible)) - 1
+    return (labels[a.constants["zero"]] == 0 and labels[one] == full
+            and sets(a.unary_ops["neg"]) == ys ^ sets([one] * n))
 
 
 @validated_once

@@ -8,10 +8,12 @@ poset to its lattice of down-sets.  The one-element lattice has no
 join-irreducibles; its dual is the empty poset, which is admitted as an
 inverse-system term and flagged in validation reports.
 
-A finite Stone space is a discrete poset (:class:`algdual.orders.FiniteSpace`)
-and the atoms of a finite Boolean algebra are its join-irreducibles, so
-Stone duality is the Boolean case of the Birkhoff functions, plus
-complement and bounds.
+Every dual and double dual here reads one labelling of a lattice,
+:func:`algdual.algebra.birkhoff_labels`: its join-irreducibles, and each
+element's set of them below it as an int.  A finite Stone space is a
+discrete poset (:class:`algdual.orders.FiniteSpace`) and the atoms of a
+finite Boolean algebra are its join-irreducibles, so Stone duality is the
+Boolean case of the Birkhoff functions, plus complement and bounds.
 
 A bisemilattice splits into distributive-lattice fibers
 (:func:`algdual.systems.plonka_decompose_bsl`, also importable from here).
@@ -24,24 +26,25 @@ raises on decompositions that fall outside either restriction.
 from __future__ import annotations
 
 from functools import reduce
+from operator import and_
 from typing import TYPE_CHECKING, Optional
 
 from .algebra import (
     FiniteAlgebra,
     RawMap,
     Record,
+    birkhoff_labels,
     forwarder,
     validate_boolean_algebra,
     validate_distributive_lattice,
 )
 from .errors import (
-    IsomorphismFailure,
     NotBoolean,
     NotDistributive,
     TooLarge,
     UnboundedTransition,
 )
-from .orders import FinitePoset, FiniteSpace, order_from_binary
+from .orders import FinitePoset, FiniteSpace
 
 if TYPE_CHECKING:
     from .morphisms import Morphism
@@ -80,44 +83,31 @@ def lattice_bounds(d: FiniteAlgebra) -> tuple[int, int]:
 
 
 def join_irreducibles(d: FiniteAlgebra) -> list[int]:
-    """Elements other than the bottom that are not proper joins: in a finite
-    lattice, those above the join of all elements strictly below them (the
-    bottom is the empty join)."""
-    join = d.binary("join")
-    bot, _ = lattice_bounds(d)
-    out = []
-    for x in range(d.size):
-        below = [y for y in range(d.size) if y != x and join[y][x] == x]
-        if reduce(lambda u, v: join[u][v], below, bot) != x:
-            out.append(x)
-    return out
+    """Elements other than the bottom that are not proper joins, in index
+    order (:func:`algdual.algebra.birkhoff_labels`)."""
+    return birkhoff_labels(d)[0]
 
 
 def atoms(a: FiniteAlgebra) -> list[int]:
-    """Atoms of a lattice-ordered algebra: minimal elements above zero."""
-    meet = a.binary("meet")
-    zero = a.const("zero")
-    leq = order_from_binary(meet, "meet")
-    out = []
-    for x in range(a.size):
-        if x == zero:
-            continue
-        if all(y in (zero, x) for y in range(a.size) if leq[y][x]):
-            out.append(x)
-    return out
+    """Atoms of a finite lattice: the minimal join-irreducibles, whose
+    label is their own bit alone (in a Boolean algebra, all of them)."""
+    irr, labels = birkhoff_labels(a)
+    return [x for k, x in enumerate(irr) if labels[x] == 1 << k]
 
 
 # ---------------------------------------------------------------------------
 # Birkhoff duality
 # ---------------------------------------------------------------------------
 
+def _irreducible_poset(irr: list[int], labels: list[int]) -> FinitePoset:
+    # the k-th join-irreducible lies below q when q's label has bit k
+    return FinitePoset(len(irr), [[labels[q] >> k & 1 for q in irr]
+                                  for k in range(len(irr))])
+
+
 def priestley_dual(d) -> FinitePoset:
     """The poset of join-irreducibles with the induced order."""
-    alg = _as_lattice(d).algebra
-    irr = join_irreducibles(alg)
-    leq = order_from_binary(alg.binary("meet"), "meet")
-    return FinitePoset(len(irr),
-                       tuple(tuple(leq[p][q] for q in irr) for p in irr))
+    return _irreducible_poset(*birkhoff_labels(_as_lattice(d).algebra))
 
 
 def downset_masks(p: FinitePoset) -> list[int]:
@@ -164,69 +154,57 @@ def dl_of_poset(p: FinitePoset) -> FiniteAlgebra:
 
 
 def priestley_dual_hom(h: Morphism) -> RawMap:
-    """Dual of a bound-preserving lattice hom h: D1 -> D2: the monotone map
-    sending a join-irreducible q of D2 to min{x in D1 : q <= h(x)}.
+    """Dual of a bound-preserving lattice hom h: D1 -> D2, also
+    :func:`stone_dual_hom`: the monotone map sending a join-irreducible q
+    of D2 to the least join-irreducible p of D1 with q <= h(p).
 
-    Homomorphisms that move a bound have no total Birkhoff dual; they raise
+    Homomorphisms that move a bound (the element with the empty or the
+    full label) have no total Birkhoff dual; they raise
     :class:`UnboundedTransition`.
     """
-    d1, d2 = h.source, h.target
-    bot1, top1 = lattice_bounds(d1)
-    bot2, top2 = lattice_bounds(d2)
-    if h(bot1) != bot2 or h(top1) != top2:
+    f = h.map
+    irr1, labels1 = birkhoff_labels(h.source)
+    irr2, labels2 = birkhoff_labels(h.target)
+    full1, full2 = (1 << len(irr1)) - 1, (1 << len(irr2)) - 1
+    if (labels2[f[labels1.index(0)]] != 0
+            or labels2[f[labels1.index(full1)]] != full2):
         raise UnboundedTransition(
             "lattice hom does not preserve bounds; no total Birkhoff dual")
-    irr1, irr2 = join_irreducibles(d1), join_irreducibles(d2)
-    meet1 = d1.binary("meet")
-    leq2 = order_from_binary(d2.binary("meet"), "meet")
-    out = []
-    for q in irr2:
-        above = [x for x in range(d1.size) if leq2[q][h(x)]]
-        m = reduce(lambda a, b: meet1[a][b], above, top1)
-        if m not in irr1:
-            raise UnboundedTransition(
-                "dual point is not join-irreducible; input hom is broken")
-        out.append(irr1.index(m))
-    return tuple(out)
+    # the least p is the meet of all, whose label is their intersection
+    pairs = [(labels1[p], labels2[f[p]]) for p in irr1]
+    least = [reduce(and_, (mine for mine, image in pairs if image >> k & 1),
+                    full1) for k in range(len(irr2))]
+    position = {labels1[p]: k for k, p in enumerate(irr1)}
+    if not position.keys() >= set(least):
+        raise UnboundedTransition(
+            "dual point is not join-irreducible; input hom is broken")
+    return tuple(map(position.__getitem__, least))
 
 
 def dl_double_dual_iso(d) -> Morphism:
     """Canonical isomorphism of a distributive lattice onto the down-set
-    lattice of its join-irreducibles: x -> {q in J : q <= x}."""
+    lattice of its join-irreducibles: x -> {q in J : q <= x}, the rank of
+    x's label among the labels, which are the down-sets of J."""
     from .morphisms import as_isomorphism
 
     alg = _as_lattice(d).algebra
-    irr = join_irreducibles(alg)
-    leq = order_from_binary(alg.binary("meet"), "meet")
-    dual_poset = priestley_dual(alg)
-    target = dl_of_poset(dual_poset)
-    masks = downset_masks(dual_poset)
-    rank = {m: k for k, m in enumerate(masks)}
-    vec = []
-    for x in range(alg.size):
-        mask = sum(1 << k for k, q in enumerate(irr) if leq[q][x])
-        if mask not in rank:
-            raise IsomorphismFailure("image is not a down-set")
-        vec.append(rank[mask])
-    return as_isomorphism(alg, target, vec, "dl")
+    irr, labels = birkhoff_labels(alg)
+    rank = {m: k for k, m in enumerate(sorted(labels))}
+    return as_isomorphism(alg, dl_of_poset(_irreducible_poset(irr, labels)),
+                          [rank[m] for m in labels], "dl")
 
 
 def poset_double_dual_iso(p: FinitePoset) -> RawMap:
     """Canonical order isomorphism of a poset onto the join-irreducibles of
-    its down-set lattice: x -> the principal down-set of x."""
+    its down-set lattice: x -> the principal down-set of x, whose rank among
+    the principal down-sets is its rank among the join-irreducibles."""
     from .morphisms import as_isomorphism
 
-    lat = dl_of_poset(p)
-    masks = downset_masks(p)
-    irr = join_irreducibles(lat)
-    vec = []
-    for x in range(p.size):
-        principal = sum(1 << j for j in range(p.size) if p.leq[j][x])
-        k = masks.index(principal)
-        if k not in irr:
-            raise IsomorphismFailure("principal down-set is not irreducible")
-        vec.append(irr.index(k))
-    return as_isomorphism(p, priestley_dual(lat), vec, "poset").map
+    principal = [sum(1 << j for j in range(p.size) if p.leq[j][x])
+                 for x in range(p.size)]
+    rank = {m: k for k, m in enumerate(sorted(principal))}
+    return as_isomorphism(p, priestley_dual(dl_of_poset(p)),
+                          [rank[m] for m in principal], "poset").map
 
 
 def find_poset_isomorphism(p: FinitePoset, q: FinitePoset) -> Optional[RawMap]:
@@ -316,10 +294,9 @@ def stone_dual(b: FiniteAlgebra) -> FiniteSpace:
     return FiniteSpace(len(atoms(b)))
 
 
-def stone_dual_hom(h: Morphism) -> RawMap:
-    """Dual of a Boolean homomorphism h: B1 -> B2, as the map sending an
-    atom q of B2 to the atom min{x : q <= h(x)} of B1."""
-    return priestley_dual_hom(h)
+# the dual of a Boolean hom h: B1 -> B2 sends an atom q of B2 to the atom
+# min{x : q <= h(x)} of B1
+stone_dual_hom = priestley_dual_hom
 
 
 def ba_of_space(x: FiniteSpace) -> FiniteAlgebra:
@@ -339,11 +316,11 @@ def ba_of_space(x: FiniteSpace) -> FiniteAlgebra:
 
 def stone_double_dual_iso(b: FiniteAlgebra) -> Morphism:
     """Canonical isomorphism of a Boolean algebra onto the power set of its
-    atom space: x -> the set of atoms below x."""
+    atom space: x -> the set of atoms below x, its label."""
     from .morphisms import as_isomorphism
 
     return as_isomorphism(b, ba_of_space(stone_dual(b)),
-                          dl_double_dual_iso(b).map, "ba")
+                          birkhoff_labels(b)[1], "ba")
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ test of up-sets or down-sets is one int operation.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import compress
+from operator import or_
 from typing import Optional
 
 from .algebra import (
@@ -54,9 +55,10 @@ def is_partial_order(leq: OrderMatrix) -> Optional[tuple[int, ...]]:
         if u & byteset(col) != 1 << 8 * x:
             return x, _least(u & byteset(col) ^ 1 << 8 * x)
     for x, (u, row) in enumerate(zip(up, leq)):
-        for y in compress(range(len(leq)), row):
-            if up[y] & ~u:
-                return x, y, _least(up[y] & ~u)
+        # U(x) holds each U(y), y in it, unless their union grows it
+        if reduce(or_, compress(up, row), u) != u:
+            y = next(y for y in compress(range(len(leq)), row) if up[y] & ~u)
+            return x, y, _least(up[y] & ~u)
     return None
 
 

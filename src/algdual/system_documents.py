@@ -133,13 +133,21 @@ def check_system_parts(parts: SystemParts) -> ValidationReport:
 
 
 def realize_system(parts: SystemParts):
+    """The system of parts that passed :func:`check_system_parts`, built
+    without checking them again, as :func:`algdual.orders.realize_poset`."""
     from .systems import DirectSystem, InverseSystem, JoinSemilattice
 
-    index = JoinSemilattice(
-        parts.index_algebra if "bottom" in parts.index_algebra.constants
-        else parts.index_algebra.with_ops(constants={"bottom": parts.bottom}),
-        parts.bottom)
+    algebra = parts.index_algebra
+    if "bottom" not in algebra.constants:
+        algebra = algebra.with_ops(constants={"bottom": parts.bottom})
+    index = JoinSemilattice.__new__(JoinSemilattice)
+    index.__dict__.update(algebra=algebra, bottom=parts.bottom)
     if parts.variant == "direct":
-        return DirectSystem(index, parts.objects, parts.arrows,
-                            parts.fiber_kind)
-    return InverseSystem(index, parts.objects, parts.arrows)
+        s = DirectSystem.__new__(DirectSystem)
+        s.__dict__.update(index=index, fibers=parts.objects,
+                          transitions=parts.arrows, kind=parts.fiber_kind)
+    else:
+        s = InverseSystem.__new__(InverseSystem)
+        s.__dict__.update(index=index, terms=parts.objects,
+                          bondings=parts.arrows)
+    return s

@@ -5,6 +5,7 @@ plain products over all maps, direct table lookups.  Expected values frozen
 into tests were computed with these.
 """
 
+from functools import reduce
 from itertools import count, permutations, product
 
 
@@ -648,3 +649,129 @@ def brute_downset_masks(p):
         if closure == mask:
             out.append(mask)
     return out
+
+
+# The Birkhoff and Stone functions of ``algdual.lattices`` in their loop
+# forms: each derives the join-irreducibles, the order and the bounds again
+# from the tables, where the library reads one labelling
+# (``algebra.birkhoff_labels``).
+
+def loop_lattice_bounds(d):
+    """(bottom, top): the meet and the join of all elements."""
+    meet, join = d.binary("meet"), d.binary("join")
+    bot = reduce(lambda a, b: meet[a][b], range(d.size))
+    top = reduce(lambda a, b: join[a][b], range(d.size))
+    return bot, top
+
+
+def loop_join_irreducibles(d):
+    """Elements other than the bottom not equal to the join of all
+    elements strictly below them."""
+    join = d.binary("join")
+    bot, _ = loop_lattice_bounds(d)
+    out = []
+    for x in range(d.size):
+        below = [y for y in range(d.size) if y != x and join[y][x] == x]
+        if reduce(lambda u, v: join[u][v], below, bot) != x:
+            out.append(x)
+    return out
+
+
+def loop_atoms(a):
+    """Minimal elements above the ``zero`` constant, in the meet order."""
+    from algdual.orders import order_from_binary
+
+    zero = a.const("zero")
+    leq = order_from_binary(a.binary("meet"), "meet")
+    return [x for x in range(a.size) if x != zero
+            and all(y in (zero, x) for y in range(a.size) if leq[y][x])]
+
+
+def loop_priestley_dual(d):
+    """The join-irreducibles of a distributive lattice with the meet order
+    between them."""
+    from algdual.lattices import _as_lattice
+    from algdual.orders import FinitePoset, order_from_binary
+
+    alg = _as_lattice(d).algebra
+    irr = loop_join_irreducibles(alg)
+    leq = order_from_binary(alg.binary("meet"), "meet")
+    return FinitePoset(len(irr),
+                       tuple(tuple(leq[p][q] for q in irr) for p in irr))
+
+
+def loop_priestley_dual_hom(h):
+    """q in J(D2) -> the meet of every x of D1 with q <= h(x), its index
+    among J(D1); UnboundedTransition when h moves a bound or that meet is
+    not join-irreducible."""
+    from algdual.errors import UnboundedTransition
+    from algdual.orders import order_from_binary
+
+    d1, d2 = h.source, h.target
+    bot1, top1 = loop_lattice_bounds(d1)
+    bot2, top2 = loop_lattice_bounds(d2)
+    if h(bot1) != bot2 or h(top1) != top2:
+        raise UnboundedTransition("lattice hom does not preserve bounds")
+    irr1, irr2 = loop_join_irreducibles(d1), loop_join_irreducibles(d2)
+    meet1 = d1.binary("meet")
+    leq2 = order_from_binary(d2.binary("meet"), "meet")
+    out = []
+    for q in irr2:
+        above = [x for x in range(d1.size) if leq2[q][h(x)]]
+        m = reduce(lambda a, b: meet1[a][b], above, top1)
+        if m not in irr1:
+            raise UnboundedTransition("dual point is not join-irreducible")
+        out.append(irr1.index(m))
+    return tuple(out)
+
+
+def loop_dl_double_dual_iso(d):
+    """x -> the down-set {q in J : q <= x}, as its rank among the down-sets
+    of J, checked by ``as_isomorphism`` onto the down-set lattice."""
+    from algdual.errors import IsomorphismFailure
+    from algdual.lattices import _as_lattice, dl_of_poset, downset_masks
+    from algdual.morphisms import as_isomorphism
+    from algdual.orders import order_from_binary
+
+    alg = _as_lattice(d).algebra
+    irr = loop_join_irreducibles(alg)
+    leq = order_from_binary(alg.binary("meet"), "meet")
+    dual_poset = loop_priestley_dual(alg)
+    rank = {m: k for k, m in enumerate(downset_masks(dual_poset))}
+    vec = []
+    for x in range(alg.size):
+        mask = sum(1 << k for k, q in enumerate(irr) if leq[q][x])
+        if mask not in rank:
+            raise IsomorphismFailure("image is not a down-set")
+        vec.append(rank[mask])
+    return as_isomorphism(alg, dl_of_poset(dual_poset), vec, "dl")
+
+
+def loop_stone_double_dual_iso(b):
+    """The map of :func:`loop_dl_double_dual_iso`, checked onto the
+    power-set algebra of the atom space."""
+    from algdual.lattices import ba_of_space, stone_dual
+    from algdual.morphisms import as_isomorphism
+
+    return as_isomorphism(b, ba_of_space(stone_dual(b)),
+                          loop_dl_double_dual_iso(b).map, "ba")
+
+
+def loop_poset_double_dual_iso(p):
+    """x -> the principal down-set of x, located among the down-sets and
+    then among the join-irreducibles of the down-set lattice."""
+    from algdual.errors import IsomorphismFailure
+    from algdual.lattices import dl_of_poset, downset_masks, priestley_dual
+    from algdual.morphisms import as_isomorphism
+
+    lat = dl_of_poset(p)
+    masks = downset_masks(p)
+    irr = loop_join_irreducibles(lat)
+    vec = []
+    for x in range(p.size):
+        principal = sum(1 << j for j in range(p.size) if p.leq[j][x])
+        k = masks.index(principal)
+        if k not in irr:
+            raise IsomorphismFailure("principal down-set is not irreducible")
+        vec.append(irr.index(k))
+    return as_isomorphism(p, priestley_dual(lat), vec, "poset").map

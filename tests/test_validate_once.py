@@ -319,3 +319,35 @@ def test_each_poset_order_is_checked_once(tmp_path, monkeypatch, capsys):
         assert main([command, str(path)]) == 0
         assert calls == expected, command
     capsys.readouterr()
+
+
+def test_each_system_document_is_checked_once(tmp_path, monkeypatch, capsys):
+    # a system document is checked when it is read, and realized from the
+    # parts that passed; ``dual`` checks one more system, the one it builds
+    from algdual.cli import main
+    from algdual.documents import dumps_document
+    from algdual.generate import random_direct_system
+    from algdual.lattices import lift_system_dl_to_posets
+
+    calls = []
+    original = systems.check_system
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["inverse"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(systems, "check_system", counted)
+    direct = random_direct_system(Random(4), "dl", 4, 3, bounded=True)
+    assert direct.index.size > 1
+    dsys, isys = tmp_path / "direct.json", tmp_path / "inverse.json"
+    dsys.write_text(dumps_document(direct, "direct-system"))
+    isys.write_text(dumps_document(lift_system_dl_to_posets(direct),
+                                   "inverse-system"))
+    for command, path, expected in (
+            (["check"], dsys, [False]), (["check"], isys, [True]),
+            (["plonka", "sum"], dsys, [False]),
+            (["dual"], dsys, [False, True]), (["dual"], isys, [True, False])):
+        calls.clear()
+        assert main([*command, str(path)]) == 0
+        assert calls == expected, (command, path.name)
+    capsys.readouterr()
