@@ -82,15 +82,28 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-def _freeze_row(row) -> tuple[int, ...]:
-    # a bytes row (see row_kernel) holds ints already
-    return tuple(row) if type(row) is bytes else tuple(map(int, row))
+def _cells(rows, n: int, what: str, name: str):
+    """The rows ``rows`` of the table or map ``what`` ``name``, read in
+    one run: their lengths, and their entries as one bytes when
+    all lie in range(256), else as one tuple, or None if one lies outside
+    range(n).  An entry ``operator.index`` refuses raises ValueError."""
+    try:
+        rows = tuple(rows)
+        if {*map(type, rows)} - _SEQUENCES:  # read an iterator row once
+            rows = tuple(map(list, rows))
+        lengths = tuple(map(len, rows))
+        try:
+            cells = b"".join(map(bytes, rows))
+        except ValueError:  # an entry outside range(256): read as ints
+            cells = tuple(map(operator.index, itertools.chain(*rows)))
+            return lengths, None if min(cells) < 0 or max(cells) >= n else cells
+    except TypeError:
+        raise ValueError(f"{what} {name!r} has a non-integer entry") from None
+    # deleting every value below n leaves those out of range
+    return lengths, None if cells.translate(None, _BYTES[:n]) else cells
 
 
-def _freeze_binary(table) -> Table:
-    return tuple(map(_freeze_row, table))
-
-
+_SEQUENCES, _BYTES = frozenset((bytes, list, tuple)), bytes(range(256))
 _NO_OPS: Mapping = MappingProxyType({})
 
 
@@ -98,6 +111,7 @@ class FiniteAlgebra(Record):
     """A finite algebra on carrier {0, ..., size-1} with named operations.
 
     The operation maps are read-only views, so an algebra is hashable.
+    Every entry must be an integer (a bool counts as 0 or 1).
     """
 
     size: int
@@ -111,9 +125,6 @@ class FiniteAlgebra(Record):
                  names=None):
         if size < 1:
             raise ValueError("carrier must be non-empty")
-        binary_ops = {k: _freeze_binary(t) for k, t in binary_ops.items()}
-        unary_ops = {k: _freeze_row(t) for k, t in unary_ops.items()}
-        constants = {k: int(v) for k, v in constants.items()}
         if names is not None:
             names = tuple(names)
             if len(names) != size:
@@ -123,22 +134,31 @@ class FiniteAlgebra(Record):
             if name in seen:
                 raise ValueError(f"duplicate operation name {name!r}")
             seen.add(name)
-        rng = range(size)
+        binary, unary, consts = {}, {}, {}
         for name, t in binary_ops.items():
-            if len(t) != size or any(len(row) != size for row in t):
+            lengths, cells = _cells(t, size, "table", name)
+            if len(lengths) != size or {*lengths} != {size}:
                 raise ValueError(f"table {name!r} is not {size}x{size}")
-            if any(min(row) < 0 or max(row) >= size for row in t):
+            if cells is None:
                 raise ValueError(f"table {name!r} has out-of-range entries")
+            # size copies of one iterator: the cells in rows of size
+            binary[name] = tuple(zip(*[iter(cells)] * size))
         for name, t in unary_ops.items():
-            if len(t) != size or any(v not in rng for v in t):
+            (length,), cells = _cells((t,), size, "map", name)
+            if length != size or cells is None:
                 raise ValueError(f"map {name!r} is not a carrier self-map")
+            unary[name] = tuple(cells)
         for name, c in constants.items():
-            if c not in rng:
+            try:
+                consts[name] = c = operator.index(c)
+            except TypeError:
+                raise ValueError(f"constant {name!r} is not an integer") from None
+            if not 0 <= c < size:
                 raise ValueError(f"constant {name!r} out of range")
         self.__dict__.update(size=size,
-                             binary_ops=MappingProxyType(binary_ops),
-                             unary_ops=MappingProxyType(unary_ops),
-                             constants=MappingProxyType(constants),
+                             binary_ops=MappingProxyType(binary),
+                             unary_ops=MappingProxyType(unary),
+                             constants=MappingProxyType(consts),
                              names=names)
 
     def __hash__(self):
@@ -233,6 +253,12 @@ def _gather(row, table) -> tuple[int, ...]:
     return (table[row[0]],)
 
 
+_BYTE_ROWS = (bytes, bytes.translate, lambda t: bytes(t).ljust(256, b"\0"),
+              b"".join)
+_TUPLE_ROWS = (tuple, _gather, tuple,
+               lambda rows: tuple(itertools.chain.from_iterable(rows)))
+
+
 def row_kernel(n: int):
     """``(make, gather, pad, join)`` for carriers of ``n`` elements: ``make``
     builds a row from ints below n, ``gather(row, table)`` is the row of
@@ -240,11 +266,7 @@ def row_kernel(n: int):
     most n ints below n into the shape ``gather`` reads, and ``join``
     concatenates rows.  Up to 256 elements rows are bytes and a table is
     padded to 256 bytes for ``bytes.translate``; above, all are tuples."""
-    if n <= 256:
-        return (bytes, bytes.translate, lambda t: bytes(t).ljust(256, b"\0"),
-                b"".join)
-    return (tuple, _gather, tuple,
-            lambda rows: tuple(itertools.chain.from_iterable(rows)))
+    return _BYTE_ROWS if n <= 256 else _TUPLE_ROWS
 
 
 def _row_table(a: FiniteAlgebra, op: str, form: str):

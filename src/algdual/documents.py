@@ -56,7 +56,7 @@ def _is_int(value) -> bool:
 
 
 def int_list(value, what: str) -> list:
-    if not isinstance(value, list) or not all(map(_is_int, value)):
+    if not isinstance(value, list) or {*map(type, value)} - {int}:
         raise fail(f"{what} must be a list of integers")
     return value
 
@@ -64,7 +64,9 @@ def int_list(value, what: str) -> list:
 def int_table(value, what: str) -> list:
     if not isinstance(value, list):
         raise fail(f"{what} must be a table of integers")
-    return [int_list(row, f"rows of {what}") for row in value]
+    if any(not isinstance(r, list) or {*map(type, r)} - {int} for r in value):
+        raise fail(f"rows of {what} must be a list of integers")
+    return value
 
 
 def expect_int(data, key: str) -> int:

@@ -13,7 +13,9 @@ Every dual and double dual here reads one labelling of a lattice,
 element's set of them below it as an int.  A finite Stone space is a
 discrete poset (:class:`algdual.orders.FiniteSpace`) and the atoms of a
 finite Boolean algebra are its join-irreducibles, so Stone duality is the
-Boolean case of the Birkhoff functions, plus complement and bounds.
+Boolean case of the Birkhoff functions, plus complement and bounds.  A
+Boolean algebra of 2^k elements has k atoms, so its Stone dual needs no
+labelling, and the power-set algebra has a closed form.
 
 A bisemilattice splits into distributive-lattice fibers
 (:func:`algdual.systems.plonka_decompose_bsl`, also importable from here).
@@ -35,6 +37,7 @@ from .algebra import (
     Record,
     birkhoff_labels,
     forwarder,
+    row_kernel,
     validate_boolean_algebra,
     validate_distributive_lattice,
 )
@@ -139,18 +142,23 @@ def downset_masks(p: FinitePoset) -> list[int]:
     return sorted(found)
 
 
+def _set_names(masks, points: int) -> tuple[str, ...]:
+    """Each subset mask's display name: its points in braces, or ∅."""
+    return tuple("{" + ",".join(str(i) for i in range(points) if m >> i & 1)
+                 + "}" if m else "∅" for m in masks)
+
+
 def dl_of_poset(p: FinitePoset) -> FiniteAlgebra:
-    """The distributive lattice of down-sets ordered by inclusion."""
+    """The distributive lattice of down-sets ordered by inclusion: row a of
+    join (meet) is the rank of a | b (a & b) for each down-set b, mapped
+    over the masks a row at a time."""
     masks = downset_masks(p)
-    rank = {m: k for k, m in enumerate(masks)}
-    names = tuple(
-        "{" + ",".join(str(i) for i in range(p.size) if (m >> i) & 1) + "}"
-        if m else "∅" for m in masks)
+    rank = {m: k for k, m in enumerate(masks)}.__getitem__
     return FiniteAlgebra(
         len(masks),
-        {"join": [[rank[a | b] for b in masks] for a in masks],
-         "meet": [[rank[a & b] for b in masks] for a in masks]},
-        names=names)
+        {"join": [list(map(rank, map(a.__or__, masks))) for a in masks],
+         "meet": [list(map(rank, map(a.__and__, masks))) for a in masks]},
+        names=_set_names(masks, p.size))
 
 
 def priestley_dual_hom(h: Morphism) -> RawMap:
@@ -240,15 +248,17 @@ def lift_to_direct(s: InverseSystem, algebra_of, kind: str) -> DirectSystem:
 
     # fibers first, so a term that ``algebra_of`` refuses as too large is
     # refused before the masks below enumerate its subsets
-    fibers = {i: algebra_of(s.term(i)) for i in range(s.index.size)}
+    terms = [s.term(i) for i in range(s.index.size)]
+    fibers = {i: algebra_of(t) for i, t in enumerate(terms)}
+    masks = [downset_masks(t) for t in terms]
     transitions = {}
     for (i, j) in s.index.comparable_pairs():
         vec = s.bonding(i, j)
-        rank_j = {m: p for p, m in enumerate(downset_masks(s.term(j)))}
+        rank_j = {m: p for p, m in enumerate(masks[j])}
         transitions[(i, j)] = tuple(
-            rank_j[sum(1 << x for x in range(s.term(j).size)
+            rank_j[sum(1 << x for x in range(terms[j].size)
                        if (mask >> vec[x]) & 1)]
-            for mask in downset_masks(s.term(i)))
+            for mask in masks[i])
     return DirectSystem(s.index, fibers, transitions, kind)
 
 
@@ -288,10 +298,11 @@ def inverse_system_to_bsl(s: InverseSystem) -> FiniteAlgebra:
 # come from the Birkhoff functions above, plus complement and bounds.
 
 def stone_dual(b: FiniteAlgebra) -> FiniteSpace:
-    """The dual space of a finite Boolean algebra: its atoms."""
+    """The dual space of a finite Boolean algebra: its atoms, k of them
+    when it has 2^k elements."""
     validate_boolean_algebra(b).require(
         NotBoolean, "input is not a Boolean algebra")
-    return FiniteSpace(len(atoms(b)))
+    return FiniteSpace(b.size.bit_length() - 1)
 
 
 # the dual of a Boolean hom h: B1 -> B2 sends an atom q of B2 to the atom
@@ -301,17 +312,24 @@ stone_dual_hom = priestley_dual_hom
 
 def ba_of_space(x: FiniteSpace) -> FiniteAlgebra:
     """Power-set algebra of a finite space, carrier ordered as subset
-    bitmasks: the down-set lattice of the discrete order with complement
-    and bounds.  Spaces of more than :data:`MAX_POWER_SET_POINTS` points
-    raise :class:`TooLarge` before any table is built."""
+    bitmasks, in closed form: join ``a | b``, meet ``a & b``, complement
+    ``full ^ a``, a row at a time.  It is the down-set lattice of the
+    discrete order with complement and bounds.  Spaces of more than
+    :data:`MAX_POWER_SET_POINTS` points raise :class:`TooLarge` before any
+    table is built."""
     if x.size > MAX_POWER_SET_POINTS:
         raise TooLarge(f"the power-set algebra of a {x.size}-point space has "
                        f"2^{x.size} elements, more than the limit of "
                        f"2^{MAX_POWER_SET_POINTS}")
-    full = (1 << x.size) - 1
-    return dl_of_poset(x).with_ops(
-        unary={"neg": [full ^ a for a in range(full + 1)]},
-        constants={"zero": 0, "one": full})
+    masks = range(1 << x.size)
+    full = masks[-1]
+    make = row_kernel(len(masks))[0]
+    return FiniteAlgebra(
+        len(masks),
+        {"join": [make(map(a.__or__, masks)) for a in masks],
+         "meet": [make(map(a.__and__, masks)) for a in masks]},
+        {"neg": make(map(full.__xor__, masks))}, {"zero": 0, "one": full},
+        names=_set_names(masks, x.size))
 
 
 def stone_double_dual_iso(b: FiniteAlgebra) -> Morphism:

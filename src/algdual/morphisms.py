@@ -144,6 +144,15 @@ class Morphism(Record):
         self.__dict__.update(source=source, target=target, map=map,
                              kind=kind)
 
+    @classmethod
+    def _proved(cls, source, target, map: tuple[int, ...], kind: str):
+        """A value vector the hom search proved a kind-hom, as a morphism,
+        without the check again; for :func:`algdual.search.enumerate_homs`
+        only."""
+        m = cls.__new__(cls)
+        m.__dict__.update(source=source, target=target, map=map, kind=kind)
+        return m
+
     def __call__(self, x: int) -> int:
         return self.map[x]
 

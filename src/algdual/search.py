@@ -218,13 +218,14 @@ def _joint_iso_colors(a, b, kind: str):
 def enumerate_homs(source, target, kind: str, *, validate=True) -> list[Morphism]:
     """All kind-preserving maps source -> target, sorted lexicographically by
     value vector.  The ordering is deterministic and downstream dual-object
-    constructions depend on it."""
+    constructions depend on it.  :func:`_search_homs` emits homs only, so
+    the morphisms are built without checking them again."""
     if validate:
         for obj in (source, target):
             report = validate_for_kind(obj, kind)
             report.require(KindMismatch, f"object is not a valid {kind!r}: "
                            f"{[c.name for c in report.failures()]}")
-    return [Morphism(source, target, vec, kind)
+    return [Morphism._proved(source, target, vec, kind)
             for vec in _search_homs(source, target, kind)]
 
 

@@ -27,7 +27,6 @@ from .algebra import (
     Record,
     Table,
     ValidationReport,
-    _freeze_binary,
     compose,
     ibsl_completion,
     order_breaks,
@@ -103,7 +102,7 @@ class JoinSemilattice(Record):
     @classmethod
     def from_table(cls, table, bottom: Optional[int] = None,
                    names=None) -> "JoinSemilattice":
-        join = _freeze_binary(table)
+        join = tuple(map(tuple, table))
         if bottom is None:
             bottom = least_element(join)
             if bottom is None:

@@ -36,16 +36,16 @@ def dumps_document(obj, kind: Optional[str] = None) -> str:
 
     The text is that of ``json.dumps(data, ensure_ascii=False, indent=2,
     sort_keys=True)``, written by :func:`_json`, which joins each list of
-    ints in one step; ``json.dumps`` with an indent always runs its
-    pure-Python encoder."""
+    ints in one step, and each :class:`_IntRow` from cached texts;
+    ``json.dumps`` with an indent always runs its pure-Python encoder."""
     return _json(document_data(obj, kind), "") + "\n"
 
 
 def _json(value, indent: str) -> str:
     """``value`` as ``json.dumps(value, ensure_ascii=False, indent=2,
     sort_keys=True)`` writes it at ``indent``.  Takes str, int, bool, None,
-    lists and tuples, and dicts with str keys, each of exactly that type;
-    anything else, floats included, raises TypeError."""
+    lists, tuples and :class:`_IntRow`, and dicts with str keys, each of
+    exactly that type; anything else, floats included, raises TypeError."""
     kind = type(value)
     if kind is str:
         return _quote(value)
@@ -55,10 +55,12 @@ def _json(value, indent: str) -> str:
         return _LITERALS[value]
     inner = indent + "  "
     sep = ",\n" + inner
-    if kind is list or kind is tuple:
+    if kind is list or kind is tuple or kind is _IntRow:
         if not value:
             return "[]"
-        if set(map(type, value)) == {int}:
+        if kind is _IntRow:
+            body = sep.join(map(_DECIMALS.__getitem__, value))
+        elif set(map(type, value)) == {int}:
             body = sep.join(map(str, value))
         else:
             body = sep.join([_json(v, inner) for v in value])
@@ -75,13 +77,25 @@ def _json(value, indent: str) -> str:
 _quote = json.encoder.encode_basestring
 _LITERALS = {None: "null", True: "true", False: "false"}
 
+# The decimal text of every int below the largest carrier written so far
+_DECIMALS: list = []
+
+
+class _IntRow(list):
+    """A list of ints below the size of its algebra, such as a row of one
+    of its tables: :func:`_json` writes it from the cached texts without
+    looking at its entries.  It is a list, and equals one."""
+
+    __slots__ = ()
+
 
 def algebra_data(a: FiniteAlgebra, kind: str) -> dict:
+    _DECIMALS.extend(map(str, range(len(_DECIMALS), a.size)))
     ops = {}
     for name, t in a.binary_ops.items():
-        ops[name] = [list(row) for row in t]
+        ops[name] = list(map(_IntRow, t))
     for name, t in a.unary_ops.items():
-        ops[name] = list(t)
+        ops[name] = _IntRow(t)
     for name, c in a.constants.items():
         ops[name] = c
     data = {"kind": kind, "size": a.size, "ops": ops}

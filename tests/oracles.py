@@ -747,13 +747,24 @@ def loop_dl_double_dual_iso(d):
     return as_isomorphism(alg, dl_of_poset(dual_poset), vec, "dl")
 
 
+def loop_stone_dual(b):
+    """The atom space of a Boolean algebra, its atoms counted by
+    :func:`loop_atoms` after validation."""
+    from algdual.algebra import validate_boolean_algebra
+    from algdual.errors import NotBoolean
+    from algdual.orders import FiniteSpace
+
+    validate_boolean_algebra(b).require(
+        NotBoolean, "input is not a Boolean algebra")
+    return FiniteSpace(len(loop_atoms(b)))
+
+
 def loop_stone_double_dual_iso(b):
     """The map of :func:`loop_dl_double_dual_iso`, checked onto the
     power-set algebra of the atom space."""
-    from algdual.lattices import ba_of_space, stone_dual
     from algdual.morphisms import as_isomorphism
 
-    return as_isomorphism(b, ba_of_space(stone_dual(b)),
+    return as_isomorphism(b, loop_ba_of_space(loop_stone_dual(b)),
                           loop_dl_double_dual_iso(b).map, "ba")
 
 
@@ -775,3 +786,91 @@ def loop_poset_double_dual_iso(p):
             raise IsomorphismFailure("principal down-set is not irreducible")
         vec.append(irr.index(k))
     return as_isomorphism(p, priestley_dual(lat), vec, "poset").map
+
+
+# ---------------------------------------------------------------------------
+# Operation tables between documents, algebras and text, a cell at a time
+# ---------------------------------------------------------------------------
+
+def loop_dl_of_poset(p):
+    """The down-set lattice with its join and meet filled cell by cell
+    through a mask-to-rank dict."""
+    from algdual.algebra import FiniteAlgebra
+    from algdual.lattices import downset_masks
+
+    masks = downset_masks(p)
+    rank = {m: k for k, m in enumerate(masks)}
+    names = tuple(
+        "{" + ",".join(str(i) for i in range(p.size) if (m >> i) & 1) + "}"
+        if m else "∅" for m in masks)
+    return FiniteAlgebra(
+        len(masks),
+        {"join": [[rank[a | b] for b in masks] for a in masks],
+         "meet": [[rank[a & b] for b in masks] for a in masks]},
+        names=names)
+
+
+def loop_ba_of_space(x):
+    """The power-set algebra as the down-set lattice of the discrete order,
+    by :func:`loop_dl_of_poset`, extended with complement and bounds."""
+    from algdual.errors import TooLarge
+    from algdual.lattices import MAX_POWER_SET_POINTS
+
+    if x.size > MAX_POWER_SET_POINTS:
+        raise TooLarge(f"the power-set algebra of a {x.size}-point space has "
+                       f"2^{x.size} elements, more than the limit of "
+                       f"2^{MAX_POWER_SET_POINTS}")
+    full = (1 << x.size) - 1
+    return loop_dl_of_poset(x).with_ops(
+        unary={"neg": [full ^ a for a in range(full + 1)]},
+        constants={"zero": 0, "one": full})
+
+
+def _loop_is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def loop_int_list(value, what):
+    """The document reader's list check, one entry at a time."""
+    from algdual.documents import fail
+
+    if not isinstance(value, list) or not all(map(_loop_is_int, value)):
+        raise fail(f"{what} must be a list of integers")
+    return value
+
+
+def loop_int_table(value, what):
+    """The document reader's table check, one row at a time through
+    :func:`loop_int_list`."""
+    from algdual.documents import fail
+
+    if not isinstance(value, list):
+        raise fail(f"{what} must be a table of integers")
+    return [loop_int_list(row, f"rows of {what}") for row in value]
+
+
+def loop_algebra_error(size, binary=(), unary=(), constants=(), names=None):
+    """The message of the first check ``FiniteAlgebra`` fails on tables,
+    maps and constants of ints, or None, by loops over the cells; the
+    inputs are dicts."""
+    if size < 1:
+        return "carrier must be non-empty"
+    if names is not None and len(names) != size:
+        return "names must match carrier size"
+    seen = set()
+    for name in (*binary, *unary, *constants):
+        if name in seen:
+            return f"duplicate operation name {name!r}"
+        seen.add(name)
+    for name, t in binary.items():
+        if len(t) != size or any(len(row) != size for row in t):
+            return f"table {name!r} is not {size}x{size}"
+        if any(not 0 <= v < size for row in t for v in row):
+            return f"table {name!r} has out-of-range entries"
+    for name, t in unary.items():
+        if len(t) != size or any(not 0 <= v < size for v in t):
+            return f"map {name!r} is not a carrier self-map"
+    for name, c in constants.items():
+        if not 0 <= c < size:
+            return f"constant {name!r} out of range"
+    return None

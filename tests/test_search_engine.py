@@ -150,6 +150,47 @@ def test_enumerate_homs_matches_naive(kind):
         assert _search_homs(a, b, kind, limit=2) == expected[:2]
 
 
+def _hom_pairs(kind, seed):
+    """Pairs of objects of a kind, lawful and perturbed."""
+    rng = Random(seed)
+    if kind in ("gr", "igr"):
+        pool = _igr_pool(rng)
+        if kind == "gr":
+            pool = [g.base for g in pool] + [gr_three()]
+    else:
+        pool = _pool(kind, seed)
+    return _pairs(pool, rng, 30) + [(a, a) for a in pool[:4]]
+
+
+@pytest.mark.parametrize("kind", ["sl", "bsl", "dl", "ibsl", "ba", "gr",
+                                  "igr"])
+def test_every_emitted_hom_meets_the_naive_conditions(kind):
+    # the engine's morphisms are built without the check; each must meet
+    # every condition, and equal the morphism built with the check
+    from algdual.errors import InvalidMorphism
+
+    rng = Random(f"emitted/{kind}")
+    emitted = 0
+    for a, b in _hom_pairs(kind, 71):
+        conditions = naive_morphism_conditions(a, b, kind)
+        homs = enumerate_homs(a, b, kind, validate=False)
+        assert [h.map for h in homs] == _search_homs(a, b, kind)
+        for h in homs:
+            assert conditions(h.map) == []
+            assert h == Morphism(a, b, h.map, kind)
+            assert (h.source, h.target, h.kind) == (a, b, kind)
+        emitted += len(homs)
+        # a map from outside the engine is still checked
+        for _ in range(5):
+            f = tuple(rng.randrange(b.size) for _ in range(a.size))
+            broken = conditions(f)
+            if broken:
+                with pytest.raises(InvalidMorphism,
+                                   match=repr(broken[0][0])):
+                    Morphism(a, b, f, kind)
+    assert emitted > 0
+
+
 def _symmetric(kind, rng):
     """Instances with 6 to 8 elements, some with several automorphisms, where
     a search that stops at its first isomorphism skips the others."""

@@ -321,7 +321,8 @@ def test_every_name_the_corpus_imports_resolves():
 # commands whose counters and spans the tracer reads, and what they must be
 TRACED = [
     (["hom", "{ibsl}", "{ibsl}", "--kind", "ibsl", "--count"],
-     "counts['algebra.morphism_checks'] == counts['algebra.homs_found'] > 0"
+     # the search proves each hom, so none is checked again
+     "counts['algebra.morphism_checks'] == 0 < counts['algebra.homs_found']"
      " and {'documents.load', 'documents.check',"
      " 'algebra.hom_search'} <= names"),
     (["iso", "{ibsl}", "{ibsl}", "--kind", "ibsl"],

@@ -7,7 +7,8 @@ tables, on tables with one cell changed and on fresh objects equal to ones
 already validated; check that a repeat costs no identity check and that the
 memo keeps no object alive, not even until the next garbage collection; and
 pin the identity checks and validator runs of the ``dual`` and
-``roundtrip`` pipelines.
+``roundtrip`` pipelines, the labellings of the Stone double dual and the
+down-set listings of the way back from an inverse system.
 """
 
 import gc
@@ -351,3 +352,51 @@ def test_each_system_document_is_checked_once(tmp_path, monkeypatch, capsys):
         assert main([*command, str(path)]) == 0
         assert calls == expected, (command, path.name)
     capsys.readouterr()
+
+
+def test_stone_double_dual_labels_the_algebra_once(monkeypatch):
+    # the atom space is read off the size, so the labelling is computed
+    # only for the map; validation (memoized) labels the algebra itself
+    from algdual import lattices
+
+    b = random_boolean_algebra(Random(6), 4, min_atoms=3)
+    algebra.validate_boolean_algebra(b)
+    calls = []
+    original = lattices.birkhoff_labels
+
+    def counted(a):
+        calls.append(a.size)
+        return original(a)
+
+    monkeypatch.setattr(lattices, "birkhoff_labels", counted)
+    iso = lattices.stone_double_dual_iso(b)
+    assert calls == [b.size]
+    assert iso.target.size == b.size
+
+
+@pytest.mark.parametrize("kind", ["ba", "dl"])
+def test_each_term_lists_its_down_sets_once(monkeypatch, kind):
+    # the way back from an inverse system lists the down-sets of each term
+    # once for the transitions, and ``dl_of_poset`` once more for its fiber
+    from algdual import lattices
+    from algdual.generate import random_direct_system
+
+    direct = random_direct_system(Random(4), kind, 4, 3, bounded=True)
+    inverse = (lattices.lift_functor_dir_to_inv(direct) if kind == "ba"
+               else lattices.lift_system_dl_to_posets(direct))
+    terms = inverse.index.size
+    assert len(inverse.index.comparable_pairs()) > terms
+    calls = []
+    original = lattices.downset_masks
+
+    def counted(p):
+        calls.append(p.size)
+        return original(p)
+
+    monkeypatch.setattr(lattices, "downset_masks", counted)
+    back = (lattices.lift_functor_inv_to_dir(inverse) if kind == "ba"
+            else lattices.lift_system_posets_to_dl(inverse))
+    sizes = [inverse.term(i).size for i in range(terms)]
+    assert sorted(calls) == sorted(sizes * (1 if kind == "ba" else 2))
+    assert [back.fiber(i).size for i in range(terms)] == [
+        direct.fiber(i).size for i in range(terms)]
