@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache, reduce
 from itertools import compress
-from operator import or_
+from operator import index, or_
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .algebra import (
@@ -62,6 +62,14 @@ NEG3 = (1, 0, 2)
 LEQ3 = order_from_binary(MEET3, "meet")
 
 
+def _integers(values, what: str) -> tuple[int, ...]:
+    """``values`` as ints (a bool as 0 or 1), else ValueError."""
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        raise ValueError(f"{what} is not an integer") from None
+
+
 class GRSpace(Record):
     """Partially ordered left normal band with constants, finite/discrete.
 
@@ -79,7 +87,8 @@ class GRSpace(Record):
 
     def __init__(self, size: int, star, leq, c0: int, c1: int, calpha: int,
                  points: Optional[tuple[RawMap, ...]] = None):
-        star = tuple(tuple(int(v) for v in row) for row in star)
+        star = tuple(_integers(row, "star table entry") for row in star)
+        c0, c1, calpha = _integers((c0, c1, calpha), "constant")
         leq = tuple(tuple(bool(v) for v in row) for row in leq)
         n = size
         if n < 1:
@@ -110,7 +119,7 @@ class GRSpaceWithInvolution(Record):
     neg: tuple[int, ...]
 
     def __init__(self, base: GRSpace, neg: Sequence[int]):
-        neg = tuple(int(v) for v in neg)
+        neg = _integers(neg, "involution value")
         if len(neg) != base.size:
             raise ValueError("involution is not a carrier self-map")
         if any(v < 0 or v >= base.size for v in neg):
@@ -335,9 +344,9 @@ def _locate(points: Sequence[tuple[int, int]], vectors,
             what: str) -> list[int]:
     """Positions of the masks ``vectors`` among the hom-space ``points``
     (masks too); raises NotGRSpace when one of them is not a point."""
-    index = {vec: k for k, vec in enumerate(points)}
+    position = {vec: k for k, vec in enumerate(points)}
     try:
-        return [index[vec] for vec in vectors]
+        return [position[vec] for vec in vectors]
     except KeyError:
         raise NotGRSpace(f"hom-space is not closed under {what}") from None
 

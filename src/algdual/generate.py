@@ -3,8 +3,10 @@ lattices, coherent direct systems, and the algebras assembled from them.
 
 Valid algebras are measure-zero among raw tables, so everything here is
 built constructively: Boolean algebras as relabeled power sets, distributive
-lattices as relabeled down-set lattices of random posets, involutive
-bisemilattices and bisemilattices as Plonka sums of random systems.
+lattices as relabeled down-set lattices of random posets, homs as the Stone
+or Birkhoff duals of random (monotone) maps between atoms (join-irreducibles)
+by :func:`algdual.lattices.point_map_hom`, and involutive bisemilattices and
+bisemilattices as Plonka sums of random systems.
 
 Coherence of transition families comes for free on chain indices (compose
 random cover homs along the unique path); indices with three or fewer
@@ -21,17 +23,16 @@ from __future__ import annotations
 from random import Random
 from typing import Optional
 
-from .algebra import FiniteAlgebra, compose
+from .algebra import FiniteAlgebra, birkhoff_labels, compose
 from .lattices import (
     atoms,
     ba_of_space,
     dl_of_poset,
-    join_irreducibles,
-    lattice_bounds,
+    point_map_hom,
     priestley_dual,
 )
 from .morphisms import Morphism
-from .orders import FinitePoset, FiniteSpace, order_from_binary
+from .orders import FinitePoset, FiniteSpace
 from .systems import DirectSystem, JoinSemilattice, permute_algebra, plonka_sum
 
 
@@ -87,20 +88,11 @@ def random_ba_hom(rng: Random, a: FiniteAlgebra, b: FiniteAlgebra) -> Optional[M
     """A uniformly random Boolean hom a -> b, via a random atom map
     At(b) -> At(a); None when no hom exists (non-trivial target of a trivial
     source)."""
-    ats_a, ats_b = atoms(a), atoms(b)
+    (ats_a, labels_a), (ats_b, labels_b) = map(birkhoff_labels, (a, b))
     if not ats_a and ats_b:
         return None
-    g = [rng.choice(ats_a) for _ in ats_b]
-    leq_a = order_from_binary(a.binary("meet"), "meet")
-    join_b = b.binary("join")
-    vec = []
-    for x in range(a.size):
-        img = b.const("zero")
-        for q, p in zip(ats_b, g):
-            if leq_a[p][x]:
-                img = join_b[img][q]
-        vec.append(img)
-    return Morphism(a, b, tuple(vec), "ba")
+    g = [rng.choice(range(len(ats_a))) for _ in ats_b]
+    return Morphism(a, b, point_map_hom(labels_a, labels_b, g), "ba")
 
 
 def random_distributive_lattice(rng: Random, max_points: int) -> FiniteAlgebra:
@@ -132,25 +124,15 @@ def random_dl_hom(rng: Random, a: FiniteAlgebra, b: FiniteAlgebra,
     of irreducibles, optionally followed by an interval translate
     x -> (x v c) ^ d, which may move the bounds."""
     pa, pb = priestley_dual(a), priestley_dual(b)
-    mono = None
-    for _ in range(20):
-        mono = random_monotone_map(rng, pb, pa)
-        if mono is not None:
-            break
-    irr_a, irr_b = join_irreducibles(a), join_irreducibles(b)
-    bot_b, top_b = lattice_bounds(b)
-    leq_a = order_from_binary(a.binary("meet"), "meet")
+    tries = (random_monotone_map(rng, pb, pa) for _ in range(20))
+    mono = next((m for m in tries if m is not None), None)
+    labels_a, labels_b = birkhoff_labels(a)[1], birkhoff_labels(b)[1]
+    if mono is not None:
+        vec = point_map_hom(labels_a, labels_b, mono)
+    else:  # top to top, everything else to bottom
+        full_a, full_b = max(labels_a), max(labels_b)
+        vec = [labels_b.index(full_b if m == full_a else 0) for m in labels_a]
     join_b, meet_b = b.binary("join"), b.binary("meet")
-    vec = []
-    for x in range(a.size):
-        img = bot_b
-        if mono is not None:
-            for k, q in enumerate(irr_b):
-                if leq_a[irr_a[mono[k]]][x]:
-                    img = join_b[img][q]
-        else:
-            img = top_b if x == lattice_bounds(a)[1] else bot_b
-        vec.append(img)
     if not bounded and rng.random() < 0.5:
         c = rng.randrange(b.size)
         d = join_b[c][rng.randrange(b.size)]
@@ -207,24 +189,16 @@ def random_presheaf_system(rng: Random, index: JoinSemilattice,
     gens = [rng.randrange(index.size) for _ in range(max_generators)]
     atom_sets = {i: [g for g, level in enumerate(gens) if index.leq(i, level)]
                  for i in range(index.size)}
-    fibers, perms = {}, {}
+    fibers, labels = {}, {}
     for i in range(index.size):
         base = ba_of_space(FiniteSpace(len(atom_sets[i])))
-        perms[i] = random_permutation(rng, base.size)
-        fibers[i] = permute_algebra(base, perms[i])
-    transitions = {}
-    for (i, j) in index.comparable_pairs():
-        pos = {g: p for p, g in enumerate(atom_sets[i])}
-        keep = [pos[g] for g in atom_sets[j]]
-        vec = []
-        for mask in range(1 << len(atom_sets[i])):
-            img = sum(1 << t for t, p in enumerate(keep) if (mask >> p) & 1)
-            vec.append(img)
-        inv_i = [0] * len(perms[i])
-        for old, new in enumerate(perms[i]):
-            inv_i[new] = old
-        transitions[(i, j)] = tuple(perms[j][vec[inv_i[x]]]
-                                    for x in range(fibers[i].size))
+        perm = random_permutation(rng, base.size)
+        fibers[i] = permute_algebra(base, perm)
+        labels[i] = sorted(range(base.size), key=perm.__getitem__)  # perm^-1
+    transitions = {
+        (i, j): point_map_hom(labels[i], labels[j],
+                              [atom_sets[i].index(g) for g in atom_sets[j]])
+        for (i, j) in index.comparable_pairs()}
     return DirectSystem(index, fibers, transitions, "ba")
 
 

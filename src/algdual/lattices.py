@@ -78,13 +78,6 @@ def _as_lattice(d) -> DistributiveLattice:
     return d if isinstance(d, DistributiveLattice) else DistributiveLattice(d)
 
 
-def lattice_bounds(d: FiniteAlgebra) -> tuple[int, int]:
-    meet, join = d.binary("meet"), d.binary("join")
-    bot = reduce(lambda a, b: meet[a][b], range(d.size))
-    top = reduce(lambda a, b: join[a][b], range(d.size))
-    return bot, top
-
-
 def join_irreducibles(d: FiniteAlgebra) -> list[int]:
     """Elements other than the bottom that are not proper joins, in index
     order (:func:`algdual.algebra.birkhoff_labels`)."""
@@ -189,6 +182,16 @@ def priestley_dual_hom(h: Morphism) -> RawMap:
     return tuple(map(position.__getitem__, least))
 
 
+def point_map_hom(labels_a, labels_b, g) -> RawMap:
+    """The hom A -> B dual to a map ``g`` from the points of B to those of
+    A, inverse to :func:`priestley_dual_hom`: x goes to the element of B
+    labelled {q : g(q) in label(x)}, a label being a set of points as an
+    int (:func:`downset_masks`, :func:`algdual.algebra.birkhoff_labels`)."""
+    rank = {m: y for y, m in enumerate(labels_b)}.__getitem__
+    return tuple(rank(sum(1 << q for q, p in enumerate(g) if x >> p & 1))
+                 for x in labels_a)
+
+
 def dl_double_dual_iso(d) -> Morphism:
     """Canonical isomorphism of a distributive lattice onto the down-set
     lattice of its join-irreducibles: x -> {q in J : q <= x}, the rank of
@@ -251,14 +254,8 @@ def lift_to_direct(s: InverseSystem, algebra_of, kind: str) -> DirectSystem:
     terms = [s.term(i) for i in range(s.index.size)]
     fibers = {i: algebra_of(t) for i, t in enumerate(terms)}
     masks = [downset_masks(t) for t in terms]
-    transitions = {}
-    for (i, j) in s.index.comparable_pairs():
-        vec = s.bonding(i, j)
-        rank_j = {m: p for p, m in enumerate(masks[j])}
-        transitions[(i, j)] = tuple(
-            rank_j[sum(1 << x for x in range(terms[j].size)
-                       if (mask >> vec[x]) & 1)]
-            for mask in masks[i])
+    transitions = {(i, j): point_map_hom(masks[i], masks[j], s.bonding(i, j))
+                   for (i, j) in s.index.comparable_pairs()}
     return DirectSystem(s.index, fibers, transitions, kind)
 
 

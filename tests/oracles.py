@@ -789,6 +789,128 @@ def loop_poset_double_dual_iso(p):
 
 
 # ---------------------------------------------------------------------------
+# Homs from point maps, as ``lattices.lift_to_direct`` and the generator
+# built them before ``lattices.point_map_hom``
+# ---------------------------------------------------------------------------
+
+def loop_preimage_hom(masks_a, masks_b, g):
+    """x -> the rank among ``masks_b`` of the preimage of ``masks_a[x]``
+    under g: the loop of ``lift_to_direct``."""
+    rank_b = {m: p for p, m in enumerate(masks_b)}
+    return tuple(rank_b[sum(1 << x for x in range(len(g))
+                            if (mask >> g[x]) & 1)]
+                 for mask in masks_a)
+
+
+def loop_join_hom(a, b, pairs):
+    """x -> the join in b, from its bottom, of every q with p <= x in a,
+    over the (q, p) in ``pairs``: the loop of ``random_ba_hom`` and
+    ``random_dl_hom``, where q runs over the join-irreducibles of b and p
+    is the irreducible of a that the drawn map sends q's point to."""
+    from algdual.orders import order_from_binary
+
+    leq_a = order_from_binary(a.binary("meet"), "meet")
+    join_b, bot_b = b.binary("join"), loop_lattice_bounds(b)[0]
+    vec = []
+    for x in range(a.size):
+        img = bot_b
+        for q, p in pairs:
+            if leq_a[p][x]:
+                img = join_b[img][q]
+        vec.append(img)
+    return tuple(vec)
+
+
+def loop_ba_hom(rng, a, b):
+    """``generate.random_ba_hom``: a random atom map At(b) -> At(a), then
+    the joins of :func:`loop_join_hom`."""
+    from algdual.morphisms import Morphism
+
+    ats_a, ats_b = loop_atoms(a), loop_atoms(b)
+    if not ats_a and ats_b:
+        return None
+    g = [rng.choice(ats_a) for _ in ats_b]
+    return Morphism(a, b, loop_join_hom(a, b, list(zip(ats_b, g))), "ba")
+
+
+def loop_dl_hom(rng, a, b, bounded=False):
+    """``generate.random_dl_hom``: a random monotone map of irreducibles
+    and the joins of :func:`loop_join_hom`, or top to top and everything
+    else to bottom when none is found; then maybe an interval translate."""
+    from algdual.generate import random_monotone_map
+    from algdual.morphisms import Morphism
+
+    pa, pb = loop_priestley_dual(a), loop_priestley_dual(b)
+    mono = None
+    for _ in range(20):
+        mono = random_monotone_map(rng, pb, pa)
+        if mono is not None:
+            break
+    irr_a, irr_b = loop_join_irreducibles(a), loop_join_irreducibles(b)
+    bot_b, top_b = loop_lattice_bounds(b)
+    if mono is not None:
+        vec = list(loop_join_hom(a, b, [(q, irr_a[mono[k]])
+                                        for k, q in enumerate(irr_b)]))
+    else:
+        vec = [top_b if x == loop_lattice_bounds(a)[1] else bot_b
+               for x in range(a.size)]
+    join_b, meet_b = b.binary("join"), b.binary("meet")
+    if not bounded and rng.random() < 0.5:
+        c = rng.randrange(b.size)
+        d = join_b[c][rng.randrange(b.size)]
+        vec = [meet_b[join_b[v][c]][d] for v in vec]
+    return Morphism(a, b, tuple(vec), "dl")
+
+
+def loop_presheaf_system(rng, index, max_generators):
+    """``generate.random_presheaf_system``: the restriction of subsets of
+    atoms as masks, conjugated by each pair's relabellings, the source's
+    inverted by hand."""
+    from algdual.generate import random_permutation
+    from algdual.lattices import ba_of_space
+    from algdual.orders import FiniteSpace
+    from algdual.systems import DirectSystem, permute_algebra
+
+    gens = [rng.randrange(index.size) for _ in range(max_generators)]
+    atom_sets = {i: [g for g, level in enumerate(gens) if index.leq(i, level)]
+                 for i in range(index.size)}
+    fibers, perms = {}, {}
+    for i in range(index.size):
+        base = ba_of_space(FiniteSpace(len(atom_sets[i])))
+        perms[i] = random_permutation(rng, base.size)
+        fibers[i] = permute_algebra(base, perms[i])
+    transitions = {}
+    for (i, j) in index.comparable_pairs():
+        pos = {g: p for p, g in enumerate(atom_sets[i])}
+        keep = [pos[g] for g in atom_sets[j]]
+        vec = []
+        for mask in range(1 << len(atom_sets[i])):
+            img = sum(1 << t for t, p in enumerate(keep) if (mask >> p) & 1)
+            vec.append(img)
+        inv_i = [0] * len(perms[i])
+        for old, new in enumerate(perms[i]):
+            inv_i[new] = old
+        transitions[(i, j)] = tuple(perms[j][vec[inv_i[x]]]
+                                    for x in range(fibers[i].size))
+    return DirectSystem(index, fibers, transitions, "ba")
+
+
+def loop_lift_to_direct(s, algebra_of, kind):
+    """``lattices.lift_to_direct``: the fibers ``algebra_of`` the terms,
+    and the transitions by :func:`loop_preimage_hom` over the down-sets
+    of :func:`brute_downset_masks`."""
+    from algdual.systems import DirectSystem
+
+    terms = [s.term(i) for i in range(s.index.size)]
+    fibers = {i: algebra_of(t) for i, t in enumerate(terms)}
+    masks = [brute_downset_masks(t) for t in terms]
+    transitions = {(i, j): loop_preimage_hom(masks[i], masks[j],
+                                             s.bonding(i, j))
+                   for (i, j) in s.index.comparable_pairs()}
+    return DirectSystem(s.index, fibers, transitions, kind)
+
+
+# ---------------------------------------------------------------------------
 # Operation tables between documents, algebras and text, a cell at a time
 # ---------------------------------------------------------------------------
 

@@ -312,6 +312,44 @@ def test_validate_gr_space_witnesses():
     assert not report.check("c0-c1-separation").holds
 
 
+def test_gr_space_refuses_a_non_integer_star_entry():
+    base = gr_three()
+    for bad in (0.5, 1.0, "1", None):
+        star = [list(r) for r in base.star]
+        star[1][2] = bad
+        with pytest.raises(ValueError, match="star table entry is not an"):
+            GRSpace(3, star, base.leq, 0, 1, 2)
+    # a bool counts as 0 or 1
+    star = [[bool(v) if v < 2 else v for v in r] for r in base.star]
+    assert GRSpace(3, star, base.leq, 0, 1, 2) == base
+
+
+@pytest.mark.parametrize("position", range(3))
+def test_gr_space_refuses_a_non_integer_constant(position):
+    base = gr_three()
+    for bad in (0.9, 1.0, "0", None):
+        consts = [0, 1, 2]
+        consts[position] = bad
+        with pytest.raises(ValueError, match="constant is not an integer"):
+            GRSpace(3, base.star, base.leq, *consts)
+    consts = [False, True, 2]
+    g = GRSpace(3, base.star, base.leq, *consts)
+    assert g == base and type(g.c0) is type(g.c1) is int
+
+
+def test_gr_involution_refuses_a_non_integer_value():
+    base = gr_three()
+    for neg in ([1.7, 0.2, 2], [1, 0, 2.0], ["1", 0, 2]):
+        with pytest.raises(ValueError, match="involution value is not an"):
+            GRSpaceWithInvolution(base, neg)
+    assert GRSpaceWithInvolution(base, [True, False, 2]) == wk_space()
+    # the range and length messages are unchanged
+    with pytest.raises(ValueError, match="involution has out-of-range"):
+        GRSpaceWithInvolution(base, [1, 0, 3])
+    with pytest.raises(ValueError, match="involution is not a carrier"):
+        GRSpaceWithInvolution(base, [1, 0])
+
+
 def test_duals_validate_for_random_small_ibsl():
     rng = Random(37)
     for _ in range(8):

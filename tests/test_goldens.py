@@ -1,5 +1,5 @@
 """Byte-level goldens: the sha256 of ``algctl`` stdout for seeded documents
-of every kind, run in-process through ``cli.main``.
+of every kind and for two ``gen`` runs, in-process through ``cli.main``.
 
 A refactor must leave every digest unchanged.  When an output change is
 intended, ``PYTHONPATH=src python tests/test_goldens.py`` prints the
@@ -190,6 +190,10 @@ GOLDENS = {
         [0, "7a82a33685de34652c8b0f624ea771b64cc8f6c18ef1cbc31088ba8d0dab6fc5"],
     "iso {ibsl} {ibsl-small} --kind ibsl":
         [1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"],
+    "gen --seed 11":
+        [0, "dafe678c3d750a6d59df5715c46d86140f8ee8e3b7412d9001988044c470ceeb"],
+    "gen --size 64 --seed 0 --fibers 4":
+        [0, "f77f7e3d1c2ef3bef66ddac1b3e3e4356325e170277c1a84d52c2e65ef00e21a"],
 }
 
 
@@ -221,6 +225,8 @@ def _commands() -> list[str]:
     pairs += [("ibsl", "ibsl-b", "ibsl"), ("bsl", "bsl-b", "bsl"),
               ("ibsl", "ibsl-small", "ibsl")]
     commands += [f"iso {{{a}}} {{{b}}} --kind {k}" for a, b, k in pairs]
+    # the generator's own documents, which no other golden pins
+    commands += ["gen --seed 11", "gen --size 64 --seed 0 --fibers 4"]
     return commands
 
 
