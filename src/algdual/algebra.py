@@ -22,11 +22,12 @@ not a ring of sets under :func:`birkhoff_labels`, the labelling that
 :mod:`algdual.lattices` also dualizes.
 
 Every command loads this module, so it holds only what checking an algebra
-document runs.  Morphisms (:mod:`algdual.morphisms`), the hom search
-(:mod:`algdual.search`), orders (:mod:`algdual.orders`) and index
-semilattices (:mod:`algdual.systems`) live with the commands that use them;
-the functions of theirs that the benchmark wraps or imports from here
-still resolve from here, on first use.
+document runs; each kind's validator is named in
+:data:`algdual.documents.KIND_TABLE`.  Morphisms
+(:mod:`algdual.morphisms`), the hom search (:mod:`algdual.search`), orders
+(:mod:`algdual.orders`) and index semilattices (:mod:`algdual.systems`)
+live with the commands that use them; the functions of theirs that the
+benchmark wraps or imports from here still resolve from here, on first use.
 """
 
 from __future__ import annotations
@@ -752,7 +753,7 @@ def builtin(name: str) -> FiniteAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# Kinds, and the names defined in the modules that use them
+# Names defined in the modules that use them
 # ---------------------------------------------------------------------------
 
 def resolve(ref):
@@ -763,29 +764,6 @@ def resolve(ref):
     module, name = ref
     return getattr(importlib.import_module(f"{__package__}.{module}"), name)
 
-
-# Morphism kinds: (validator, then the operations a morphism must preserve:
-# binary, unary, constants, and constants preserved exactly when both
-# endpoints declare them).  An involutive bisemilattice's meet and unit are
-# derived from join, neg and zero, so preserving those preserves them too;
-# index semilattices of systems always declare a bottom.  Ordered spaces
-# preserve their GR structure instead (see ``morphisms._signature``).
-MORPHISM_KINDS = {
-    "ibsl": (("algebra", "validate_ibsl"), ("join",), ("neg",), ("zero",),
-             ()),
-    "ba": (("algebra", "validate_boolean_algebra"), ("join", "meet"),
-           ("neg",), ("zero", "one"), ()),
-    "bsl": (("algebra", "validate_bisemilattice"), ("join", "meet"), (), (),
-            ()),
-    "dl": (("algebra", "validate_distributive_lattice"), ("join", "meet"),
-           (), (), ()),
-    "sl": (("algebra", "validate_semilattice"), ("join",), (), (),
-           ("bottom",)),
-    "gr": (("duality", "validate_gr_space"),),
-    "igr": (("duality", "validate_gr_involution"),),
-}
-SPACE_KINDS = ("gr", "igr")
-ALGEBRA_KINDS = tuple(k for k in MORPHISM_KINDS if k not in SPACE_KINDS)
 
 def forwarder(namespace: dict, moved: dict):
     """A module ``__getattr__`` (PEP 562) for the names that ``moved`` lists

@@ -3,7 +3,7 @@ count or list the kind-homs A -> B."""
 
 from __future__ import annotations
 
-from .. import algebra
+from .. import algebra, documents
 from . import add_format, checked_payload, write_stdout
 
 
@@ -11,7 +11,7 @@ def add_arguments(p) -> None:
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("--kind", required=True,
-                   choices=tuple(algebra.MORPHISM_KINDS))
+                   choices=documents.ALGEBRA_KINDS + documents.SPACE_KINDS)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--count", action="store_true")
     group.add_argument("--list", action="store_true")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import sys
 
-from .. import algebra
+from .. import algebra, documents
 from . import checked_payload, write_stdout
 
 
@@ -12,7 +12,7 @@ def add_arguments(p) -> None:
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("--kind", required=True,
-                   choices=tuple(algebra.MORPHISM_KINDS))
+                   choices=documents.ALGEBRA_KINDS + documents.SPACE_KINDS)
 
 
 def run(args) -> int:

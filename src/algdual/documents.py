@@ -13,12 +13,14 @@ violate their kind's axioms (reported by :func:`check_document`, CLI
 exit 1).  Serialization is canonical, so equal objects produce byte-equal
 documents.
 
-Every kind has one entry in :data:`KIND_TABLE`.  Algebra documents are
-parsed here; every other kind is parsed and written next to its structure
+Every kind has one entry in :data:`KIND_TABLE`: its validator, its dual,
+the kind of a Plonka sum of its fibers and the rest, but for what its homs
+preserve (:mod:`algdual.morphisms`).  Algebra documents are parsed here;
+every other kind is parsed and written next to its structure
 (:mod:`algdual.duality` for GR spaces, :mod:`algdual.orders` for posets and
 spaces, :mod:`algdual.system_documents` for systems), with the shape checks
-of this module, so a command compiles the document code of its kind only.  The
-JSON text of every document is written by :mod:`algdual.writer`, which
+of this module, so a command compiles the document code of its kind only.
+The JSON text of every document is written by :mod:`algdual.writer`, which
 only the commands that write a document load.
 """
 
@@ -28,7 +30,6 @@ import json
 from operator import attrgetter
 
 from .algebra import (
-    MORPHISM_KINDS,
     Check,
     FiniteAlgebra,
     Record,
@@ -191,8 +192,7 @@ def _lifted_dual(system):
 def _plonka_sum(system) -> Document:
     from .systems import plonka_sum
 
-    # over Boolean fibers the sum is involutive
-    return Document("ibsl" if system.kind == "ba" else "bsl",
+    return Document(KIND_TABLE[system.kind].get("sum_kind", system.kind),
                     plonka_sum(system))
 
 
@@ -204,9 +204,10 @@ def _plonka_sum(system) -> Document:
 # (``igr`` comes from ``gr`` documents); check: payload -> report; realize:
 # checked payload -> object (default: the payload); data: (object, kind) ->
 # document dict; dual, and dual_kind when the dual is an algebra; lift: the
-# duality applied termwise to a system; roundtrip: check name -> function
-# raising AlgebraError; plonka: (mode, function); hasse: order name ->
-# function giving the order matrix.
+# duality applied termwise to a system; sum_kind: the kind of a Plonka sum
+# of such fibers, if not theirs (it keeps exactly their regular identities);
+# roundtrip: check name -> function raising AlgebraError; plonka: (mode,
+# function); hasse: order name -> function giving the order matrix.
 
 _ALGEBRA = {"parse": parse_algebra, "data": ("writer", "algebra_data"),
             "hasse": {op: lambda a, op=op: resolve(
@@ -223,32 +224,34 @@ _SYSTEM = {"parse": ("system_documents", "parse_system"),
            "data": ("systems", "system_data"), "dual": _lifted_dual}
 
 KIND_TABLE = {
-    "ibsl": {**_ALGEBRA, "check": MORPHISM_KINDS["ibsl"][0],
+    "ibsl": {**_ALGEBRA, "check": ("algebra", "validate_ibsl"),
              "dual": ("duality", "dual_of_ibsl"),
              "roundtrip": {"plonka-roundtrip": lambda b: resolve(
                                ("systems", "plonka_roundtrip"))(b, "ibsl"),
                            "double-dual-iso": ("duality", "eps_iso")},
              "plonka": ("decompose", ("systems", "plonka_decompose"))},
-    "ba": {**_ALGEBRA, "check": MORPHISM_KINDS["ba"][0],
+    "ba": {**_ALGEBRA, "check": ("algebra", "validate_boolean_algebra"),
+           "sum_kind": "ibsl",
            "dual": ("lattices", "stone_dual"),
            "lift": ("lattices", "lift_functor_dir_to_inv"),
            "roundtrip": {"stone-double-dual":
                          ("lattices", "stone_double_dual_iso")}},
-    "bsl": {**_ALGEBRA, "check": MORPHISM_KINDS["bsl"][0],
+    "bsl": {**_ALGEBRA, "check": ("algebra", "validate_bisemilattice"),
             "dual": ("duality", "dual_of_bsl"),
             "roundtrip": {"plonka-roundtrip": lambda b: resolve(
                               ("systems", "plonka_roundtrip"))(b, "bsl")},
             "plonka": ("decompose", ("systems", "plonka_decompose_bsl"))},
-    "dl": {**_ALGEBRA, "check": MORPHISM_KINDS["dl"][0],
+    "dl": {**_ALGEBRA, "check": ("algebra", "validate_distributive_lattice"),
+           "sum_kind": "bsl",
            "dual": ("lattices", "priestley_dual"),
            "lift": ("lattices", "lift_system_dl_to_posets"),
            "roundtrip": {"birkhoff-double-dual":
                          ("lattices", "dl_double_dual_iso")}},
-    "sl": {**_ALGEBRA, "check": MORPHISM_KINDS["sl"][0]},
+    "sl": {**_ALGEBRA, "check": ("algebra", "validate_semilattice")},
     "gr": {**_GR, "parse": ("duality", "parse_gr"),
-           "check": MORPHISM_KINDS["gr"][0],
+           "check": ("duality", "validate_gr_space"),
            "dual": ("duality", "bsl_of_gr"), "dual_kind": "bsl"},
-    "igr": {**_GR, "check": MORPHISM_KINDS["igr"][0],
+    "igr": {**_GR, "check": ("duality", "validate_gr_involution"),
             "dual": ("duality", "dual_of_gr"), "dual_kind": "ibsl",
             "roundtrip": {"double-dual-iso": ("duality", "delta_iso")}},
     "poset": {"parse": ("orders", "parse_poset"),
@@ -270,8 +273,11 @@ KIND_TABLE = {
     "direct-system": {**_SYSTEM, "plonka": ("sum", _plonka_sum)},
     "inverse-system": _SYSTEM,
 }
-# the kinds a document can declare
+# the kinds a document can declare, those of algebras and of GR spaces
 KINDS = tuple(kind for kind, entry in KIND_TABLE.items() if "parse" in entry)
+ALGEBRA_KINDS = tuple(kind for kind in KINDS
+                      if KIND_TABLE[kind]["parse"] is parse_algebra)
+SPACE_KINDS = ("gr", "igr")
 # the kind of every library object other than an algebra, by class name
 KIND_OF_CLASS = {"GRSpace": "gr", "GRSpaceWithInvolution": "igr",
                   "FinitePoset": "poset", "FiniteSpace": "space",

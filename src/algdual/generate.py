@@ -20,12 +20,12 @@ exactly.
 
 from __future__ import annotations
 
+from functools import partial
 from random import Random
 from typing import Optional
 
 from .algebra import FiniteAlgebra, birkhoff_labels, compose
 from .lattices import (
-    atoms,
     ba_of_space,
     dl_of_poset,
     point_map_hom,
@@ -122,16 +122,19 @@ def random_dl_hom(rng: Random, a: FiniteAlgebra, b: FiniteAlgebra,
                   bounded: bool = False) -> Morphism:
     """Random lattice hom a -> b: a bounded hom from a random monotone map
     of irreducibles, optionally followed by an interval translate
-    x -> (x v c) ^ d, which may move the bounds."""
+    x -> (x v c) ^ d, which may move the bounds.  When 20 draws of the map
+    fail, all of b's irreducibles go to one maximal irreducible of a."""
     pa, pb = priestley_dual(a), priestley_dual(b)
     tries = (random_monotone_map(rng, pb, pa) for _ in range(20))
     mono = next((m for m in tries if m is not None), None)
     labels_a, labels_b = birkhoff_labels(a)[1], birkhoff_labels(b)[1]
+    if mono is None and pa.size:  # all to one maximal point: a bounded hom
+        peak = next(p for p, above in enumerate(pa.leq) if sum(above) == 1)
+        mono = [peak] * pb.size
     if mono is not None:
         vec = point_map_hom(labels_a, labels_b, mono)
-    else:  # top to top, everything else to bottom
-        full_a, full_b = max(labels_a), max(labels_b)
-        vec = [labels_b.index(full_b if m == full_a else 0) for m in labels_a]
+    else:  # a one-element source, to the top
+        vec = [labels_b.index(max(labels_b))]
     join_b, meet_b = b.binary("join"), b.binary("meet")
     if not bounded and rng.random() < 0.5:
         c = rng.randrange(b.size)
@@ -152,25 +155,21 @@ def random_chain_system(rng: Random, kind: str, max_fibers: int,
     automatic."""
     k = rng.randint(1, max_fibers)
     index = _chain_index(k)
+    # Boolean homs are bounded, and a bounded hom out of a one-element
+    # algebra has a one-element target
+    if kind == "ba":
+        draw_fiber, draw_hom = random_boolean_algebra, random_ba_hom
+        bounded = True
+    else:
+        draw_fiber = random_distributive_lattice
+        draw_hom = partial(random_dl_hom, bounded=bounded)
     fibers: dict[int, FiniteAlgebra] = {}
     covers: dict[int, Morphism] = {}
     for i in range(k):
-        if kind == "ba":
-            lo, hi = 0, max_atoms
-            if i > 0 and not atoms(fibers[i - 1]):
-                hi = 0  # only trivial algebras admit homs out of a trivial one
-            fibers[i] = random_boolean_algebra(rng, hi, lo)
-        else:
-            if bounded and i > 0 and fibers[i - 1].size == 1:
-                fibers[i] = random_distributive_lattice(rng, 0)
-            else:
-                fibers[i] = random_distributive_lattice(rng, max_atoms)
+        trivial = bounded and i > 0 and fibers[i - 1].size == 1
+        fibers[i] = draw_fiber(rng, 0 if trivial else max_atoms)
         if i > 0:
-            if kind == "ba":
-                covers[i] = random_ba_hom(rng, fibers[i - 1], fibers[i])
-            else:
-                covers[i] = random_dl_hom(rng, fibers[i - 1], fibers[i],
-                                          bounded=bounded)
+            covers[i] = draw_hom(rng, fibers[i - 1], fibers[i])
     transitions = {}
     for i in range(k):
         vec = tuple(range(fibers[i].size))

@@ -1,13 +1,14 @@
 """What a morphism of each kind must satisfy, stated once, and the
 :class:`Morphism` checked against it.
 
-:func:`_signature` lists the conditions of a kind-hom: the tables, maps
-and constants it preserves, the labels it keeps and the order.
-:func:`morphism_violations` checks a map against them, and the search
-(:mod:`algdual.search`) and its isomorphism colouring read them too.  Only
-commands that build or check morphisms load this module: ``hom``, ``iso``,
-the theorem checks of ``dual`` and ``roundtrip``, and systems, whose
-transitions are homs.
+:func:`_signature` lists the conditions of a kind-hom: the tables, maps and
+constants it preserves (``_PRESERVED`` for an algebra kind), the labels it
+keeps and the order.  All else known of a kind, its validator too, is in
+:data:`algdual.documents.KIND_TABLE`.  :func:`morphism_violations` checks a
+map against them, and the search (:mod:`algdual.search`) and its
+isomorphism colouring read them too.  Only commands that build or check
+morphisms load this module: ``hom``, ``iso``, the theorem checks of
+``dual`` and ``roundtrip``, and systems, whose transitions are homs.
 
 The public names here are also names of :mod:`algdual.algebra`, which
 resolves them on first use; a morphism's check goes through that binding,
@@ -16,16 +17,12 @@ so a wrapper installed on ``algebra.morphism_violations`` sees every one.
 
 from __future__ import annotations
 
+import operator
 from typing import Optional, Sequence
 
 from . import algebra
-from .algebra import (
-    ALGEBRA_KINDS,
-    MORPHISM_KINDS,
-    SPACE_KINDS,
-    Record,
-    resolve,
-)
+from .algebra import Record, resolve
+from .documents import ALGEBRA_KINDS, KIND_TABLE, SPACE_KINDS
 from .errors import (
     DomainMismatch,
     InvalidMorphism,
@@ -38,6 +35,20 @@ from .errors import (
 _KIND_CLASSES = {**dict.fromkeys(ALGEBRA_KINDS, ("FiniteAlgebra",)),
                  "gr": ("GRSpace", "GRSpaceWithInvolution"),
                  "igr": ("GRSpaceWithInvolution",)}
+
+# The operations a hom of each algebra kind preserves: binary, unary,
+# constants, and constants preserved exactly when both endpoints declare
+# them.  An involutive bisemilattice's meet and unit are derived from join,
+# neg and zero, so preserving those preserves them too; index semilattices
+# of systems always declare a bottom.  Ordered spaces preserve their GR
+# structure instead (see :func:`_signature`).
+_PRESERVED = {
+    "ibsl": (("join",), ("neg",), ("zero",), ()),
+    "ba": (("join", "meet"), ("neg",), ("zero", "one"), ()),
+    "bsl": (("join", "meet"), (), (), ()),
+    "dl": (("join", "meet"), (), (), ()),
+    "sl": (("join",), (), (), ("bottom",)),
+}
 
 
 def _signature(source, target, kind: str):
@@ -66,9 +77,9 @@ def _signature(source, target, kind: str):
                 [("zero-morphism", zero(source) or (-1,) * source.size,
                   zero(target) or (-2,) * target.size)] if igr else [],
                 (source.leq, target.leq), False)
-    if kind not in ALGEBRA_KINDS:
+    if kind not in _PRESERVED:
         raise KindMismatch(f"unknown morphism kind {kind!r}")
-    _, binary, unary, constants, optional = MORPHISM_KINDS[kind]
+    binary, unary, constants, optional = _PRESERVED[kind]
     constants = list(constants)
     for names in (binary, unary, constants):
         for name in names:
@@ -132,7 +143,10 @@ class Morphism(Record):
     kind: str
 
     def __init__(self, source, target, map: Sequence[int], kind: str):
-        map = tuple(int(v) for v in map)
+        try:
+            map = tuple(operator.index(v) for v in map)
+        except TypeError:
+            raise InvalidMorphism("map has a non-integer value") from None
         if len(map) != source.size:
             raise InvalidMorphism("map length does not match source carrier")
         if map and (min(map) < 0 or max(map) >= target.size):
@@ -193,9 +207,9 @@ def as_isomorphism(source, target, map: Sequence[int], kind: str) -> Morphism:
 
 def validate_for_kind(obj, kind: str):
     """Run the validator of a morphism kind, on an object of its class."""
-    if kind not in MORPHISM_KINDS:
+    if kind not in _KIND_CLASSES:
         raise KindMismatch(f"unknown morphism kind {kind!r}")
     if type(obj).__name__ not in _KIND_CLASSES[kind]:
         raise KindMismatch(
             f"kind {kind!r} does not apply to a {type(obj).__name__}")
-    return resolve(MORPHISM_KINDS[kind][0])(obj)
+    return resolve(KIND_TABLE[kind]["check"])(obj)

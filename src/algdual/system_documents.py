@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .algebra import ALGEBRA_KINDS, FiniteAlgebra, Record, ValidationReport
-from .documents import expect_int, fail, int_list, parse_algebra
+from .algebra import FiniteAlgebra, Record, ValidationReport
+from .documents import ALGEBRA_KINDS, expect_int, fail, int_list, parse_algebra
 
 
 class SystemParts(Record):

@@ -16,6 +16,7 @@ from functools import cache
 from typing import Mapping, Sequence
 
 from .algebra import FiniteAlgebra, RawMap, Record, compose, first_difference
+from .documents import KIND_TABLE
 from .errors import DomainMismatch, FiberSplit, InvalidSystemMorphism
 from . import systems
 from .morphisms import Morphism
@@ -205,8 +206,8 @@ def system_morphism_to_hom(m: DirectSystemMorphism) -> Morphism:
         j = m.index_map(i)
         for x in range(m.source.fiber(i).size):
             vec.append(offs_b[j] + m.components[i](x))
-    kind = "ibsl" if m.source.kind == "ba" else "bsl"
-    return Morphism(a, b, tuple(vec), kind)
+    kind = m.source.kind
+    return Morphism(a, b, tuple(vec), KIND_TABLE[kind].get("sum_kind", kind))
 
 
 def enumerate_system_morphisms(da: DirectSystem,

@@ -11,8 +11,8 @@ from __future__ import annotations
 import json
 from typing import Optional
 
-from .algebra import ALGEBRA_KINDS, FiniteAlgebra, resolve
-from .documents import KIND_OF_CLASS, KIND_TABLE, Document
+from .algebra import FiniteAlgebra, resolve
+from .documents import ALGEBRA_KINDS, KIND_OF_CLASS, KIND_TABLE, Document
 
 
 def document_data(obj, kind: Optional[str] = None) -> dict:

@@ -790,7 +790,8 @@ def loop_poset_double_dual_iso(p):
 
 # ---------------------------------------------------------------------------
 # Homs from point maps, as ``lattices.lift_to_direct`` and the generator
-# built them before ``lattices.point_map_hom``
+# built them before ``lattices.point_map_hom``, and the generator's chain
+# systems as it drew them with a branch on the kind at each step
 # ---------------------------------------------------------------------------
 
 def loop_preimage_hom(masks_a, masks_b, g):
@@ -835,10 +836,13 @@ def loop_ba_hom(rng, a, b):
 
 def loop_dl_hom(rng, a, b, bounded=False):
     """``generate.random_dl_hom``: a random monotone map of irreducibles
-    and the joins of :func:`loop_join_hom`, or top to top and everything
-    else to bottom when none is found; then maybe an interval translate."""
+    and the joins of :func:`loop_join_hom`; when none is found, the top of
+    b on the elements above the first maximal irreducible of a and the
+    bottom elsewhere (from a one-element a, top to top); then maybe an
+    interval translate."""
     from algdual.generate import random_monotone_map
     from algdual.morphisms import Morphism
+    from algdual.orders import order_from_binary
 
     pa, pb = loop_priestley_dual(a), loop_priestley_dual(b)
     mono = None
@@ -848,9 +852,14 @@ def loop_dl_hom(rng, a, b, bounded=False):
             break
     irr_a, irr_b = loop_join_irreducibles(a), loop_join_irreducibles(b)
     bot_b, top_b = loop_lattice_bounds(b)
+    leq_a = order_from_binary(a.binary("meet"), "meet")
     if mono is not None:
         vec = list(loop_join_hom(a, b, [(q, irr_a[mono[k]])
                                         for k, q in enumerate(irr_b)]))
+    elif irr_a:
+        top = next(p for p in irr_a
+                   if not any(q != p and leq_a[p][q] for q in irr_a))
+        vec = [top_b if leq_a[top][x] else bot_b for x in range(a.size)]
     else:
         vec = [top_b if x == loop_lattice_bounds(a)[1] else bot_b
                for x in range(a.size)]
@@ -860,6 +869,51 @@ def loop_dl_hom(rng, a, b, bounded=False):
         d = join_b[c][rng.randrange(b.size)]
         vec = [meet_b[join_b[v][c]][d] for v in vec]
     return Morphism(a, b, tuple(vec), "dl")
+
+
+def branch_chain_system(rng, kind, max_fibers, max_atoms, bounded=False):
+    """``generate.random_chain_system`` with a branch on ``kind`` for each
+    fiber and each cover hom, and a trivial Boolean fiber told by its
+    atoms."""
+    from algdual.algebra import compose
+    from algdual.generate import (
+        _chain_index,
+        random_ba_hom,
+        random_boolean_algebra,
+        random_distributive_lattice,
+        random_dl_hom,
+    )
+    from algdual.lattices import atoms
+    from algdual.systems import DirectSystem
+
+    k = rng.randint(1, max_fibers)
+    index = _chain_index(k)
+    fibers, covers = {}, {}
+    for i in range(k):
+        if kind == "ba":
+            lo, hi = 0, max_atoms
+            if i > 0 and not atoms(fibers[i - 1]):
+                hi = 0  # only trivial algebras admit homs out of a trivial one
+            fibers[i] = random_boolean_algebra(rng, hi, lo)
+        else:
+            if bounded and i > 0 and fibers[i - 1].size == 1:
+                fibers[i] = random_distributive_lattice(rng, 0)
+            else:
+                fibers[i] = random_distributive_lattice(rng, max_atoms)
+        if i > 0:
+            if kind == "ba":
+                covers[i] = random_ba_hom(rng, fibers[i - 1], fibers[i])
+            else:
+                covers[i] = random_dl_hom(rng, fibers[i - 1], fibers[i],
+                                          bounded=bounded)
+    transitions = {}
+    for i in range(k):
+        vec = tuple(range(fibers[i].size))
+        transitions[(i, i)] = vec
+        for j in range(i + 1, k):
+            vec = compose(covers[j].map, vec)
+            transitions[(i, j)] = vec
+    return DirectSystem(index, fibers, transitions, kind)
 
 
 def loop_presheaf_system(rng, index, max_generators):

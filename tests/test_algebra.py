@@ -227,6 +227,17 @@ def test_morphism_validation_rejects_non_hom(wk, s2):
         Morphism(wk, s2, (0, 1, 1), "ibsl")
 
 
+@pytest.mark.parametrize("vector", [(0.4, 1), (0, 1.9)])
+def test_morphism_refuses_a_non_integer_value(two, vector):
+    # truncated, either vector would be the identity
+    with pytest.raises(InvalidMorphism, match="non-integer"):
+        Morphism(two, two, vector, "ba")
+
+
+def test_morphism_reads_bools_as_integers(two):
+    assert Morphism(two, two, (False, True), "ba").map == (0, 1)
+
+
 def test_find_isomorphism_identity_and_size_mismatch(wk, s2):
     assert find_isomorphism(wk, wk, "ibsl").map == (0, 1, 2)
     assert find_isomorphism(wk, s2, "ibsl") is None

@@ -630,8 +630,7 @@ def _kind_choices(command: str):
 
 
 def test_parser_kind_choices_are_the_kind_tuples():
-    from algdual.algebra import ALGEBRA_KINDS, SPACE_KINDS
-    from algdual.documents import KINDS
+    from algdual.documents import ALGEBRA_KINDS, KINDS, SPACE_KINDS
 
     assert tuple(_kind_choices("check")) == KINDS
     assert tuple(_kind_choices("hom")) == ALGEBRA_KINDS + SPACE_KINDS

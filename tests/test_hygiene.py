@@ -154,7 +154,6 @@ def _refs(value):
 def _named_callables():
     """(where it is named, module, name) of every function that the kind
     tables and the benchmark's tracer name by strings."""
-    from algdual.algebra import MORPHISM_KINDS
     from algdual.documents import KIND_TABLE
 
     sys.path.insert(0, str(ROOT / "perfbench"))
@@ -162,9 +161,7 @@ def _named_callables():
         import spans
     finally:
         sys.path.remove(str(ROOT / "perfbench"))
-    out = [(f"MORPHISM_KINDS[{kind!r}]", *entry[0])
-           for kind, entry in MORPHISM_KINDS.items()]
-    out += [(f"KIND_TABLE[{kind!r}]", *ref)
+    out = [(f"KIND_TABLE[{kind!r}]", *ref)
             for kind, entry in KIND_TABLE.items() for ref in _refs(entry)]
     for table in ("SPANS", "CALL_COUNTERS", "SIZE_COUNTERS"):
         out += [(f"spans.{table}", *key) for key in getattr(spans, table)]

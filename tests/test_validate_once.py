@@ -23,7 +23,8 @@ from random import Random
 import pytest
 
 from algdual import algebra, duality, systems
-from algdual.algebra import FiniteAlgebra, builtin, validate_ibsl
+from algdual.algebra import FiniteAlgebra, builtin, resolve, validate_ibsl
+from algdual.documents import ALGEBRA_KINDS, KIND_TABLE
 from algdual.duality import (
     GRSpace,
     GRSpaceWithInvolution,
@@ -92,10 +93,8 @@ def _igr_changed(g, rng):
 def _cases():
     rng = Random(11)
     cases = []
-    for kind, entry in algebra.MORPHISM_KINDS.items():
-        if kind not in algebra.ALGEBRA_KINDS:
-            continue
-        validator = getattr(algebra, entry[0][1])
+    for kind in ALGEBRA_KINDS:
+        validator = resolve(KIND_TABLE[kind]["check"])
         for a in _lawful_algebras(kind, rng):
             changed = [_one_cell_changed(a, rng) for _ in range(3)]
             cases += [(validator, obj) for obj in [a, _copy(a), *changed]]
@@ -132,8 +131,7 @@ def test_memoized_validator_agrees_with_the_wrapped_one(validator, obj):
 
 
 def test_every_validator_is_memoized():
-    wrapped = {getattr(algebra, e[0][1]) for k, e in
-               algebra.MORPHISM_KINDS.items() if k in algebra.ALGEBRA_KINDS}
+    wrapped = {resolve(KIND_TABLE[k]["check"]) for k in ALGEBRA_KINDS}
     wrapped |= {validate_gr_space, validate_gr_involution}
     assert len(wrapped) == 7
     assert all(hasattr(v, "__wrapped__") for v in wrapped)
