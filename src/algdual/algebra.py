@@ -234,17 +234,22 @@ class FiniteAlgebra(Record):
 # ---------------------------------------------------------------------------
 # Scans over a carrier do one C-level operation per row instead of one
 # Python step per cell: a row of ints is gathered through a table at once.
-# Sets of elements are ints (:func:`byteset`).
+# A set of elements is an int with bit y for element y (:func:`bitset`).
 
-def byteset(row) -> int:
+_BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def bitset(row, digits: bytes = _BINARY_DIGITS) -> int:
     """The set of positions y where ``row[y]`` is 1 or True, as the int
-    with byte y equal to ``row[y]``."""
-    return int.from_bytes(bytes(row), "little")
+    with bit y set: the row, last entry first, read as binary digits
+    through the translation table ``digits`` (another table reads the
+    positions of other values)."""
+    return int(b"0" + bytes(row)[::-1].translate(digits), 2)
 
 
 def _least(s: int) -> int:
-    """The least element of a non-empty byte set."""
-    return (s & -s).bit_length() - 1 >> 3
+    """The least element of a non-empty bit set."""
+    return (s & -s).bit_length() - 1
 
 
 def _gather(row, table) -> tuple[int, ...]:
@@ -314,14 +319,14 @@ def table_break(f, ta: Table, tb: Table) -> Optional[tuple[int, int]]:
 def order_breaks(maps, la, lb, reflect: bool = False):
     """For each f: A -> B in ``maps``, the first (x, y) with ``la[x][y]``
     and not ``lb[f x][f y]`` or, if ``reflect``, with the two different, or
-    None: the pairs of ``la`` as one byte set against the preimages of the
+    None: the pairs of ``la`` as one bit set against the preimages of the
     up-sets of each f x, gathered through rows of ``lb`` padded per call."""
     make, gather, pad, join = row_kernel(max(len(la), len(lb)))
-    pairs, rows = byteset(itertools.chain(*la)), list(map(pad, lb))
+    pairs, rows = bitset(itertools.chain(*la)), list(map(pad, lb))
     for f in maps:
         frow = make(f)
         preimages = {v: gather(frow, rows[v]) for v in set(f)}
-        kept = byteset(join(map(preimages.__getitem__, f)))
+        kept = bitset(join(map(preimages.__getitem__, f)))
         bad = pairs ^ kept if reflect else pairs & ~kept
         yield divmod(_least(bad), len(la)) if bad else None
 
@@ -511,8 +516,6 @@ def _identity_checks(a: FiniteAlgebra, identities,
 # Validators
 # ---------------------------------------------------------------------------
 
-_BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
-
 BISEMILATTICE_IDENTITIES = (
     ("join-idempotent", ("join", "x", "x"), "x"),
     ("join-commutative", ("join", "x", "y"), ("join", "y", "x")),
@@ -644,16 +647,13 @@ def birkhoff_labels(a: FiniteAlgebra) -> tuple[list[int], list[int]]:
     k-th (Birkhoff's representation; Stone's in a Boolean algebra).  Only
     the join table is read: x is join-irreducible when the elements
     strictly below it are those below one element."""
-    # byte y of below[x] is 1 when x + y = x: y <= x, in a lattice
+    # entry y of below[x] is 1 when x + y = x: y <= x, in a lattice
     below = [bytes(map(x.__eq__, row)) for x, row in enumerate(a.binary("join"))]
-    downs = set(below)
-    irreducible = [x for x, b in enumerate(below)
-                   if b[:x] + b"\0" + b[x + 1:] in downs]
-    # x's set: the bytes of below[x] at the join-irreducibles, last first,
-    # read as the digits of a binary number
-    last_first = irreducible[::-1]
-    return irreducible, [int(b"0" + bytes(map(b.__getitem__, last_first))
-                             .translate(_BINARY_DIGITS), 2) for b in below]
+    downs = list(map(bitset, below))
+    found = set(downs)
+    irreducible = [x for x, d in enumerate(downs) if d & ~(1 << x) in found]
+    # x's set: the entries of below[x] at the join-irreducibles
+    return irreducible, [bitset(map(b.__getitem__, irreducible)) for b in below]
 
 
 def _is_set_algebra(a: FiniteAlgebra, boolean: bool) -> bool:

@@ -35,8 +35,8 @@ from .algebra import (
     RawMap,
     Record,
     ValidationReport,
+    bitset,
     builtin,
-    byteset,
     first_difference,
     first_violation,
     forwarder,
@@ -255,7 +255,7 @@ def validate_gr_space(g) -> ValidationReport:
     # for a !<= b the down-set D(b) excludes a, so it separates the pair
     # exactly when it contains b and is a lower set (D(y) lies in D(b) for
     # each y in it), which depends on b alone
-    down = [byteset(col) for col in zip(*leq)]
+    down = list(map(bitset, zip(*leq)))
     separates = [leq[b][b] and reduce(or_, compress(down, col), d) == d
                  for b, (d, col) in enumerate(zip(down, zip(*leq)))]
     w = next(((a, b) for a in range(n) for b in range(n)
@@ -312,20 +312,18 @@ def _negations(points: Sequence[RawMap], neg: Sequence[int]) -> list[RawMap]:
     return [tuple(NEG3[phi[b]] for b in neg) for phi in points]
 
 
-# A value vector phi: X -> 3 is a pair of bitmasks, (alpha-set, 1-set), bit
+# A value vector phi: X -> 3 is a pair of bit sets, (alpha-set, 1-set), bit
 # x for coordinate x; the 0-set is the rest.  Alpha absorbs the star, join
 # and meet of the three-element algebra, so each is a few bitwise operations
 # on whole vectors.
-_ALPHA_DIGITS = b"001".ljust(256, b"0")
-_ONE_DIGITS = b"010".ljust(256, b"0")
+_ALPHA_DIGITS = bytes.maketrans(b"\0\1\2", b"001")
+_ONE_DIGITS = bytes.maketrans(b"\0\1\2", b"010")
 
 
 def _masks(vectors) -> list[tuple[int, int]]:
-    """The (alpha-set, 1-set) bitmasks of each value vector: the vector,
-    last coordinate first, translated to the binary digits of each set."""
-    return [(int(v.translate(_ALPHA_DIGITS), 2),
-             int(v.translate(_ONE_DIGITS), 2))
-            for v in (bytes(u)[::-1] for u in vectors)]
+    """The (alpha-set, 1-set) bit sets of each value vector."""
+    return [(bitset(v, _ALPHA_DIGITS), bitset(v, _ONE_DIGITS))
+            for v in map(bytes, vectors)]
 
 
 def _star(a, o, b, q):

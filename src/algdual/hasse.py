@@ -6,25 +6,26 @@ listed in a stable order, so outputs diff cleanly.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import TYPE_CHECKING, Optional, Sequence
+
+from .algebra import bitset
 
 if TYPE_CHECKING:
     from .orders import OrderMatrix
 
 
 def covering_edges(leq: OrderMatrix) -> list[tuple[int, int]]:
-    """Pairs (i, j) with j covering i: i < j with nothing strictly between."""
-    n = len(leq)
+    """Pairs (i, j) with j covering i: i < j with nothing strictly between,
+    in lexicographic order.  Over the related pairs i != j, j covers i when
+    up(i) and down(j), as bit sets, meet within {i, j}."""
+    down = [d & ~(1 << j) for j, d in enumerate(map(bitset, zip(*leq)))]
     out = []
-    for i in range(n):
-        for j in range(n):
-            if i == j or not leq[i][j]:
-                continue
-            if any(k not in (i, j) and leq[i][k] and leq[k][j]
-                   for k in range(n)):
-                continue
-            out.append((i, j))
-    return sorted(out)
+    for i, row in enumerate(leq):
+        up = bitset(row) & ~(1 << i)
+        out += [(i, j) for j in compress(range(len(leq)), row)
+                if i != j and not up & down[j]]
+    return out
 
 
 def _dot_string(text: str) -> str:

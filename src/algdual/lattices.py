@@ -36,6 +36,7 @@ from .algebra import (
     RawMap,
     Record,
     birkhoff_labels,
+    bitset,
     forwarder,
     row_kernel,
     validate_boolean_algebra,
@@ -107,15 +108,14 @@ def priestley_dual(d) -> FinitePoset:
 
 
 def downset_masks(p: FinitePoset) -> list[int]:
-    """All down-sets of the poset ``p`` as bitmasks, ascending.
+    """All down-sets of the poset ``p`` as bit sets, ascending.
 
     Each down-set other than the empty one is a smaller down-set plus an
     element whose strict down-set lies in it, so they are grown from the
     empty set one such element at a time: the work grows with the number of
     down-sets found, not with 2^size.  More than 2^MAX_POWER_SET_POINTS of
     them raise :class:`TooLarge`."""
-    below = [sum(1 << j for j in range(p.size) if p.leq[j][i] and j != i)
-             for i in range(p.size)]
+    below = [d & ~(1 << i) for i, d in enumerate(map(bitset, zip(*p.leq)))]
     found = {0}
     frontier = [0]
     while frontier:
@@ -188,8 +188,7 @@ def point_map_hom(labels_a, labels_b, g) -> RawMap:
     labelled {q : g(q) in label(x)}, a label being a set of points as an
     int (:func:`downset_masks`, :func:`algdual.algebra.birkhoff_labels`)."""
     rank = {m: y for y, m in enumerate(labels_b)}.__getitem__
-    return tuple(rank(sum(1 << q for q, p in enumerate(g) if x >> p & 1))
-                 for x in labels_a)
+    return tuple(rank(bitset(x >> p & 1 for p in g)) for x in labels_a)
 
 
 def dl_double_dual_iso(d) -> Morphism:
@@ -211,8 +210,7 @@ def poset_double_dual_iso(p: FinitePoset) -> RawMap:
     the principal down-sets is its rank among the join-irreducibles."""
     from .morphisms import as_isomorphism
 
-    principal = [sum(1 << j for j in range(p.size) if p.leq[j][x])
-                 for x in range(p.size)]
+    principal = list(map(bitset, zip(*p.leq)))
     rank = {m: k for k, m in enumerate(sorted(principal))}
     return as_isomorphism(p, priestley_dual(dl_of_poset(p)),
                           [rank[m] for m in principal], "poset").map

@@ -2,8 +2,8 @@
 operation table induces, and the two ordered structures that are documents
 of their own, finite posets and finite discrete spaces.
 
-An order matrix holds ``leq[x][y]`` for x <= y.  Sets of elements are byte
-sets (:func:`algdual.algebra.byteset`), so a union, intersection or subset
+An order matrix holds ``leq[x][y]`` for x <= y.  Sets of elements are bit
+sets (:func:`algdual.algebra.bitset`), so a union, intersection or subset
 test of up-sets or down-sets is one int operation.
 """
 
@@ -21,7 +21,7 @@ from .algebra import (
     Table,
     ValidationReport,
     _least,
-    byteset,
+    bitset,
 )
 
 OrderMatrix = tuple[tuple[bool, ...], ...]
@@ -45,15 +45,15 @@ def is_partial_order(leq: OrderMatrix) -> Optional[tuple[int, ...]]:
     """None if ``leq`` is a partial order, else the first witness: ``(x,)``
     of reflexivity, ``(x, y)`` of antisymmetry or ``(x, y, z)`` of
     transitivity, each in lexicographic order.  Up-sets U(y) and down-sets
-    are byte sets, so the z of a transitivity witness for x <= y is the
+    are bit sets, so the z of a transitivity witness for x <= y is the
     least element of U(y) outside U(x)."""
-    up = [byteset(row) for row in leq]
+    up = list(map(bitset, leq))
     for x, row in enumerate(leq):
         if not row[x]:
             return (x,)
     for x, (u, col) in enumerate(zip(up, zip(*leq))):
-        if u & byteset(col) != 1 << 8 * x:
-            return x, _least(u & byteset(col) ^ 1 << 8 * x)
+        if u & bitset(col) != 1 << x:
+            return x, _least(u & bitset(col) ^ 1 << x)
     for x, (u, row) in enumerate(zip(up, leq)):
         # U(x) holds each U(y), y in it, unless their union grows it
         if reduce(or_, compress(up, row), u) != u:

@@ -450,6 +450,34 @@ def loop_partial_order(leq):
     return None
 
 
+def loop_covering_edges(leq):
+    """Pairs (i, j) with j covering i, by looking for an element strictly
+    between every related pair (``hasse.covering_edges``)."""
+    n = len(leq)
+    out = []
+    for i in range(n):
+        for j in range(n):
+            if i == j or not leq[i][j]:
+                continue
+            if any(k not in (i, j) and leq[i][k] and leq[k][j]
+                   for k in range(n)):
+                continue
+            out.append((i, j))
+    return sorted(out)
+
+
+def loop_birkhoff_labels(a):
+    """``algebra.birkhoff_labels`` cell by cell, on any join table: x is
+    irreducible when the y != x with x + y = x are the y with z + y = z
+    for some z, and x's label has bit k when the k-th irreducible q has
+    x + q = x."""
+    join, n = a.binary("join"), a.size
+    below = [{y for y in range(n) if join[x][y] == x} for x in range(n)]
+    irreducible = [x for x in range(n) if below[x] - {x} in below]
+    return irreducible, [sum(1 << k for k, q in enumerate(irreducible)
+                             if q in below[x]) for x in range(n)]
+
+
 def loop_gr_order_witnesses(g):
     """The witnesses of the GR checks order-right-compatible,
     order-left-compatible and star-decreasing, by scanning every cell."""

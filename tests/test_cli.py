@@ -284,6 +284,20 @@ def test_hasse_box_requires_gr(capsys, three_file):
     assert code == 1
 
 
+@pytest.mark.parametrize("leq, nodes", [
+    ([], ""),
+    ([[1]], '  n0 [label="0"];\n'),
+])
+def test_hasse_of_the_empty_and_one_element_posets(capsys, tmp_path, leq,
+                                                   nodes):
+    # the order has no related pair of two elements, so no edge
+    doc = _write_json(tmp_path, "p.json",
+                      {"kind": "poset", "size": len(leq), "leq": leq})
+    code, out, err = run(capsys, "hasse", doc)
+    assert code == 0
+    assert out == "digraph hasse {\n  rankdir=BT;\n" + nodes + "}\n"
+
+
 def test_gen_deterministic(capsys):
     code, out1, _ = run(capsys, "gen", "--seed", "5")
     assert code == 0

@@ -15,7 +15,7 @@ from algdual.algebra import (
     validate_ibsl,
 )
 from algdual.cli import main
-from algdual.documents import dumps_document
+from algdual.documents import KIND_TABLE, dumps_document
 from algdual.generate import (
     _chain_index,
     random_direct_system,
@@ -35,7 +35,7 @@ def _ladder_document(kind, seed, fibers, atoms, size) -> tuple[str, str]:
     total = systems.plonka_sum(random_direct_system(rng, kind, fibers, atoms))
     assert total.size == size
     moved = permute_algebra(total, random_permutation(rng, size))
-    doc_kind = "ibsl" if kind == "ba" else "bsl"
+    doc_kind = KIND_TABLE[kind].get("sum_kind", kind)
     return dumps_document(moved, doc_kind), doc_kind
 
 

@@ -433,7 +433,7 @@ def _random_tables_space(rng):
 
 
 def test_gr_order_scans_match_the_loops():
-    # the order checks decide on byte sets and rows
+    # the order checks decide on bit sets and rows
     rng = Random(83)
     spaces = [g.base for g in _igr_pool(rng)] + [gr_three()]
     spaces += [_gr_perturbed(g, rng) for g in spaces for _ in range(4)]
